@@ -57,7 +57,6 @@ from .diagnostics import (
     commutator_ratio,
     conservation_report,
     half_derivative_commutator_ratio,
-    inequality_ratio,
     interpolation_ratio,
     norm,
     trilinear_ratio,

@@ -146,23 +146,13 @@ def _cmd_picard(m: RunManifest, out: Path, quiet: bool) -> int:
 
 
 def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> int:
+    # everything is computed before the first write, so a rejected manifest
+    # (exit 2) leaves no partial output behind
     grid = m.grid()
     phi = m.initial_data(grid)
     cut = CutoffSpec(m.uc_epsilon)
     report = b1_indicator(phi, m.uc_t, cut, levels=m.uc_levels)
-    rows = []
-    for i, lev in enumerate(report.levels):
-        ratio = report.ratios[i - 1] if i > 0 else ""
-        rows.append([i, lev.window_norm, ratio, report.verdict])
-    write_csv(out / "uc_report.csv", ["level", "window_norm", "ratio", "verdict"], rows)
-
     table = persistence_scan(phi, m.solver_config(), m.uc_r_list, m.uc_s)
-    header = ["t"] + [f"z_{r:g}" for r in m.uc_r_list]
-    prows = [
-        [table.t[i]] + [table.series[float(r)][i] for r in m.uc_r_list]
-        for i in range(len(table.t))
-    ]
-    write_csv(out / "persistence.csv", header, prows)
 
     # the moment law holds for the mu = 0 flow; reuse the scan's own series
     md = moment_drift(table.raw) if m.mu == 0.0 else None
@@ -191,6 +181,7 @@ def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> int:
             "zero_crossings": md.zero_crossings,
         }
 
+    growth = None
     if m.uc_doublings > 0:
         growth = domain_growth_study(
             lambda g: m.initial_data(g),
@@ -200,18 +191,33 @@ def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> int:
             doublings=m.uc_doublings,
             cut=CutoffSpec(max(m.uc_epsilon, 16.0 * 2.0 * math.pi / grid.lx)),
         )
-        gheader = ["length"] + [f"ind_{r:g}" for r in sorted(growth.factors)]
-        grows = [
-            [row.length] + [row.indicators[r] for r in sorted(growth.factors)]
-            for row in growth.rows
-        ]
-        write_csv(out / "growth.csv", gheader, grows)
         summary["domain_growth"] = {
             "factors": {f"{r:g}": growth.factors[r] for r in growth.factors},
             "obstructed": {f"{r:g}": growth.obstructed[r] for r in growth.obstructed},
             "stable": {f"{r:g}": growth.stable[r] for r in growth.stable},
             "threshold": growth.threshold,
         }
+
+    rows = []
+    for i, lev in enumerate(report.levels):
+        ratio = report.ratios[i - 1] if i > 0 else ""
+        rows.append([i, lev.window_norm, ratio, report.verdict])
+    write_csv(out / "uc_report.csv", ["level", "window_norm", "ratio", "verdict"], rows)
+
+    header = ["t"] + [f"z_{r:g}" for r in m.uc_r_list]
+    prows = [
+        [table.t[i]] + [table.series[float(r)][i] for r in m.uc_r_list]
+        for i in range(len(table.t))
+    ]
+    write_csv(out / "persistence.csv", header, prows)
+
+    if growth is not None:
+        gheader = ["length"] + [f"ind_{r:g}" for r in sorted(growth.factors)]
+        grows = [
+            [row.length] + [row.indicators[r] for r in sorted(growth.factors)]
+            for row in growth.rows
+        ]
+        write_csv(out / "growth.csv", gheader, grows)
 
     write_json(out / "summary.json", summary)
     _say(quiet, f"uc verdict: {report.verdict}")

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -72,38 +72,27 @@ class NormSpec:
         return f"l2w_{self.weight.label()}"
 
 
-def _spectral_weighted_l2(F: SpectrumField, weight: np.ndarray) -> float:
-    g = F.grid
-    dxi = 2.0 * np.pi / g.lx
-    deta = 2.0 * np.pi / g.ly
-    total = np.sum(weight * np.abs(F.coeffs) ** 2) * dxi * deta
-    return float(np.sqrt(total) / (2.0 * np.pi))
-
-
 def norm(u: RealField, spec: NormSpec) -> float:
     """Evaluate one norm.  Fourier-multiplier parts act spectrally (exact on
     the grid); weighted parts integrate in physical space on the periodic
     grid."""
     g = u.grid
     if spec.kind == "hs":
-        F = forward(u)
-        return _spectral_weighted_l2(F, (1.0 + g.xi2**2 + g.eta2**2) ** spec.s)
+        return forward(u).l2((1.0 + g.xi2**2 + g.eta2**2) ** spec.s)
     if spec.kind == "aniso":
         F = forward(u)
-        a = _spectral_weighted_l2(F, np.ones((g.ny, g.nx)))
-        b = _spectral_weighted_l2(F, (1.0 + g.xi2**2) ** spec.s1)
-        c = _spectral_weighted_l2(F, (1.0 + g.eta2**2) ** spec.s2)
+        a = F.l2()
+        b = F.l2((1.0 + g.xi2**2) ** spec.s1)
+        c = F.l2((1.0 + g.eta2**2) ** spec.s2)
         return math.sqrt(a * a + b * b + c * c)
     if spec.kind == "l2r":
-        w = (1.0 + g.xmesh**2 + g.ymesh**2) ** spec.r
-        return float(np.sqrt(np.sum(w * u.samples**2) * g.cell_area))
+        return u.l2((1.0 + g.xmesh**2 + g.ymesh**2) ** spec.r)
     if spec.kind == "zsr":
         a = norm(u, NormSpec.hs(spec.s))
         b = norm(u, NormSpec.l2r(spec.r))
         return math.sqrt(a * a + b * b)
     if spec.kind == "l2w":
-        w = weight_field(g, spec.weight).samples
-        return float(np.sqrt(np.sum(w**2 * u.samples**2) * g.cell_area))
+        return u.l2(weight_field(g, spec.weight).samples ** 2)
     raise ValueError(f"unknown norm kind {spec.kind!r}")
 
 
@@ -165,7 +154,7 @@ def interpolation_ratio(
     lhs = fractional_op(
         RealField(g, base ** ((1.0 - alpha) * b) * f.samples), "J", alpha * a
     ).l2()
-    wbf = float(np.sqrt(np.sum(base ** (2.0 * b) * f.samples**2) * g.cell_area))
+    wbf = f.l2(base ** (2.0 * b))
     jaf = fractional_op(f, "J", a).l2()
     denom = wbf ** (1.0 - alpha) * jaf**alpha
     if denom == 0.0:
@@ -246,19 +235,3 @@ def half_derivative_commutator_ratio(phi: RealField, f: RealField) -> float:
     if denom == 0.0:
         raise ValueError("zero denominator in half-derivative commutator ratio")
     return lhs / denom
-
-
-def inequality_ratio(kind: str, fields: Sequence[RealField], **params) -> float:
-    """Dispatch by kind: interpolation(a, b, alpha[, weight]), commutator(l, m),
-    algebra(s1, s2), trilinear(s1, s2), d_half_commutator()."""
-    if kind == "interpolation":
-        return interpolation_ratio(fields[0], **params)
-    if kind == "commutator":
-        return commutator_ratio(fields[0], fields[1], **params)
-    if kind == "algebra":
-        return algebra_ratio(fields[0], fields[1], **params)
-    if kind == "trilinear":
-        return trilinear_ratio(fields[0], **params)
-    if kind == "d_half_commutator":
-        return half_derivative_commutator_ratio(fields[0], fields[1])
-    raise ValueError(f"unknown inequality kind {kind!r}")

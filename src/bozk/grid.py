@@ -17,7 +17,7 @@ Conventions fixed here and relied on everywhere else:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -93,14 +93,6 @@ class Grid2D:
     def cell_area(self) -> float:
         return self.dx * self.dy
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Grid2D):
-            return NotImplemented
-        return (self.nx, self.ny, self.lx, self.ly) == (other.nx, other.ny, other.lx, other.ly)
-
-    def __hash__(self) -> int:
-        return hash((self.nx, self.ny, self.lx, self.ly))
-
 
 def make_grid(nx: int, ny: int, lx: float, ly: float) -> Grid2D:
     """Validate sizes and build a :class:`Grid2D`."""
@@ -130,9 +122,14 @@ class RealField:
     def zeros(cls, grid: Grid2D) -> "RealField":
         return cls(grid, np.zeros((grid.ny, grid.nx)))
 
-    def l2(self) -> float:
-        """Discrete L2 norm, ``sqrt(sum f^2 dx dy)``."""
-        return float(np.sqrt(np.sum(self.samples**2) * self.grid.cell_area))
+    def l2(self, weight: Optional[np.ndarray] = None) -> float:
+        """Discrete L2 norm, ``sqrt(sum weight f^2 dx dy)``; ``weight`` is a
+        nonnegative array of sample shape multiplying f^2 (pass w^2 for
+        ``||w f||``), unweighted when omitted."""
+        sq = self.samples**2
+        if weight is not None:
+            sq = weight * sq
+        return float(np.sqrt(np.sum(sq) * self.grid.cell_area))
 
 
 @dataclass(frozen=True)
@@ -148,14 +145,17 @@ class SpectrumField:
             raise ValueError(f"coeffs shape {a.shape} != {(self.grid.ny, self.grid.nx)}")
         object.__setattr__(self, "coeffs", a)
 
-    def l2(self) -> float:
-        """L2 norm of the underlying field via Parseval."""
+    def l2(self, weight: Optional[np.ndarray] = None) -> float:
+        """L2 norm of the underlying field via Parseval; ``weight`` is a
+        nonnegative Fourier weight of coefficient shape, e.g.
+        ``(1 + xi^2 + eta^2)^s`` for the H^s norm (unweighted when omitted)."""
         g = self.grid
         dxi = 2.0 * np.pi / g.lx
         deta = 2.0 * np.pi / g.ly
-        return float(
-            np.sqrt(np.sum(np.abs(self.coeffs) ** 2) * dxi * deta) / (2.0 * np.pi)
-        )
+        sq = np.abs(self.coeffs) ** 2
+        if weight is not None:
+            sq = weight * sq
+        return float(np.sqrt(np.sum(sq) * dxi * deta) / (2.0 * np.pi))
 
     def zero_mode_row(self) -> np.ndarray:
         """u_hat(0, eta) for all grid eta, i.e. the x-mean transform."""

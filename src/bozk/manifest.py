@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Optional, Tuple
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from .grid import Grid2D, RealField, make_grid
 from .solver import SolverConfig
@@ -20,20 +20,6 @@ from .io import read_snapshot
 
 class ManifestError(ValueError):
     """Configuration rejected; maps to exit code 2."""
-
-
-_KNOWN_KEYS = {
-    "grid.nx", "grid.ny", "grid.lx", "grid.ly",
-    "data.kind", "data.amplitude", "data.sigma_x", "data.sigma_y",
-    "data.center_x", "data.center_y", "data.width", "data.separation",
-    "data.path", "data.seed", "data.spectral_width",
-    "solver.dt", "solver.t_final", "solver.mu", "solver.dealias",
-    "solver.stride", "solver.nonlinear",
-    "diag.hs", "diag.weights",
-    "uc.t", "uc.levels", "uc.epsilon", "uc.r_list", "uc.s", "uc.doublings",
-    "picard.t_final", "picard.mu", "picard.max_iter", "picard.tol", "picard.nodes",
-    "seed",
-}
 
 
 def _parse_length(text: str) -> float:
@@ -66,6 +52,50 @@ def _parse_weight(token: str) -> WeightSpec:
     except (IndexError, ValueError) as exc:
         raise ManifestError(f"bad weight spec {token!r}: {exc}") from exc
     raise ManifestError(f"unknown weight kind in {token!r}")
+
+
+def _floats(text: str) -> Tuple[float, ...]:
+    return tuple(float(s) for s in text.split(","))
+
+
+# manifest key -> (RunManifest attribute, parser), applied in this order.
+# "data_params" entries land in that dict under the key's last part.  An
+# empty diag list records nothing; an empty uc.r_list is rejected.
+_KEYS: Dict[str, Tuple[str, Callable[[str], Any]]] = {
+    "grid.nx": ("nx", int),
+    "grid.ny": ("ny", int),
+    "grid.lx": ("lx", _parse_length),
+    "grid.ly": ("ly", _parse_length),
+    "data.kind": ("data_kind", str),
+    **{
+        f"data.{name}": ("data_params", float)
+        for name in ("amplitude", "sigma_x", "sigma_y", "center_x", "center_y",
+                     "width", "separation", "seed", "spectral_width")
+    },
+    "data.path": ("data_path", str),
+    "solver.dt": ("dt", float),
+    "solver.t_final": ("t_final", float),
+    "solver.mu": ("mu", float),
+    "solver.dealias": ("dealias", _parse_bool),
+    "solver.stride": ("stride", int),
+    "solver.nonlinear": ("nonlinear", _parse_bool),
+    "diag.hs": ("hs_orders", lambda v: _floats(v) if v else ()),
+    "diag.weights": (
+        "weights", lambda v: tuple(_parse_weight(t) for t in v.split(",")) if v else ()
+    ),
+    "uc.t": ("uc_t", float),
+    "uc.levels": ("uc_levels", int),
+    "uc.epsilon": ("uc_epsilon", float),
+    "uc.r_list": ("uc_r_list", _floats),
+    "uc.s": ("uc_s", float),
+    "uc.doublings": ("uc_doublings", int),
+    "picard.t_final": ("picard_t_final", float),
+    "picard.mu": ("picard_mu", float),
+    "picard.max_iter": ("picard_max_iter", int),
+    "picard.tol": ("picard_tol", float),
+    "picard.nodes": ("picard_nodes", int),
+    "seed": ("seed", int),
+}
 
 
 @dataclass
@@ -165,69 +195,19 @@ def parse_manifest_text(text: str) -> RunManifest:
         if "=" not in stripped:
             raise ManifestError(f"line {lineno}: expected 'key = value'")
         key, value = (s.strip() for s in stripped.split("=", 1))
-        if key not in _KNOWN_KEYS:
+        if key not in _KEYS:
             raise ManifestError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value
 
     m = RunManifest(raw=raw)
     try:
-        if "grid.nx" in raw:
-            m.nx = int(raw["grid.nx"])
-        if "grid.ny" in raw:
-            m.ny = int(raw["grid.ny"])
-        if "grid.lx" in raw:
-            m.lx = _parse_length(raw["grid.lx"])
-        if "grid.ly" in raw:
-            m.ly = _parse_length(raw["grid.ly"])
-        if "data.kind" in raw:
-            m.data_kind = raw["data.kind"]
-        for key in ("amplitude", "sigma_x", "sigma_y", "center_x", "center_y",
-                    "width", "separation", "seed", "spectral_width"):
-            k = f"data.{key}"
-            if k in raw:
-                m.data_params[key] = float(raw[k])
-        if "data.path" in raw:
-            m.data_path = raw["data.path"]
-        if "solver.dt" in raw:
-            m.dt = float(raw["solver.dt"])
-        if "solver.t_final" in raw:
-            m.t_final = float(raw["solver.t_final"])
-        if "solver.mu" in raw:
-            m.mu = float(raw["solver.mu"])
-        if "solver.dealias" in raw:
-            m.dealias = _parse_bool(raw["solver.dealias"])
-        if "solver.stride" in raw:
-            m.stride = int(raw["solver.stride"])
-        if "solver.nonlinear" in raw:
-            m.nonlinear = _parse_bool(raw["solver.nonlinear"])
-        if "diag.hs" in raw and raw["diag.hs"]:
-            m.hs_orders = tuple(float(s) for s in raw["diag.hs"].split(","))
-        if "diag.weights" in raw and raw["diag.weights"]:
-            m.weights = tuple(_parse_weight(t) for t in raw["diag.weights"].split(","))
-        if "uc.t" in raw:
-            m.uc_t = float(raw["uc.t"])
-        if "uc.levels" in raw:
-            m.uc_levels = int(raw["uc.levels"])
-        if "uc.epsilon" in raw:
-            m.uc_epsilon = float(raw["uc.epsilon"])
-        if "uc.r_list" in raw:
-            m.uc_r_list = tuple(float(s) for s in raw["uc.r_list"].split(","))
-        if "uc.s" in raw:
-            m.uc_s = float(raw["uc.s"])
-        if "uc.doublings" in raw:
-            m.uc_doublings = int(raw["uc.doublings"])
-        if "picard.t_final" in raw:
-            m.picard_t_final = float(raw["picard.t_final"])
-        if "picard.mu" in raw:
-            m.picard_mu = float(raw["picard.mu"])
-        if "picard.max_iter" in raw:
-            m.picard_max_iter = int(raw["picard.max_iter"])
-        if "picard.tol" in raw:
-            m.picard_tol = float(raw["picard.tol"])
-        if "picard.nodes" in raw:
-            m.picard_nodes = int(raw["picard.nodes"])
-        if "seed" in raw:
-            m.seed = int(raw["seed"])
+        for key, (attr, parse) in _KEYS.items():
+            if key in raw:
+                value = parse(raw[key])
+                if attr == "data_params":
+                    m.data_params[key.split(".", 1)[1]] = value
+                else:
+                    setattr(m, attr, value)
     except ManifestError:
         raise
     except ValueError as exc:

@@ -185,15 +185,6 @@ class RunResult:
     final: RealField
 
 
-def _hs_norm_from_spectrum(F: SpectrumField, s: float) -> float:
-    g = F.grid
-    dxi = 2.0 * np.pi / g.lx
-    deta = 2.0 * np.pi / g.ly
-    wgt = (1.0 + g.xi2**2 + g.eta2**2) ** s
-    total = np.sum(wgt * np.abs(F.coeffs) ** 2) * dxi * deta
-    return float(np.sqrt(total) / (2.0 * np.pi))
-
-
 def run(
     phi: RealField,
     cfg: SolverConfig,
@@ -207,6 +198,7 @@ def run(
     # final time is n_steps * dt, the closest step multiple to t_final
     n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
 
+    hs_w = {s: (1.0 + g.xi2**2 + g.eta2**2) ** s for s in diag.hs_orders}
     w2 = {spec.label(): spec.evaluate(g.xmesh, g.ymesh) ** 2 for spec in diag.weights}
     area = g.cell_area
 
@@ -220,11 +212,8 @@ def run(
             "l2": u.l2(),
             "moment_x": float(np.sum(g.xmesh * u.samples) * area),
             "zero_mode": st.spectrum.zero_mode_row(),
-            "hs": {s: _hs_norm_from_spectrum(st.spectrum, s) for s in diag.hs_orders},
-            "weighted": {
-                lbl: float(np.sqrt(np.sum(w * u.samples**2) * area))
-                for lbl, w in w2.items()
-            },
+            "hs": {s: st.spectrum.l2(w) for s, w in hs_w.items()},
+            "weighted": {lbl: u.l2(w) for lbl, w in w2.items()},
             "extra": {lbl: fn(u) for lbl, fn in diag.extra},
         }
         rows.append(row)

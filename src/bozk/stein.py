@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence
+from typing import Callable, Iterable, List, Sequence, Tuple
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -187,6 +187,52 @@ class RefinementLevel:
     window_norm: float
 
 
+def refinement_ladder(
+    slices: Callable[[np.ndarray], Iterable[Tuple[float, np.ndarray]]],
+    b: float,
+    levels: int,
+    *,
+    h0: float,
+    window: float,
+    r_outer: float,
+    nodes_per_decade: int,
+) -> Tuple[List[RefinementLevel], List[float]]:
+    """Windowed L2 mass of Db on dyadically refined grids, and its ratios.
+
+    Level k samples on the symmetric grid of step h0 * 2^-k reaching
+    window + r_outer (plus eight cells) on each side.  ``slices(xs)`` returns
+    (weight, samples) pairs on that grid; each slice's Db is evaluated on
+    window points outside a four-cell resolution floor around the origin,
+    and the level's window norm is the square root of the weighted sum of
+    their squared masses.  Ratios are successive window-norm quotients (1.0
+    after a vanishing level).
+    """
+    if levels < 3:
+        raise ValueError("need at least 3 refinement levels")
+    out_levels: List[RefinementLevel] = []
+    for k in range(levels):
+        step = h0 * 0.5**k
+        n = math.ceil((window + r_outer + 8.0 * step) / step)
+        xs = step * np.arange(-n, n + 1)
+        pts = xs[(np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= window)]
+        cfg = SteinConfig(
+            b=b,
+            r_outer=r_outer,
+            h_inner=min(2.0 * step, 0.5),
+            nodes_per_decade=nodes_per_decade,
+        )
+        total = 0.0
+        for weight, fs in slices(xs):
+            vals = stein_derivative(xs, fs, cfg, pts).values
+            total += weight * float(np.sum(vals**2) * step)
+        out_levels.append(RefinementLevel(step=step, window_norm=math.sqrt(total)))
+    ratios = [
+        c.window_norm / a.window_norm if a.window_norm > 1e-300 else 1.0
+        for a, c in zip(out_levels, out_levels[1:])
+    ]
+    return out_levels, ratios
+
+
 @dataclass(frozen=True)
 class RefinementReport:
     b: float
@@ -209,38 +255,19 @@ def refine_divergence(
 ) -> RefinementReport:
     """Windowed L2 mass of Db f on dyadically refined grids.
 
-    Samples f on grids of step h0 * 2^-k, evaluates Db away from a shrinking
-    resolution floor of four grid cells around the origin, and reports the
-    window norms with their successive ratios.  A jump at the origin makes the
-    norms grow without bound under refinement ("divergent"); a function with
-    bounded Db stabilises ("convergent").
+    Runs :func:`refinement_ladder` on the single slice f.  A jump at the
+    origin makes the window norms grow without bound under refinement
+    ("divergent"); a function with bounded Db stabilises ("convergent").
     """
-    if levels < 3:
-        raise ValueError("need at least 3 refinement levels")
-    out_levels: List[RefinementLevel] = []
-    for k in range(levels):
-        step = h0 * 0.5**k
-        half = window + r_outer + 8.0 * step
-        n = math.ceil(half / step)
-        xs = step * np.arange(-n, n + 1)
-        fs = np.asarray(f(xs))
-        cfg = SteinConfig(
-            b=b,
-            r_outer=r_outer,
-            h_inner=min(2.0 * step, 0.5),
-            nodes_per_decade=nodes_per_decade,
-        )
-        floor = 4.0 * step
-        mask = (np.abs(xs) >= floor) & (np.abs(xs) <= window)
-        pts = xs[mask]
-        vals = stein_derivative(xs, fs, cfg, pts).values
-        out_levels.append(
-            RefinementLevel(step=step, window_norm=math.sqrt(np.sum(vals**2) * step))
-        )
-
-    ratios = []
-    for a, c in zip(out_levels, out_levels[1:]):
-        ratios.append(c.window_norm / a.window_norm if a.window_norm > 1e-300 else 1.0)
+    out_levels, ratios = refinement_ladder(
+        lambda xs: [(1.0, np.asarray(f(xs)))],
+        b,
+        levels,
+        h0=h0,
+        window=window,
+        r_outer=r_outer,
+        nodes_per_decade=nodes_per_decade,
+    )
     last = ratios[-2:]
     if all(r > 1.0 + delta_div for r in last):
         verdict = "divergent"

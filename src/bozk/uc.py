@@ -13,7 +13,6 @@ domain-size dependence at fixed resolution density.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -21,7 +20,7 @@ import numpy as np
 
 from .grid import Grid2D, RealField, forward, make_grid
 from .solver import RunDiagnostics, SolverConfig, TimeSeries, run
-from .stein import SteinConfig, stein_derivative
+from .stein import RefinementLevel, SteinConfig, refinement_ladder, stein_derivative
 from .weights import WeightSpec
 
 OBSTRUCTION_GROWTH_THRESHOLD = 1.5   # per domain doubling; recorded calibration
@@ -68,14 +67,8 @@ class CutoffSpec:
 
 
 @dataclass(frozen=True)
-class UCLevel:
-    step: float
-    window_norm: float
-
-
-@dataclass(frozen=True)
 class UCReport:
-    levels: List[UCLevel]
+    levels: List[RefinementLevel]
     ratios: List[float]
     verdict: str  # "persists" | "obstructed"
 
@@ -133,8 +126,6 @@ def b1_indicator(
     """
     if t <= 0:
         raise ValueError("b1_indicator needs t > 0")
-    if levels < 3:
-        raise ValueError("need at least 3 refinement levels")
     tail = spectrum_tail_ratio(phi)
     if tail > tail_tol:
         raise ValueError(
@@ -142,7 +133,6 @@ def b1_indicator(
         )
     cut = cut or CutoffSpec()
     eps = cut.epsilon
-    window = 0.5 * eps
     eta_targets = np.linspace(-eta_max, eta_max, n_eta)
     rows = _semidiscrete_rows(phi, eta_targets)
     etas = np.array([e for e, _ in rows])
@@ -163,24 +153,9 @@ def b1_indicator(
         wts = np.array([1.0])
 
     g = phi.grid
-    base_step = eps / 16.0
-    out_levels: List[UCLevel] = []
-    for lev in range(levels):
-        step = base_step * 0.5**lev
-        half = window + r_outer + 8.0 * step
-        n = math.ceil(half / step)
-        xi = step * np.arange(-n, n + 1)
+
+    def eta_slices(xi: np.ndarray):
         kern = np.exp(-1j * np.outer(xi, g.x)) * g.dx
-        floor = 4.0 * step
-        mask = (np.abs(xi) >= floor) & (np.abs(xi) <= window)
-        pts = xi[mask]
-        cfg = SteinConfig(
-            b=0.5,
-            r_outer=r_outer,
-            h_inner=min(2.0 * step, 0.5),
-            nodes_per_decade=nodes_per_decade,
-        )
-        total = 0.0
         for w_eta, idx in zip(wts, uniq):
             eta_val, col = rows[idx]
             phat = kern @ col
@@ -192,14 +167,17 @@ def b1_indicator(
                 * np.sign(xi)
                 * phat
             )
-            vals = stein_derivative(xi, f, cfg, pts).values
-            total += w_eta * float(np.sum(vals**2) * step)
-        out_levels.append(UCLevel(step=step, window_norm=math.sqrt(total)))
+            yield w_eta, f
 
-    ratios = [
-        b.window_norm / a.window_norm if a.window_norm > 1e-300 else 1.0
-        for a, b in zip(out_levels, out_levels[1:])
-    ]
+    out_levels, ratios = refinement_ladder(
+        eta_slices,
+        0.5,
+        levels,
+        h0=eps / 16.0,
+        window=0.5 * eps,
+        r_outer=r_outer,
+        nodes_per_decade=nodes_per_decade,
+    )
     obstructed = all(r > 1.0 + delta_div for r in ratios[-2:])
     return UCReport(
         levels=out_levels,

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -8,7 +9,7 @@ import pytest
 from bozk.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, execute
 from bozk.grid import RealField, make_grid
 from bozk.io import read_snapshot, write_snapshot
-from bozk.manifest import ManifestError, parse_manifest_text
+from bozk.manifest import ManifestError, RunManifest, parse_manifest_text
 from bozk.weights import WeightSpec
 
 SIM_CFG = """
@@ -54,6 +55,80 @@ class TestManifest:
         with pytest.raises(ManifestError):
             parse_manifest_text("diag.weights = poly\n")
 
+    def test_every_key_sets_its_field(self):
+        text = """
+grid.nx = 32
+grid.ny = 16
+grid.lx = 2pi
+grid.ly = 3.5
+data.kind = dx_gaussian
+data.amplitude = 0.3
+data.sigma_x = 0.7
+data.sigma_y = 0.9
+data.center_x = 1.5
+data.center_y = -2
+data.width = 3
+data.separation = 11
+data.path = snap.bozk
+data.seed = 5
+data.spectral_width = 2.5
+solver.dt = 2e-3
+solver.t_final = 0.3
+solver.mu = 0.05
+solver.dealias = false
+solver.stride = 7
+solver.nonlinear = off
+diag.hs = 1,3
+diag.weights = poly:2,trunc:4,gamma:0.5,damp:0.5:0.1
+uc.t = 0.25
+uc.levels = 5
+uc.epsilon = 0.75
+uc.r_list = 2.5
+uc.s = 7
+uc.doublings = 1
+picard.t_final = 0.02
+picard.mu = 0.3
+picard.max_iter = 9
+picard.tol = 1e-8
+picard.nodes = 17
+seed = 42
+"""
+        expected = {
+            "nx": 32, "ny": 16, "lx": 2 * math.pi, "ly": 3.5,
+            "data_kind": "dx_gaussian",
+            "data_params": {
+                "amplitude": 0.3, "sigma_x": 0.7, "sigma_y": 0.9, "center_x": 1.5,
+                "center_y": -2.0, "width": 3.0, "separation": 11.0, "seed": 5.0,
+                "spectral_width": 2.5,
+            },
+            "data_path": "snap.bozk",
+            "dt": 2e-3, "t_final": 0.3, "mu": 0.05, "dealias": False, "stride": 7,
+            "nonlinear": False,
+            "hs_orders": (1.0, 3.0),
+            "weights": (
+                WeightSpec.polynomial(2.0), WeightSpec.truncated(4),
+                WeightSpec.gamma_power(0.5), WeightSpec.damped(0.5, 0.1),
+            ),
+            "uc_t": 0.25, "uc_levels": 5, "uc_epsilon": 0.75, "uc_r_list": (2.5,),
+            "uc_s": 7.0, "uc_doublings": 1,
+            "picard_t_final": 0.02, "picard_mu": 0.3, "picard_max_iter": 9,
+            "picard_tol": 1e-8, "picard_nodes": 17,
+            "seed": 42,
+        }
+        m = parse_manifest_text(text)
+        default = RunManifest(raw={})
+        assert set(expected) == {f.name for f in dataclasses.fields(RunManifest)} - {"raw"}
+        assert len(m.raw) == 35
+        for name, value in expected.items():
+            assert getattr(m, name) == value, name
+            assert getattr(default, name) != value, name
+
+    def test_empty_lists(self):
+        m = parse_manifest_text("diag.hs =\ndiag.weights =\n")
+        assert m.hs_orders == () and m.weights == ()
+        with pytest.raises(ManifestError):
+            parse_manifest_text("uc.r_list =\n")
+
     def test_comments_and_blanks(self):
         m = parse_manifest_text("# hi\n\ngrid.nx = 16 # inline\n")
         assert m.nx == 16
@@ -98,6 +173,17 @@ class TestExecute:
         cfg = write_cfg(tmp_path, "grid.nx = 47\n")
         out = tmp_path / "outbad"
         assert execute(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists() or not list(out.iterdir())
+
+    def test_uc_config_error_writes_no_files(self, tmp_path):
+        # three records are too few for the moment-law fit, which only
+        # fails after the indicator and the persistence scan have run
+        text = SIM_CFG.replace("grid.nx = 48", "grid.nx = 64").replace(
+            "grid.ny = 48", "grid.ny = 64"
+        ).replace("16pi", "8pi")
+        cfg = write_cfg(tmp_path, text + "uc.levels = 3\nuc.r_list = 1\nuc.s = 2\n")
+        out = tmp_path / "outuc3"
+        assert execute(["uc", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert not out.exists() or not list(out.iterdir())
 
     def test_cfl_violation_exit_three(self, tmp_path):

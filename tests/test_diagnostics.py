@@ -10,7 +10,6 @@ from bozk.diagnostics import (
     commutator_ratio,
     conservation_report,
     half_derivative_commutator_ratio,
-    inequality_ratio,
     interpolation_ratio,
     norm,
     trilinear_ratio,
@@ -156,16 +155,14 @@ class TestRatios:
         ]
         assert max(per_n) <= 1.1 * base
 
-    def test_dispatcher(self, grid):
+    def test_ratios_positive(self, grid):
         f = fields.random_smooth(grid, 12)
         a = fields.random_smooth(grid, 13)
-        assert inequality_ratio("interpolation", [f], a=2.0, b=1.0, alpha=0.5) > 0
-        assert inequality_ratio("commutator", [a, f], l=1, m=1) > 0
-        assert inequality_ratio("algebra", [f, a], s1=3.0, s2=3.0) > 0
-        assert inequality_ratio("trilinear", [f], s1=3.0, s2=2.5) > 0
-        assert inequality_ratio("d_half_commutator", [a, f]) > 0
-        with pytest.raises(ValueError):
-            inequality_ratio("nope", [f])
+        assert interpolation_ratio(f, 2.0, 1.0, 0.5) > 0
+        assert commutator_ratio(a, f, 1, 1) > 0
+        assert algebra_ratio(f, a, 3.0, 3.0) > 0
+        assert trilinear_ratio(f, 3.0, 2.5) > 0
+        assert half_derivative_commutator_ratio(a, f) > 0
 
     def test_preconditions(self, grid):
         f = fields.random_smooth(grid, 14)

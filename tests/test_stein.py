@@ -9,6 +9,7 @@ from bozk.stein import (
     mixed_phase_bound,
     phase_bound,
     refine_divergence,
+    refinement_ladder,
     stein_derivative,
 )
 
@@ -156,6 +157,24 @@ class TestRefineDivergence:
     def test_needs_three_levels(self):
         with pytest.raises(ValueError):
             refine_divergence(lambda x: np.zeros_like(x), 0.5, 2)
+
+
+class TestRefinementLadder:
+    LADDER = dict(h0=0.0625, window=0.5, r_outer=2.0, nodes_per_decade=48)
+
+    def test_split_slice_weights_add_exactly(self):
+        def step_fn(xs):
+            return (xs >= 0).astype(float)
+
+        one = refinement_ladder(lambda xs: [(1.0, step_fn(xs))], 0.5, 3, **self.LADDER)
+        two = refinement_ladder(
+            lambda xs: [(0.5, step_fn(xs)), (0.5, step_fn(xs))], 0.5, 3, **self.LADDER
+        )
+        assert one == two
+
+    def test_needs_three_levels(self):
+        with pytest.raises(ValueError, match="3 refinement levels"):
+            refinement_ladder(lambda xs: [(1.0, np.zeros_like(xs))], 0.5, 2, **self.LADDER)
 
 
 def test_config_validation():
