@@ -41,14 +41,12 @@ from .solver import (
     PicardResult,
     RunDiagnostics,
     RunResult,
-    SimulationState,
     SolverAbort,
     SolverConfig,
     TimeSeries,
     nonlinear_rhs,
     picard_solve,
     run,
-    step,
 )
 from .diagnostics import (
     ConservationReport,

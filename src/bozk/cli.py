@@ -5,7 +5,8 @@ in the output directory as CSV files (17-significant-digit floats, so byte
 reproducibility follows from seed determinism) plus a summary.json.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical abort (blow-up,
-CFL audit, contraction failure), 4 verification-suite failure.
+CFL audit, contraction failure, solution at the box edge in `uc`; details
+in abort.json), 4 verification-suite failure.
 """
 
 from __future__ import annotations
@@ -417,17 +418,10 @@ def execute(argv: Sequence[str]) -> int:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverAbort as exc:
-        write_json(
-            Path(args.out) / "abort.json",
-            {"reason": exc.reason, "t": exc.t, "step": exc.step, "detail": exc.detail},
-        )
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except PicardDivergence as exc:
-        write_json(
-            Path(args.out) / "abort.json",
-            {"reason": "picard_divergence", "residuals": exc.residuals},
-        )
+        abort = {"reason": exc.reason, "t": exc.t, "step": exc.step, "detail": exc.detail}
+        if isinstance(exc, PicardDivergence):
+            abort["residuals"] = exc.residuals
+        write_json(Path(args.out) / "abort.json", abort)
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except ValueError as exc:

@@ -94,6 +94,11 @@ class Grid2D:
         return self.dx * self.dy
 
 
+class NonFiniteField(ValueError):
+    """A field sample is NaN or infinite: bad input data at an I/O boundary,
+    or a blow-up inside the solver (which reports it as a numerical abort)."""
+
+
 def make_grid(nx: int, ny: int, lx: float, ly: float) -> Grid2D:
     """Validate sizes and build a :class:`Grid2D`."""
     return Grid2D(nx=int(nx), ny=int(ny), lx=float(lx), ly=float(ly))
@@ -111,7 +116,7 @@ class RealField:
         if a.shape != (self.grid.ny, self.grid.nx):
             raise ValueError(f"samples shape {a.shape} != {(self.grid.ny, self.grid.nx)}")
         if not np.all(np.isfinite(a)):
-            raise ValueError("field contains non-finite samples")
+            raise NonFiniteField("field contains non-finite samples")
         object.__setattr__(self, "samples", a)
 
     @classmethod

@@ -25,6 +25,7 @@ import numpy as np
 
 from .grid import (
     Grid2D,
+    NonFiniteField,
     RealField,
     SpectrumField,
     dealias,
@@ -39,7 +40,8 @@ BLOWUP_AMPLITUDE = 1e8
 
 
 class SolverAbort(RuntimeError):
-    """Numerical abort: blow-up or a violated stability audit."""
+    """Numerical abort: blow-up, a violated stability audit, a failed
+    contraction, or a solution that reached the box edge."""
 
     def __init__(self, reason: str, t: float, step: int, detail: str = ""):
         super().__init__(f"{reason} at t={t:.6g} (step {step}): {detail}")
@@ -49,14 +51,19 @@ class SolverAbort(RuntimeError):
         self.detail = detail
 
 
-class PicardDivergence(RuntimeError):
-    """Fixed-point iteration failed to contract (T too large for the data)."""
+class PicardDivergence(SolverAbort):
+    """Fixed-point iteration failed to contract (T too large for the data).
 
-    def __init__(self, residuals: Sequence[float]):
-        super().__init__(
-            f"no contraction after {len(residuals)} iterations; "
-            f"last residual {residuals[-1]:.3e}"
+    `step` counts the sweeps run; `residuals` holds the finite residuals, one
+    fewer than the sweeps when the last sweep went non-finite."""
+
+    def __init__(self, t_final: float, sweeps: int, residuals: Sequence[float]):
+        detail = (
+            f"no contraction after {sweeps} iterations; last residual {residuals[-1]:.3e}"
+            if len(residuals) == sweeps
+            else f"iterate went non-finite in sweep {sweeps}"
         )
+        super().__init__("picard_divergence", t_final, sweeps, detail)
         self.residuals = list(residuals)
 
 
@@ -78,13 +85,6 @@ class SolverConfig:
             raise ValueError("diagnostic stride must be >= 1")
 
 
-@dataclass(frozen=True)
-class SimulationState:
-    t: float
-    spectrum: SpectrumField
-    step_index: int = 0
-
-
 def nonlinear_rhs(F: SpectrumField, use_dealias: bool = True) -> SpectrumField:
     """Spectrum of -1/2 d_x(u^2), with the 2/3 mask around the square."""
     g = F.grid
@@ -98,57 +98,30 @@ def nonlinear_rhs(F: SpectrumField, use_dealias: bool = True) -> SpectrumField:
 
 
 class _StepKernel:
-    """Per-(grid, dt, mu) precomputed arrays for the IF-RK4 stage."""
+    """Per-run precomputed arrays for the IF-RK4 stage."""
 
-    def __init__(self, grid: Grid2D, dt: float, mu: float):
+    def __init__(self, grid: Grid2D, cfg: SolverConfig):
         self.grid = grid
-        self.dt = dt
-        self.mu = mu
-        self.e_half = propagator_array(grid, 0.5 * dt, mu)
-        self.e_full = propagator_array(grid, dt, mu)
-        self.max_xi = float(np.max(np.abs(grid.xi)))
+        self.cfg = cfg
+        self.e_half = propagator_array(grid, 0.5 * cfg.dt, cfg.mu)
+        self.e_full = propagator_array(grid, cfg.dt, cfg.mu)
 
-    def advance(self, state: SimulationState, cfg: SolverConfig) -> SimulationState:
+    def advance(self, c: np.ndarray) -> np.ndarray:
+        """Coefficients one dt after `c`."""
+        cfg = self.cfg
+        if not cfg.nonlinear:
+            return self.e_full * c
         g = self.grid
-        c = state.spectrum.coeffs
-        if cfg.nonlinear:
-            dt, eh, ef = self.dt, self.e_half, self.e_full
+        dt, eh, ef = cfg.dt, self.e_half, self.e_full
 
-            def rhs(coeffs: np.ndarray) -> np.ndarray:
-                return nonlinear_rhs(SpectrumField(g, coeffs), cfg.dealias).coeffs
+        def rhs(coeffs: np.ndarray) -> np.ndarray:
+            return nonlinear_rhs(SpectrumField(g, coeffs), cfg.dealias).coeffs
 
-            k1 = rhs(c)
-            c2 = rhs(eh * (c + (0.5 * dt) * k1))
-            c3 = rhs(eh * c + (0.5 * dt) * c2)
-            c4 = rhs(ef * c + dt * (eh * c3))
-            new = ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (c2 + c3) + c4)
-        else:
-            new = self.e_full * c
-        return SimulationState(
-            t=state.t + self.dt,
-            spectrum=SpectrumField(g, new),
-            step_index=state.step_index + 1,
-        )
-
-
-def step(state: SimulationState, cfg: SolverConfig) -> SimulationState:
-    """Advance one dt.  Builds the exponential tables on the fly; loops
-    should go through :func:`run`, which reuses them."""
-    kernel = _StepKernel(state.spectrum.grid, cfg.dt, cfg.mu)
-    new = kernel.advance(state, cfg)
-    _audit(inverse(new.spectrum), kernel, cfg, new.t, new.step_index)
-    return new
-
-
-def _audit(u: RealField, kernel: _StepKernel, cfg: SolverConfig, t: float, n: int) -> None:
-    m = float(np.max(np.abs(u.samples)))
-    if not math.isfinite(m) or m > BLOWUP_AMPLITUDE:
-        raise SolverAbort("blow_up", t, n, f"max|u| = {m:.3e}")
-    cfl = cfg.dt * m * kernel.max_xi
-    if cfg.nonlinear and cfl > CFL_LIMIT:
-        raise SolverAbort(
-            "cfl_audit", t, n, f"dt*max|u|*max|xi| = {cfl:.3f} > {CFL_LIMIT}"
-        )
+        k1 = rhs(c)
+        c2 = rhs(eh * (c + (0.5 * dt) * k1))
+        c3 = rhs(eh * c + (0.5 * dt) * c2)
+        c4 = rhs(ef * c + dt * (eh * c3))
+        return ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (c2 + c3) + c4)
 
 
 @dataclass(frozen=True)
@@ -167,6 +140,7 @@ class TimeSeries:
     mu: float
     phi_l2: float
     t: np.ndarray
+    step: np.ndarray  # step index of each record
     l2: np.ndarray
     moment_x: np.ndarray
     zero_mode: np.ndarray  # (n_records, ny) complex
@@ -193,8 +167,8 @@ def run(
     """Evolve phi to t_final, recording diagnostics every `stride` steps."""
     diag = diagnostics or RunDiagnostics()
     g = phi.grid
-    kernel = _StepKernel(g, cfg.dt, cfg.mu)
-    state = SimulationState(t=0.0, spectrum=forward(phi))
+    kernel = _StepKernel(g, cfg)
+    max_xi = float(np.max(np.abs(g.xi)))
     # final time is n_steps * dt, the closest step multiple to t_final
     n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
 
@@ -204,30 +178,48 @@ def run(
 
     rows: List[dict] = []
 
-    def record(st: SimulationState) -> None:
-        u = inverse(st.spectrum)
-        _audit(u, kernel, cfg, st.t, st.step_index)
+    def record(c: np.ndarray, t: float, n: int) -> None:
+        u = inverse(spec := SpectrumField(g, c))
+        m = float(np.max(np.abs(u.samples)))
+        if m > BLOWUP_AMPLITUDE:
+            raise SolverAbort("blow_up", t, n, f"max|u| = {m:.3e}")
+        cfl = cfg.dt * m * max_xi
+        if cfg.nonlinear and cfl > CFL_LIMIT:
+            raise SolverAbort(
+                "cfl_audit", t, n, f"dt*max|u|*max|xi| = {cfl:.3f} > {CFL_LIMIT}"
+            )
         row = {
-            "t": st.t,
+            "t": t,
+            "step": n,
             "l2": u.l2(),
             "moment_x": float(np.sum(g.xmesh * u.samples) * area),
-            "zero_mode": st.spectrum.zero_mode_row(),
-            "hs": {s: st.spectrum.l2(w) for s, w in hs_w.items()},
+            "zero_mode": spec.zero_mode_row(),
+            "hs": {s: spec.l2(w) for s, w in hs_w.items()},
             "weighted": {lbl: u.l2(w) for lbl, w in w2.items()},
             "extra": {lbl: fn(u) for lbl, fn in diag.extra},
         }
         rows.append(row)
 
-    record(state)
-    for n in range(1, n_steps + 1):
-        state = kernel.advance(state, cfg)
-        if n % cfg.stride == 0 or n == n_steps:
-            record(state)
+    # a non-finite sample anywhere in the loop is a blow-up; for one inside a
+    # step, t is the time that step started from
+    c = forward(phi).coeffs
+    t = 0.0
+    n = 0
+    try:
+        record(c, t, n)
+        for n in range(1, n_steps + 1):
+            c = kernel.advance(c)
+            t += cfg.dt
+            if n % cfg.stride == 0 or n == n_steps:
+                record(c, t, n)
+    except NonFiniteField as exc:
+        raise SolverAbort("blow_up", t, n, str(exc)) from None
 
     series = TimeSeries(
         mu=cfg.mu,
         phi_l2=rows[0]["l2"],
         t=np.array([r["t"] for r in rows]),
+        step=np.array([r["step"] for r in rows]),
         l2=np.array([r["l2"] for r in rows]),
         moment_x=np.array([r["moment_x"] for r in rows]),
         zero_mode=np.array([r["zero_mode"] for r in rows]),
@@ -237,7 +229,7 @@ def run(
         },
         extra={lbl: np.array([r["extra"][lbl] for r in rows]) for lbl, _ in diag.extra},
     )
-    return RunResult(series=series, final=inverse(state.spectrum))
+    return RunResult(series=series, final=inverse(SpectrumField(g, c)))
 
 
 def _cumulative_weights(j: int, h: float) -> np.ndarray:
@@ -285,7 +277,8 @@ def picard_solve(
 
     The time integral uses a fixed (n_nodes)-point composite Simpson grid on
     [0, t_final]; iterates are compared in the sup-in-t L2 norm.  The caller
-    supplies t_final; non-convergence raises :class:`PicardDivergence`.
+    supplies t_final; non-convergence, including an iterate that overflows,
+    raises :class:`PicardDivergence`.
     """
     if mu <= 0:
         raise ValueError("picard_solve needs mu > 0 (parabolic regularisation)")
@@ -305,10 +298,13 @@ def picard_solve(
     u = [f.copy() for f in free]
     residuals: List[float] = []
     for it in range(1, max_iter + 1):
-        rhs = [
-            nonlinear_rhs(SpectrumField(g, u[m]), use_dealias).coeffs
-            for m in range(n_nodes)
-        ]
+        try:
+            rhs = [
+                nonlinear_rhs(SpectrumField(g, u[m]), use_dealias).coeffs
+                for m in range(n_nodes)
+            ]
+        except NonFiniteField:
+            raise PicardDivergence(t_final, it, residuals) from None
         new = []
         for j in range(n_nodes):
             acc = free[j].copy()
@@ -318,6 +314,8 @@ def picard_solve(
                     acc += wj[m] * (table[j - m] * rhs[m])
             new.append(acc)
         res = max(l2(new[j] - u[j]) for j in range(n_nodes))
+        if not math.isfinite(res):
+            raise PicardDivergence(t_final, it, residuals)
         residuals.append(res)
         u = new
         if res < tol:
@@ -326,4 +324,4 @@ def picard_solve(
                 residuals=residuals,
                 iterations=it,
             )
-    raise PicardDivergence(residuals)
+    raise PicardDivergence(t_final, max_iter, residuals)

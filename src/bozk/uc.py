@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .grid import Grid2D, RealField, forward, make_grid
-from .solver import RunDiagnostics, SolverConfig, TimeSeries, run
+from .solver import RunDiagnostics, SolverAbort, SolverConfig, TimeSeries, run
 from .stein import RefinementLevel, SteinConfig, refinement_ladder, stein_derivative
 from .weights import WeightSpec
 
@@ -218,7 +218,8 @@ def persistence_scan(
 
     Weighted norms on a periodic box only mean something while the solution
     stays away from the boundary; the scan records the worst boundary/interior
-    amplitude ratio and errors out when it exceeds `boundary_tol`.
+    amplitude ratio and raises :class:`SolverAbort` ("boundary", at the first
+    record over the tolerance) when it exceeds `boundary_tol`.
     """
     r_list = [float(r) for r in r_list]
     if any(r < 0 or r >= 3.5 for r in r_list):
@@ -241,8 +242,17 @@ def persistence_scan(
         weights=tuple(WeightSpec.polynomial(r) for r in r_list),
         extra=(("boundary_ratio", boundary_ratio),),
     )
-    rr = run(phi, cfg, diag)
-    ts = rr.series
+    ts = run(phi, cfg, diag).series
+    edge = ts.extra["boundary_ratio"]
+    if np.any(edge > boundary_tol):
+        i = int(np.argmax(edge > boundary_tol))
+        raise SolverAbort(
+            "boundary",
+            float(ts.t[i]),
+            int(ts.step[i]),
+            f"solution reached the domain boundary (edge/interior amplitude "
+            f"{edge[i]:.2e} > {boundary_tol:.0e}); weighted norms untrusted",
+        )
     hs = ts.hs[float(s)]
     series: Dict[float, np.ndarray] = {}
     rows: List[PersistenceRow] = []
@@ -260,14 +270,8 @@ def persistence_scan(
                 flagged=growth > growth_limit,
             )
         )
-    worst_edge = float(np.max(ts.extra["boundary_ratio"]))
-    if worst_edge > boundary_tol:
-        raise ValueError(
-            f"solution reached the domain boundary (edge/interior amplitude "
-            f"{worst_edge:.2e} > {boundary_tol:.0e}); weighted norms untrusted"
-        )
     return PersistenceTable(
-        s=float(s), t=ts.t, series=series, rows=rows, boundary_ratio=worst_edge, raw=ts
+        s=float(s), t=ts.t, series=series, rows=rows, boundary_ratio=float(edge.max()), raw=ts
     )
 
 

@@ -30,6 +30,13 @@ seed = 3
 """
 
 
+def read_strict_json(path):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
 def write_cfg(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
     p.write_text(text)
@@ -195,8 +202,56 @@ class TestExecute:
         )
         out = tmp_path / "outcfl"
         assert execute(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_NUMERIC
-        abort = json.loads((out / "abort.json").read_text())
+        abort = read_strict_json(out / "abort.json")
         assert abort["reason"] == "cfl_audit"
+
+    def test_blow_up_between_records_exit_three(self, tmp_path):
+        text = SIM_CFG.replace("grid.nx = 48", "grid.nx = 64").replace(
+            "grid.ny = 48", "grid.ny = 64"
+        )
+        text = text.replace("data.amplitude = 0.5", "data.amplitude = 50").replace(
+            "solver.dt = 5e-3", "solver.dt = 2e-3"
+        ).replace("solver.t_final = 0.05", "solver.t_final = 1").replace(
+            "solver.stride = 5", "solver.stride = 500"
+        )
+        cfg = write_cfg(tmp_path, text + "solver.dealias = false\n")
+        out = tmp_path / "outblow"
+        assert execute(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_NUMERIC
+        abort = read_strict_json(out / "abort.json")
+        assert abort["reason"] == "blow_up"
+        assert 0 < abort["step"] < 500
+        assert set(abort) == {"reason", "t", "step", "detail"}
+
+    def test_uc_box_edge_exit_three_and_no_reports(self, tmp_path):
+        text = (
+            SIM_CFG.replace("16pi", "6pi")
+            .replace("data.amplitude = 0.5", "data.amplitude = 0.75")
+            .replace("data.sigma_x = 1.5", "data.sigma_x = 1.2")
+            .replace("data.sigma_y = 1.5", "data.sigma_y = 1.2")
+            .replace("solver.dt = 5e-3", "solver.dt = 2e-3")
+            .replace("solver.t_final = 0.05", "solver.t_final = 1")
+            .replace("solver.stride = 5", "solver.stride = 50")
+        )
+        cfg = write_cfg(tmp_path, text + "uc.levels = 3\nuc.r_list = 1\nuc.s = 2\n")
+        out = tmp_path / "outedge"
+        assert execute(["uc", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_NUMERIC
+        abort = read_strict_json(out / "abort.json")
+        assert abort["reason"] == "boundary"
+        assert abort["step"] % 50 == 0 and abort["t"] > 0
+        assert not (out / "uc_report.csv").exists()
+        assert not (out / "persistence.csv").exists()
+
+    def test_picard_overflow_exit_three(self, tmp_path):
+        text = SIM_CFG.replace("grid.nx = 48", "grid.nx = 32").replace(
+            "grid.ny = 48", "grid.ny = 32"
+        ).replace("data.amplitude = 0.5", "data.amplitude = 200")
+        cfg = write_cfg(tmp_path, text + "picard.t_final = 5\npicard.mu = 0.01\n")
+        out = tmp_path / "outpicov"
+        assert execute(["picard", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_NUMERIC
+        abort = read_strict_json(out / "abort.json")
+        assert abort["reason"] == "picard_divergence"
+        assert abort["t"] == 5.0
+        assert abort["step"] == len(abort["residuals"]) + 1
 
     def test_linear_and_diagnose(self, tmp_path):
         cfg = write_cfg(tmp_path, SIM_CFG)
@@ -245,6 +300,13 @@ class TestExecute:
         cfg = write_cfg(tmp_path, text + f"data.path = {snap}\n")
         out = tmp_path / "outfile"
         assert execute(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        # a NaN in the input data is a bad input, not a numerical abort
+        raw = bytearray(snap.read_bytes())
+        raw[-8:] = np.array([np.nan], dtype="<f8").tobytes()
+        snap.write_bytes(bytes(raw))
+        out = tmp_path / "outnan"
+        assert execute(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not (out / "abort.json").exists()
 
     def test_reproducibility_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, SIM_CFG)

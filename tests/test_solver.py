@@ -7,13 +7,11 @@ from bozk.operators import propagate
 from bozk.solver import (
     PicardDivergence,
     RunDiagnostics,
-    SimulationState,
     SolverAbort,
     SolverConfig,
     nonlinear_rhs,
     picard_solve,
     run,
-    step,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -50,33 +48,33 @@ class TestNonlinearRHS:
 
 
 class TestStep:
+    # one step, taken through `run`
     def test_linear_mode_matches_propagator(self):
         g = make_grid(32, 32, 16 * np.pi, 16 * np.pi)
         phi = RealField.from_function(g, lambda x, y: np.cos(0.25 * x + 0.5 * y))
-        st = SimulationState(t=0.0, spectrum=forward(phi))
-        cfg = SolverConfig(dt=0.05, t_final=1.0, mu=0.0, nonlinear=False)
-        out = step(st, cfg)
-        exact = propagate(st.spectrum, 0.05, 0.0)
-        assert np.max(np.abs(out.spectrum.coeffs - exact.coeffs)) < 1e-13 * np.max(
-            np.abs(st.spectrum.coeffs)
+        cfg = SolverConfig(dt=0.05, t_final=0.05, mu=0.0, nonlinear=False)
+        out = forward(run(phi, cfg).final)
+        start = forward(phi)
+        exact = propagate(start, 0.05, 0.0)
+        assert np.max(np.abs(out.coeffs - exact.coeffs)) < 1e-13 * np.max(
+            np.abs(start.coeffs)
         )
 
     def test_zero_mode_exact_decay(self):
         g = make_grid(32, 32, 12.0, 12.0)
         phi = fields.gaussian(g, amplitude=0.5, sigma_x=1.0, sigma_y=1.0)
         mu, dt = 0.3, 0.01
-        st = SimulationState(t=0.0, spectrum=forward(phi))
-        out = step(st, SolverConfig(dt=dt, t_final=1.0, mu=mu))
-        expect = st.spectrum.coeffs[:, 0] * np.exp(-mu * g.eta**2 * dt)
-        assert np.max(np.abs(out.spectrum.coeffs[:, 0] - expect)) < 1e-15
+        zm = run(phi, SolverConfig(dt=dt, t_final=dt, mu=mu, stride=1)).series.zero_mode
+        expect = zm[0] * np.exp(-mu * g.eta**2 * dt)
+        assert np.max(np.abs(zm[1] - expect)) < 1e-15
 
     def test_blowup_detected(self):
         g = make_grid(16, 16, 4.0, 4.0)
         huge = RealField(g, np.full((16, 16), 5e8))
-        st = SimulationState(t=0.0, spectrum=forward(huge))
         with pytest.raises(SolverAbort) as err:
-            step(st, SolverConfig(dt=1e-9, t_final=1e-6, mu=0.0))
+            run(huge, SolverConfig(dt=1e-9, t_final=1e-6, mu=0.0))
         assert err.value.reason == "blow_up"
+        assert (err.value.t, err.value.step) == (0.0, 0)
 
     def test_cfl_audit_triggers(self):
         g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
@@ -168,6 +166,27 @@ class TestPicard:
         with pytest.raises(PicardDivergence) as err:
             picard_solve(phi, 2.0, mu=0.01, max_iter=6)
         assert len(err.value.residuals) == 6
+        assert isinstance(err.value, SolverAbort)
+        assert (err.value.reason, err.value.t, err.value.step) == (
+            "picard_divergence", 2.0, 6
+        )
+
+    def test_overflowing_iterate_raises(self):
+        # with the default 25 sweeps the iterates overflow before giving up
+        g = make_grid(32, 32, 16 * np.pi, 16 * np.pi)
+        phi = fields.gaussian(g, amplitude=8.0)
+        with pytest.raises(PicardDivergence) as err:
+            picard_solve(phi, 2.0, mu=0.01)
+        res = err.value.residuals
+        assert err.value.step == len(res) + 1 <= 25
+        assert all(np.isfinite(res))
+
+    def test_first_sweep_overflow_raises(self):
+        g = make_grid(32, 32, 16 * np.pi, 16 * np.pi)
+        phi = fields.gaussian(g, amplitude=1e200)
+        with pytest.raises(PicardDivergence) as err:
+            picard_solve(phi, 2.0, mu=0.01)
+        assert (err.value.step, err.value.residuals) == (1, [])
 
 
 def test_semidiscrete_energy_balance():
