@@ -34,7 +34,7 @@ from .diagnostics import (
 )
 from .grid import RealField, make_grid
 from .io import write_csv, write_json, write_snapshot
-from .manifest import ManifestError, RunManifest, load_manifest
+from .manifest import RunManifest, load_manifest
 from .solver import (
     PicardDivergence,
     RunDiagnostics,
@@ -50,16 +50,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
-
-
-def _pool_size() -> int:
-    env = os.environ.get("BOZK_THREADS", "")
-    if env.strip():
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise ManifestError(f"BOZK_THREADS is not an integer: {env!r}")
-    return min(4, os.cpu_count() or 1)
 
 
 def _say(quiet: bool, msg: str) -> None:
@@ -251,12 +241,10 @@ def _cmd_diagnose(m: RunManifest, out: Path, quiet: bool) -> int:
 def _exact_phase_constant(b: float) -> float:
     """sqrt of int |1 - e^(iy)|^2 / |y|^(1+2b) dy via the Gamma closed form
     (independent of the sampled quadrature path)."""
-    from scipy.special import gamma as gamma_fn
-
     s = 2.0 * b
     if abs(s - 1.0) < 1e-12:
         return math.sqrt(2.0 * math.pi)
-    return math.sqrt(4.0 * (-gamma_fn(-s)) * math.cos(math.pi * s / 2.0))
+    return math.sqrt(4.0 * (-math.gamma(-s)) * math.cos(math.pi * s / 2.0))
 
 
 def _verify_weights(rows: List[List], seed: int) -> None:
@@ -353,7 +341,7 @@ def _cmd_verify(m: RunManifest, out: Path, quiet: bool) -> int:
     rows: List[List] = []
     suites = (_verify_weights, _verify_stein, _verify_ratios)
     buckets: List[List[List]] = [[] for _ in suites]
-    with ThreadPoolExecutor(max_workers=min(_pool_size(), len(suites))) as pool:
+    with ThreadPoolExecutor(max_workers=min(len(suites), os.cpu_count() or 1)) as pool:
         futures = [
             pool.submit(suite, bucket, m.seed)
             for suite, bucket in zip(suites, buckets)
@@ -397,7 +385,6 @@ def execute(argv: Sequence[str]) -> int:
             m = RunManifest(raw={})
         if args.seed is not None:
             m.seed = args.seed
-        _pool_size()  # validate BOZK_THREADS early
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
 
@@ -413,9 +400,6 @@ def execute(argv: Sequence[str]) -> int:
             return _cmd_verify(m, out, args.quiet)
         if args.subcommand == "diagnose":
             return _cmd_diagnose(m, out, args.quiet)
-        return EXIT_CONFIG
-    except ManifestError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except SolverAbort as exc:
         abort = {"reason": exc.reason, "t": exc.t, "step": exc.step, "detail": exc.detail}

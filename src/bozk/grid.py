@@ -38,8 +38,10 @@ class Grid2D:
             raise ValueError(
                 f"grid sizes must be even and >= 8, got nx={self.nx}, ny={self.ny}"
             )
-        if self.lx <= 0 or self.ly <= 0:
-            raise ValueError(f"period lengths must be positive, got {self.lx}, {self.ly}")
+        if not (0 < self.lx < np.inf and 0 < self.ly < np.inf):
+            raise ValueError(
+                f"period lengths must be finite and positive, got {self.lx}, {self.ly}"
+            )
 
         dx = self.lx / self.nx
         dy = self.ly / self.ny

@@ -22,11 +22,19 @@ class ManifestError(ValueError):
     """Configuration rejected; maps to exit code 2."""
 
 
+def _float(text: str) -> float:
+    """The one float parser of every key: nan and inf are rejected."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ManifestError(f"not a finite number: {text.strip()!r}")
+    return value
+
+
 def _parse_length(text: str) -> float:
     t = text.strip().lower()
     if t.endswith("pi"):
-        return float(t[:-2] or "1") * math.pi
-    return float(t)
+        return _float(t[:-2] or "1") * math.pi
+    return _float(t)
 
 
 def _parse_bool(text: str) -> bool:
@@ -42,20 +50,20 @@ def _parse_weight(token: str) -> WeightSpec:
     parts = token.strip().split(":")
     try:
         if parts[0] == "poly":
-            return WeightSpec.polynomial(float(parts[1]))
+            return WeightSpec.polynomial(_float(parts[1]))
         if parts[0] == "trunc":
             return WeightSpec.truncated(int(parts[1]))
         if parts[0] == "gamma":
-            return WeightSpec.gamma_power(float(parts[1]))
+            return WeightSpec.gamma_power(_float(parts[1]))
         if parts[0] == "damp":
-            return WeightSpec.damped(float(parts[1]), float(parts[2]))
+            return WeightSpec.damped(_float(parts[1]), _float(parts[2]))
     except (IndexError, ValueError) as exc:
         raise ManifestError(f"bad weight spec {token!r}: {exc}") from exc
     raise ManifestError(f"unknown weight kind in {token!r}")
 
 
 def _floats(text: str) -> Tuple[float, ...]:
-    return tuple(float(s) for s in text.split(","))
+    return tuple(_float(s) for s in text.split(","))
 
 
 # manifest key -> (RunManifest attribute, parser), applied in this order.
@@ -68,14 +76,14 @@ _KEYS: Dict[str, Tuple[str, Callable[[str], Any]]] = {
     "grid.ly": ("ly", _parse_length),
     "data.kind": ("data_kind", str),
     **{
-        f"data.{name}": ("data_params", float)
+        f"data.{name}": ("data_params", _float)
         for name in ("amplitude", "sigma_x", "sigma_y", "center_x", "center_y",
                      "width", "separation", "seed", "spectral_width")
     },
     "data.path": ("data_path", str),
-    "solver.dt": ("dt", float),
-    "solver.t_final": ("t_final", float),
-    "solver.mu": ("mu", float),
+    "solver.dt": ("dt", _float),
+    "solver.t_final": ("t_final", _float),
+    "solver.mu": ("mu", _float),
     "solver.dealias": ("dealias", _parse_bool),
     "solver.stride": ("stride", int),
     "solver.nonlinear": ("nonlinear", _parse_bool),
@@ -83,16 +91,16 @@ _KEYS: Dict[str, Tuple[str, Callable[[str], Any]]] = {
     "diag.weights": (
         "weights", lambda v: tuple(_parse_weight(t) for t in v.split(",")) if v else ()
     ),
-    "uc.t": ("uc_t", float),
+    "uc.t": ("uc_t", _float),
     "uc.levels": ("uc_levels", int),
-    "uc.epsilon": ("uc_epsilon", float),
+    "uc.epsilon": ("uc_epsilon", _float),
     "uc.r_list": ("uc_r_list", _floats),
-    "uc.s": ("uc_s", float),
+    "uc.s": ("uc_s", _float),
     "uc.doublings": ("uc_doublings", int),
-    "picard.t_final": ("picard_t_final", float),
-    "picard.mu": ("picard_mu", float),
+    "picard.t_final": ("picard_t_final", _float),
+    "picard.mu": ("picard_mu", _float),
     "picard.max_iter": ("picard_max_iter", int),
-    "picard.tol": ("picard_tol", float),
+    "picard.tol": ("picard_tol", _float),
     "picard.nodes": ("picard_nodes", int),
     "seed": ("seed", int),
 }

@@ -77,6 +77,8 @@ class SolverConfig:
     nonlinear: bool = True
 
     def __post_init__(self) -> None:
+        if not all(map(math.isfinite, (self.dt, self.t_final, self.mu))):
+            raise ValueError("dt, t_final and mu must be finite")
         if self.dt <= 0 or self.t_final <= 0 or self.dt > self.t_final * (1 + 1e-12):
             raise ValueError("need 0 < dt <= t_final")
         if self.mu < 0:
@@ -271,7 +273,6 @@ def picard_solve(
     max_iter: int = 25,
     tol: float = 1e-10,
     n_nodes: int = 33,
-    use_dealias: bool = True,
 ) -> PicardResult:
     """Solve the Duhamel integral equation by fixed-point iteration.
 
@@ -284,6 +285,8 @@ def picard_solve(
         raise ValueError("picard_solve needs mu > 0 (parabolic regularisation)")
     if t_final <= 0 or n_nodes < 5 or n_nodes % 2 == 0:
         raise ValueError("need t_final > 0 and an odd n_nodes >= 5")
+    if max_iter < 1 or not tol > 0:
+        raise ValueError("need picard max_iter >= 1 and tol > 0")
     g = phi.grid
     h = t_final / (n_nodes - 1)
     # E_mu(k*h) for k = 0..n-1; uniform nodes make E(t_j - t_m) = table[j - m]
@@ -299,10 +302,7 @@ def picard_solve(
     residuals: List[float] = []
     for it in range(1, max_iter + 1):
         try:
-            rhs = [
-                nonlinear_rhs(SpectrumField(g, u[m]), use_dealias).coeffs
-                for m in range(n_nodes)
-            ]
+            rhs = [nonlinear_rhs(SpectrumField(g, u[m])).coeffs for m in range(n_nodes)]
         except NonFiniteField:
             raise PicardDivergence(t_final, it, residuals) from None
         new = []

@@ -1,7 +1,6 @@
 import dataclasses
 import json
 import math
-import os
 
 import numpy as np
 import pytest
@@ -253,6 +252,29 @@ class TestExecute:
         assert abort["t"] == 5.0
         assert abort["step"] == len(abort["residuals"]) + 1
 
+    @pytest.mark.parametrize(
+        "subcommand, line",
+        [
+            ("simulate", "solver.t_final = inf"),
+            ("picard", "picard.max_iter = 0"),
+            ("picard", "picard.tol = 0"),
+            ("picard", "picard.tol = -1"),
+            ("picard", "picard.tol = nan"),
+            ("simulate", "grid.lx = infpi"),
+            ("simulate", "grid.ly = 1e308pi"),
+            ("uc", "uc.r_list = 1,nan"),
+            ("simulate", "diag.weights = damp:0.5:inf"),
+        ],
+    )
+    def test_bad_number_exit_two(self, tmp_path, subcommand, line):
+        text = SIM_CFG.replace("grid.nx = 48", "grid.nx = 32").replace(
+            "grid.ny = 48", "grid.ny = 32"
+        )
+        cfg = write_cfg(tmp_path, text + line + "\n")
+        out = tmp_path / "outnum"
+        assert execute([subcommand, "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not (out / "abort.json").exists()
+
     def test_linear_and_diagnose(self, tmp_path):
         cfg = write_cfg(tmp_path, SIM_CFG)
         out = tmp_path / "outlin"
@@ -315,14 +337,6 @@ class TestExecute:
         execute(["simulate", "--config", cfg, "--out", str(o2), "--seed", "9", "--quiet"])
         assert (o1 / "series.csv").read_bytes() == (o2 / "series.csv").read_bytes()
         assert (o1 / "final.bozk").read_bytes() == (o2 / "final.bozk").read_bytes()
-
-    def test_thread_cap_env(self, tmp_path, monkeypatch):
-        cfg = write_cfg(tmp_path, SIM_CFG)
-        monkeypatch.setenv("BOZK_THREADS", "2")
-        out = tmp_path / "outthr"
-        assert execute(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
-        monkeypatch.setenv("BOZK_THREADS", "lots")
-        assert execute(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
 
     def test_missing_config(self, tmp_path):
         assert execute(["simulate", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG

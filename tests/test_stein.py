@@ -1,11 +1,17 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bozk
 from bozk.stein import (
     MIXED_PHASE_CALIBRATION,
     SteinConfig,
+    UniformCubicSpline,
     mixed_phase_bound,
     phase_bound,
     refine_divergence,
@@ -175,6 +181,61 @@ class TestRefinementLadder:
     def test_needs_three_levels(self):
         with pytest.raises(ValueError, match="3 refinement levels"):
             refinement_ladder(lambda xs: [(1.0, np.zeros_like(xs))], 0.5, 2, **self.LADDER)
+
+
+class TestUniformCubicSpline:
+    def test_reproduces_cubic_in_interior(self):
+        def p(x):
+            return 0.1 * x**3 + x + 10.0
+
+        xs = 0.1 * np.arange(-100, 101)
+        spline = UniformCubicSpline(xs, p(xs))
+        # off-grid points at least 40 cells from either end
+        q = np.linspace(-5.96, 5.96, 77) + 0.0123
+        np.testing.assert_allclose(spline(q), p(q), rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(
+            spline(q, derivative=True), 0.3 * q**2 + 1.0, rtol=1e-12, atol=0.0
+        )
+
+    def test_node_values_are_the_samples(self):
+        xs = 0.01 * np.arange(-300, 301)
+        rng = np.random.default_rng(5)
+        fs = rng.standard_normal(xs.size) + 1j * rng.standard_normal(xs.size)
+        err = np.max(np.abs(UniformCubicSpline(xs, fs)(xs) - fs))
+        assert err <= 1e-12 * np.max(np.abs(fs))
+
+
+# Any top-level import outside the standard library, numpy and bozk fails.
+NUMPY_ONLY = """
+import sys
+
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "bozk"}
+
+
+class NumpyOnly:
+    def find_spec(self, name, path=None, target=None):
+        if name.split(".")[0] not in ALLOWED:
+            raise ImportError(name + " is blocked")
+        return None
+
+
+sys.meta_path.insert(0, NumpyOnly())
+from bozk.cli import execute
+
+sys.exit(execute(["verify", "--out", sys.argv[1], "--quiet"]))
+"""
+
+
+def test_verify_runs_on_numpy_alone(tmp_path):
+    src = str(Path(bozk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", NUMPY_ONLY, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert res.returncode == 0, res.stderr
+    assert (tmp_path / "out" / "verify.csv").exists()
 
 
 def test_config_validation():
