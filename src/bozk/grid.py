@@ -8,16 +8,24 @@ Conventions fixed here and relied on everywhere else:
 * Spectral coefficients are normalised to approximate the continuum transform
   ``u_hat(xi, eta) = int exp(-i(x*xi + y*eta)) u dx dy``, i.e. they equal the
   raw DFT times ``dx*dy`` times the exact centring phase ``(-1)**(m+n)``.
-* Wavenumber indices follow FFT order, ``m in [-nx/2, nx/2)``; the Nyquist
-  index ``-nx/2`` has no positive partner, so every multiplier evaluated on
-  the grid is symmetrised there (average over the two Nyquist signs).  This
-  keeps inverse transforms of Hermitian data exactly real without branching.
+* Fields are real, so their transforms are Hermitian,
+  ``u_hat(-xi, -eta) = conj u_hat(xi, eta)``, and only the half plane is
+  stored: coefficient arrays have shape ``(ny, nx//2 + 1)`` (the layout of
+  ``rfft2``).  Rows follow FFT order, ``n in [-ny/2, ny/2)``; the columns are
+  ``m = 0, 1, ..., nx/2 - 1`` and last the Nyquist column, which keeps the
+  wavenumber ``xi = -pi*nx/Lx``.  Columns 0 and Nyquist are self-paired (the
+  partner of row n is row -n of the same column); every other column stands
+  for itself and its unstored mirror at -xi, so Parseval counts it twice.
+* The Nyquist lines (the last column and the row ``n = -ny/2``) have no
+  partner of opposite sign, so every multiplier evaluated on the grid is
+  symmetrised there (average over the two Nyquist signs).  This keeps
+  inverse transforms of Hermitian data exactly real without branching.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -48,7 +56,8 @@ class Grid2D:
         object.__setattr__(self, "dx", dx)
         object.__setattr__(self, "dy", dy)
 
-        mx = np.fft.fftfreq(self.nx, d=1.0 / self.nx).astype(np.int64)
+        # stored columns: m = 0..nx/2-1, then the Nyquist column m = -nx/2
+        mx = np.fft.fftfreq(self.nx, d=1.0 / self.nx).astype(np.int64)[: self.nx // 2 + 1]
         my = np.fft.fftfreq(self.ny, d=1.0 / self.ny).astype(np.int64)
         object.__setattr__(self, "mx", mx)
         object.__setattr__(self, "my", my)
@@ -75,13 +84,18 @@ class Grid2D:
     # broadcastable 2-D views -------------------------------------------------
 
     @property
+    def spectral_shape(self) -> tuple:
+        """Coefficient shape, (ny, nx//2 + 1)."""
+        return (self.ny, self.mx.size)
+
+    @property
     def xi2(self) -> np.ndarray:
-        """xi broadcast to coefficient shape (ny, nx)."""
-        return np.broadcast_to(self.xi[None, :], (self.ny, self.nx))
+        """xi broadcast to coefficient shape (ny, nx//2 + 1)."""
+        return np.broadcast_to(self.xi[None, :], self.spectral_shape)
 
     @property
     def eta2(self) -> np.ndarray:
-        return np.broadcast_to(self.eta[:, None], (self.ny, self.nx))
+        return np.broadcast_to(self.eta[:, None], self.spectral_shape)
 
     @property
     def xmesh(self) -> np.ndarray:
@@ -148,49 +162,76 @@ class SpectrumField:
 
     def __post_init__(self) -> None:
         a = np.asarray(self.coeffs, dtype=np.complex128)
-        if a.shape != (self.grid.ny, self.grid.nx):
-            raise ValueError(f"coeffs shape {a.shape} != {(self.grid.ny, self.grid.nx)}")
+        if a.shape != self.grid.spectral_shape:
+            raise ValueError(f"coeffs shape {a.shape} != {self.grid.spectral_shape}")
         object.__setattr__(self, "coeffs", a)
 
     def l2(self, weight: Optional[np.ndarray] = None) -> float:
         """L2 norm of the underlying field via Parseval; ``weight`` is a
-        nonnegative Fourier weight of coefficient shape, e.g.
-        ``(1 + xi^2 + eta^2)^s`` for the H^s norm (unweighted when omitted)."""
+        nonnegative Fourier weight of coefficient shape, even under
+        ``(xi, eta) -> (-xi, -eta)``, e.g. ``(1 + xi^2 + eta^2)^s`` for the H^s
+        norm (unweighted when omitted).  Each column counts with its Parseval
+        multiplicity: once for column 0 and the Nyquist column, twice for the
+        rest, which also stand for their unstored mirrors."""
         g = self.grid
         dxi = 2.0 * np.pi / g.lx
         deta = 2.0 * np.pi / g.ly
         sq = np.abs(self.coeffs) ** 2
         if weight is not None:
             sq = weight * sq
-        return float(np.sqrt(np.sum(sq) * dxi * deta) / (2.0 * np.pi))
+        cols = np.sum(sq, axis=0)
+        total = np.sum(cols) + np.sum(cols[1:-1])
+        return float(np.sqrt(total * dxi * deta) / (2.0 * np.pi))
 
     def zero_mode_row(self) -> np.ndarray:
         """u_hat(0, eta) for all grid eta, i.e. the x-mean transform."""
         return self.coeffs[:, 0].copy()
 
 
+# The transform pair is rfft2/irfft2.  Both run their y pass in place on an
+# array they own: a second half-plane temporary per call made glibc trim and
+# re-fault the heap on every transform (about a quarter more minor page
+# faults over a whole 256^2 run), for the same arithmetic.
+
+
 def forward(f: RealField) -> SpectrumField:
     g = f.grid
-    coeffs = np.fft.fft2(f.samples) * (g.cell_area * g._centre_phase)
+    coeffs = np.fft.rfft2(f.samples, out=np.empty(g.spectral_shape, dtype=np.complex128))
+    coeffs *= g.cell_area * g._centre_phase
     return SpectrumField(g, coeffs)
 
 
 def inverse(F: SpectrumField) -> RealField:
     g = F.grid
     raw = F.coeffs * (g._centre_phase / g.cell_area)
-    return RealField(g, np.fft.ifft2(raw).real)
+    np.fft.ifft(raw, axis=0, out=raw)  # irfft2 is this y pass, then irfft along x
+    return RealField(g, np.fft.irfft(raw, n=g.nx, axis=1))
 
 
 def inverse_imag_residual(F: SpectrumField) -> float:
-    """Max |imaginary part| discarded by :func:`inverse`; realness diagnostic."""
+    """Max |imaginary part| discarded by :func:`inverse`; realness diagnostic.
+
+    Only the self-paired columns (0 and Nyquist) can carry it: a column's y
+    profile is ``ifft`` along y, constant in x for column 0 and alternating
+    in sign along x for the Nyquist column, and :func:`inverse` keeps the
+    real part of each."""
     g = F.grid
-    raw = F.coeffs * (g._centre_phase / g.cell_area)
-    return float(np.max(np.abs(np.fft.ifft2(raw).imag)))
+    raw = F.coeffs[:, [0, -1]] * (g._centre_phase[:, [0, -1]] / g.cell_area)
+    imag = np.fft.ifft(raw, axis=0).imag / g.nx
+    return float(np.max(np.abs(imag[:, 0]) + np.abs(imag[:, 1])))
 
 
-def conjugate_flip(coeffs: np.ndarray) -> np.ndarray:
-    """conj of the index-negated array: out[n, m] = conj(in[-n mod ny, -m mod nx])."""
-    return np.conj(np.roll(coeffs[::-1, ::-1], shift=(1, 1), axis=(0, 1)))
+def xi_line(F: SpectrumField, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """``(xi, u_hat(xi, eta_n))`` on the whole xi line, xi ascending from
+    ``-pi*nx/Lx`` (the Nyquist column) to ``pi*(nx - 2)/Lx``.
+
+    The negative columns are not stored; they are rebuilt from row ``-n`` by
+    Hermitian symmetry, ``u_hat(-xi, eta_n) = conj u_hat(xi, eta_-n)``."""
+    g = F.grid
+    h = g.nx // 2
+    c = F.coeffs
+    row = np.concatenate((c[n, h:], np.conj(c[-n, h - 1 : 0 : -1]), c[n, :h]))
+    return 2.0 * np.pi * np.arange(-h, h) / g.lx, row
 
 
 def multiplier_array(grid: Grid2D, m: Multiplier) -> np.ndarray:
@@ -200,17 +241,23 @@ def multiplier_array(grid: Grid2D, m: Multiplier) -> np.ndarray:
     array satisfies the same identity on the discrete index set, including
     the self-paired Nyquist lines, so multiplying a Hermitian spectrum keeps
     it exactly Hermitian.  Off the Nyquist lines the values are untouched.
+
+    A Nyquist-line value is ``(m(p) + conj m(p*))/2``, where ``p*`` is the
+    grid point paired with ``p``: on the Nyquist column, the same column at
+    row ``-n``; on the Nyquist row, the same row at ``-xi`` (for columns 0
+    and Nyquist, ``p`` itself), which the half plane does not store, so the
+    symbol is evaluated there once more.
     """
+    ny = grid.ny
+    xi_pair = -grid.xi
+    xi_pair[[0, -1]] = grid.xi[[0, -1]]
     with np.errstate(all="ignore"):
         vals = np.asarray(m(grid.xi2, grid.eta2), dtype=np.complex128)
-        if vals.shape != (grid.ny, grid.nx):
-            vals = np.broadcast_to(vals, (grid.ny, grid.nx)).astype(np.complex128)
-        out = vals.copy()
-        sym = 0.5 * (vals + conjugate_flip(vals))
-    nyq_x = grid.mx == -grid.nx // 2
-    nyq_y = grid.my == -grid.ny // 2
-    out[:, nyq_x] = sym[:, nyq_x]
-    out[nyq_y, :] = sym[nyq_y, :]
+        out = np.array(np.broadcast_to(vals, grid.spectral_shape))
+        pair = np.asarray(m(xi_pair, np.full_like(xi_pair, grid.eta[ny // 2])), dtype=np.complex128)
+        row = 0.5 * (out[ny // 2] + np.conj(pair))
+        out[:, -1] = 0.5 * (out[:, -1] + np.conj(out[-np.arange(ny), -1]))
+        out[ny // 2] = row
     if not np.all(np.isfinite(out)):
         raise ValueError("multiplier is non-finite at a grid wavenumber")
     return out

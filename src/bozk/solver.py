@@ -17,6 +17,7 @@ is one of the package's cross-checks.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -87,13 +88,22 @@ class SolverConfig:
             raise ValueError("diagnostic stride must be >= 1")
 
 
-def nonlinear_rhs(F: SpectrumField, use_dealias: bool = True) -> SpectrumField:
-    """Spectrum of -1/2 d_x(u^2), with the 2/3 mask around the square."""
+def nonlinear_rhs(
+    F: SpectrumField,
+    use_dealias: bool = True,
+    audit: Optional[Callable[[float], None]] = None,
+) -> SpectrumField:
+    """Spectrum of -1/2 d_x(u^2), with the 2/3 mask around the square.
+
+    `audit`, when given, is called with max|u| of the field that is squared
+    before the square is taken; it may raise to stop the evaluation."""
     g = F.grid
     src = dealias(F) if use_dealias else F
     u = inverse(src)
+    if audit is not None:
+        audit(float(np.max(np.abs(u.samples))))
     w = forward(RealField(g, u.samples**2))
-    out = w.coeffs * (-0.5j * g.xi2)
+    out = w.coeffs * (-0.5j * g.xi)
     if use_dealias:
         out = np.where(g.dealias_mask, out, 0.0)
     return SpectrumField(g, out)
@@ -108,8 +118,11 @@ class _StepKernel:
         self.e_half = propagator_array(grid, 0.5 * cfg.dt, cfg.mu)
         self.e_full = propagator_array(grid, cfg.dt, cfg.mu)
 
-    def advance(self, c: np.ndarray) -> np.ndarray:
-        """Coefficients one dt after `c`."""
+    def advance(
+        self, c: np.ndarray, audit: Optional[Callable[[float], None]] = None
+    ) -> np.ndarray:
+        """Coefficients one dt after `c`; `audit` sees max|u| of the field
+        stage k1 squares, i.e. of `c` (dealiased when the run dealiases)."""
         cfg = self.cfg
         if not cfg.nonlinear:
             return self.e_full * c
@@ -119,7 +132,7 @@ class _StepKernel:
         def rhs(coeffs: np.ndarray) -> np.ndarray:
             return nonlinear_rhs(SpectrumField(g, coeffs), cfg.dealias).coeffs
 
-        k1 = rhs(c)
+        k1 = nonlinear_rhs(SpectrumField(g, c), cfg.dealias, audit).coeffs
         c2 = rhs(eh * (c + (0.5 * dt) * k1))
         c3 = rhs(eh * c + (0.5 * dt) * c2)
         c4 = rhs(ef * c + dt * (eh * c3))
@@ -180,9 +193,8 @@ def run(
 
     rows: List[dict] = []
 
-    def record(c: np.ndarray, t: float, n: int) -> None:
-        u = inverse(spec := SpectrumField(g, c))
-        m = float(np.max(np.abs(u.samples)))
+    def audit(m: float, t: float, n: int) -> None:
+        """Stability and blow-up checks on max|u| of the state after step n."""
         if m > BLOWUP_AMPLITUDE:
             raise SolverAbort("blow_up", t, n, f"max|u| = {m:.3e}")
         cfl = cfg.dt * m * max_xi
@@ -190,6 +202,10 @@ def run(
             raise SolverAbort(
                 "cfl_audit", t, n, f"dt*max|u|*max|xi| = {cfl:.3f} > {CFL_LIMIT}"
             )
+
+    def record(c: np.ndarray, t: float, n: int) -> None:
+        u = inverse(spec := SpectrumField(g, c))
+        audit(float(np.max(np.abs(u.samples))), t, n)
         row = {
             "t": t,
             "step": n,
@@ -202,15 +218,17 @@ def run(
         }
         rows.append(row)
 
-    # a non-finite sample anywhere in the loop is a blow-up; for one inside a
-    # step, t is the time that step started from
+    # every step audits the state it starts from (stage k1's field), every
+    # record the state it reads; a non-finite sample anywhere in the loop is
+    # a blow-up, and for one inside a step, t is the time that step started
+    # from
     c = forward(phi).coeffs
     t = 0.0
     n = 0
     try:
         record(c, t, n)
         for n in range(1, n_steps + 1):
-            c = kernel.advance(c)
+            c = kernel.advance(c, functools.partial(audit, t=t, n=n - 1))
             t += cfg.dt
             if n % cfg.stride == 0 or n == n_steps:
                 record(c, t, n)

@@ -18,7 +18,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
-from .grid import Grid2D, RealField, forward, make_grid
+from .grid import Grid2D, RealField, forward, make_grid, xi_line
 from .solver import RunDiagnostics, SolverAbort, SolverConfig, TimeSeries, run
 from .stein import RefinementLevel, SteinConfig, refinement_ladder, stein_derivative
 from .weights import WeightSpec
@@ -344,14 +344,12 @@ def obstruction_density(
     g = u.grid
     F = forward(u)
     dxi = 2.0 * np.pi / g.lx
-    order = np.argsort(g.xi)
-    xi = g.xi[order]
     window = 0.5 * cut.epsilon
     floor = 4.0 * dxi
     peak = 0.0
     for target in eta_targets:
         n = int(np.argmin(np.abs(g.eta - target)))
-        slice_eta = F.coeffs[n, order]
+        xi, slice_eta = xi_line(F, n)
         q = cut.chi(xi, float(g.eta[n])) * np.sign(xi) * slice_eta
         if b < 0.02:
             # zeroth order needs no resolution floor; the sup converges to

@@ -217,9 +217,32 @@ class TestExecute:
         out = tmp_path / "outblow"
         assert execute(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_NUMERIC
         abort = read_strict_json(out / "abort.json")
-        assert abort["reason"] == "blow_up"
+        # every step is audited, so the run stops at its CFL breach (step
+        # 59), long before the undealiased field goes non-finite (step 354)
+        assert abort["reason"] == "cfl_audit"
         assert 0 < abort["step"] < 500
         assert set(abort) == {"reason", "t", "step", "detail"}
+
+    def test_cfl_audit_on_every_step(self, tmp_path):
+        text = SIM_CFG.replace("grid.nx = 48", "grid.nx = 64").replace(
+            "grid.ny = 48", "grid.ny = 64"
+        )
+        text = text.replace("data.amplitude = 0.5", "data.amplitude = 50").replace(
+            "solver.dt = 5e-3", "solver.dt = 2e-3"
+        ).replace("solver.stride = 5", "solver.stride = 500") + "solver.dealias = true\n"
+        cfg = write_cfg(tmp_path, text.replace("solver.t_final = 0.05", "solver.t_final = 1"))
+        out = tmp_path / "outcfl"
+        assert execute(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_NUMERIC
+        abort = read_strict_json(out / "abort.json")
+        assert abort["reason"] == "cfl_audit"
+        step = abort["step"]
+        assert 0 < step < 500
+        # the same manifest ended one step before the breach runs clean
+        t_end = f"solver.t_final = {(step - 1) * 2e-3!r}"
+        cfg = write_cfg(tmp_path, text.replace("solver.t_final = 0.05", t_end), "short.cfg")
+        out = tmp_path / "outshort"
+        assert execute(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        assert not (out / "abort.json").exists()
 
     def test_uc_box_edge_exit_three_and_no_reports(self, tmp_path):
         text = (

@@ -10,7 +10,10 @@ from bozk.grid import (
     inverse,
     inverse_imag_residual,
     make_grid,
+    multiplier_array,
+    xi_line,
 )
+from bozk.operators import dispersion
 
 TWO_PI = 2.0 * np.pi
 
@@ -22,9 +25,13 @@ def random_field(grid, seed=0):
 
 class TestMakeGrid:
     def test_wavenumber_set(self):
+        # stored columns 0..3 and the Nyquist column -4; with the unstored
+        # mirrors -3..-1 they make up the whole set
         g = make_grid(8, 8, TWO_PI, TWO_PI)
-        assert sorted(g.mx) == list(range(-4, 4))
-        assert sorted(g.xi) == [float(m) for m in range(-4, 4)]
+        assert list(g.mx) == [0, 1, 2, 3, -4]
+        assert sorted(set(g.mx) | set(-g.mx[1:-1])) == list(range(-4, 4))
+        xi, _ = xi_line(forward(random_field(g)), 0)
+        assert list(xi) == [float(m) for m in range(-4, 4)]
 
     def test_spacing_follows_period(self):
         g = make_grid(8, 8, 2 * TWO_PI, TWO_PI)
@@ -60,7 +67,8 @@ class TestTransforms:
         g = make_grid(16, 16, TWO_PI, TWO_PI)
         F = forward(RealField.from_function(g, lambda x, y: np.cos(x)))
         plus = F.coeffs[0, list(g.mx).index(1)]
-        minus = F.coeffs[0, list(g.mx).index(-1)]
+        xi, row = xi_line(F, 0)
+        minus = row[list(xi).index(-1.0)]
         assert np.isclose(plus, 0.5 * TWO_PI**2)
         assert np.isclose(minus, 0.5 * TWO_PI**2)
 
@@ -84,10 +92,12 @@ class TestTransforms:
             assert abs(f.l2() - forward(f).l2()) / f.l2() < 1e-10
 
     def test_conjugate_symmetry_of_real_transform(self):
+        # the self-paired columns (0 and Nyquist) pair row n with row -n
         g = make_grid(16, 16, 2.0, 3.0)
         C = forward(random_field(g, 2)).coeffs
-        flipped = np.conj(np.roll(C[::-1, ::-1], 1, axis=(0, 1)))
-        assert np.max(np.abs(C - flipped)) < 1e-9
+        cols = C[:, [0, -1]]
+        flipped = np.conj(cols[-np.arange(g.ny)])
+        assert np.max(np.abs(cols - flipped)) < 1e-9
 
 
 class TestMultiplier:
@@ -139,13 +149,14 @@ class TestMultiplier:
 class TestDealias:
     def test_mask_at_twelve(self):
         g = make_grid(12, 12, TWO_PI, TWO_PI)
-        F = SpectrumField(g, np.ones((12, 12), dtype=complex))
+        F = SpectrumField(g, np.ones((12, 7), dtype=complex))
         D = dealias(F).coeffs
         for i, m in enumerate(g.mx):
             kept = D[0, i] != 0
             assert kept == (abs(m) <= 4), f"mode {m}"
+        # mode -5 is the unstored mirror of mode 5
         zeroed = {int(m) for i, m in enumerate(g.mx) if D[0, i] == 0}
-        assert zeroed == {-6, -5, 5}
+        assert zeroed == {-6, 5}
 
     def test_projection_idempotent(self):
         g = make_grid(24, 24, 1.0, 1.0)
@@ -158,6 +169,122 @@ class TestDealias:
         g = make_grid(16, 16, 1.0, 1.0)
         F = forward(RealField.from_function(g, lambda x, y: 3.0 + 0 * x))
         assert np.isclose(dealias(F).coeffs[0, 0], F.coeffs[0, 0])
+
+
+
+def full_plane(g):
+    """Full FFT-ordered wavenumber meshes and centring phase of the grid."""
+    mx = np.fft.fftfreq(g.nx, d=1.0 / g.nx)
+    my = np.fft.fftfreq(g.ny, d=1.0 / g.ny)
+    xi = (2.0 * np.pi * mx / g.lx)[None, :]
+    eta = (2.0 * np.pi * my / g.ly)[:, None]
+    phase = np.where((mx[None, :] + my[:, None]) % 2 == 0, 1.0, -1.0)
+    return xi, eta, phase
+
+
+def full_forward(f):
+    _, _, phase = full_plane(f.grid)
+    return np.fft.fft2(f.samples) * (f.grid.cell_area * phase)
+
+
+def full_multiplier(g, m):
+    """Symbol on the full plane, averaged with its conjugate flip on the
+    Nyquist column and row."""
+    xi, eta, _ = full_plane(g)
+    with np.errstate(all="ignore"):
+        vals = np.array(np.broadcast_to(m(xi, eta), (g.ny, g.nx)), dtype=complex)
+        flip = np.conj(np.roll(vals[::-1, ::-1], shift=(1, 1), axis=(0, 1)))
+        sym = 0.5 * (vals + flip)
+    out = vals.copy()
+    out[:, g.nx // 2] = sym[:, g.nx // 2]
+    out[g.ny // 2, :] = sym[g.ny // 2, :]
+    return out
+
+
+def nyquist_field(g, seed):
+    """Random samples plus content on the x-, y- and corner Nyquist modes."""
+    alt_x = (-1.0) ** np.arange(g.nx)[None, :]
+    alt_y = (-1.0) ** np.arange(g.ny)[:, None]
+    f = random_field(g, seed).samples
+    return RealField(g, f + 3.0 * alt_x * np.cos(g.ymesh) + 2.0 * alt_y + alt_x * alt_y)
+
+
+class TestHalfPlaneLayout:
+    """The stored half plane is the left half (columns 0..nx/2) of the full
+    FFT-ordered plane."""
+
+    def test_forward_is_left_half_of_full_transform(self):
+        for nx, ny, seed in [(16, 16, 0), (24, 40, 1), (64, 32, 2)]:
+            g = make_grid(nx, ny, 3.0, 7.0)
+            f = nyquist_field(g, seed)
+            ref = full_forward(f)[:, : nx // 2 + 1]
+            C = forward(f).coeffs
+            assert C.shape == (ny, nx // 2 + 1)
+            assert np.max(np.abs(C - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize(
+        "symbol",
+        [
+            lambda xi, eta: np.exp(1j * 0.7 * dispersion(xi, eta) - 0.7 * 0.1 * (xi**2 + eta**2)),
+            lambda xi, eta: -1j * np.sign(xi),
+            lambda xi, eta: (1.0 + xi**2 + eta**2) ** 1.25,
+            lambda xi, eta: (1.0 + xi) * np.exp(0.3j * eta) + 1j * eta**2,
+        ],
+        ids=["propagator", "hilbert", "J^2.5", "non_hermitian"],
+    )
+    def test_multiplier_is_left_half_of_full_array(self, symbol):
+        g = make_grid(16, 12, 5.0, 3.0)
+        ref = full_multiplier(g, symbol)[:, : g.nx // 2 + 1]
+        out = multiplier_array(g, symbol)
+        assert np.array_equal(out, ref)
+
+    def test_parseval_counts_multiplicity(self):
+        for nx, ny, seed in [(16, 16, 3), (24, 10, 4)]:
+            g = make_grid(nx, ny, 4.0, 2.5)
+            f = nyquist_field(g, seed)
+            F = forward(f)
+            assert abs(F.l2() - f.l2()) <= 1e-13 * f.l2()
+            # a weighted norm against the full-plane Parseval sum
+            xi, eta, _ = full_plane(g)
+            w_full = (1.0 + xi**2 + eta**2) ** 2
+            full = np.sqrt(np.sum(w_full * np.abs(full_forward(f)) ** 2)
+                           * (TWO_PI / g.lx) * (TWO_PI / g.ly)) / TWO_PI
+            half = F.l2((1.0 + g.xi2**2 + g.eta2**2) ** 2)
+            assert abs(half - full) <= 1e-13 * full
+
+    def test_xi_line_is_full_plane_row(self):
+        g = make_grid(16, 12, 5.0, 3.0)
+        f = nyquist_field(g, 5)
+        full = full_forward(f)
+        xi_full, _, _ = full_plane(g)
+        order = np.argsort(xi_full[0])
+        F = forward(f)
+        for n in range(g.ny):
+            xi, row = xi_line(F, n)
+            assert np.array_equal(xi, xi_full[0, order])
+            ref = full[n, order]
+            assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(full))
+
+    def test_imag_residual_sits_on_self_paired_columns(self):
+        # inverse keeps the Hermitian part; what it drops is the imaginary
+        # part of the full-plane inverse, which only columns 0 and Nyquist
+        # can carry
+        g = make_grid(16, 12, 5.0, 3.0)
+        F = forward(nyquist_field(g, 6))
+        assert inverse_imag_residual(F) < 1e-12 * np.max(np.abs(F.coeffs))
+        rng = np.random.default_rng(7)
+        C = F.coeffs.copy()
+        C[:, 1:-1] += rng.standard_normal(C[:, 1:-1].shape) * 1j
+        assert inverse_imag_residual(SpectrumField(g, C)) < 1e-12 * np.max(np.abs(C))
+        C[:, [0, -1]] += rng.standard_normal((g.ny, 2)) * 1j
+        xi, eta, phase = full_plane(g)
+        full = np.zeros((g.ny, g.nx), dtype=complex)
+        full[:, : g.nx // 2 + 1] = C
+        mirror = np.conj(C[-np.arange(g.ny), 1 : g.nx // 2])
+        full[:, g.nx // 2 + 1 :] = mirror[:, ::-1]
+        ref = np.max(np.abs(np.fft.ifft2(full * phase / g.cell_area).imag))
+        assert ref > 1e-3
+        assert abs(inverse_imag_residual(SpectrumField(g, C)) - ref) <= 1e-12 * ref
 
 
 def test_field_validation():

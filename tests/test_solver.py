@@ -189,6 +189,78 @@ class TestPicard:
         assert (err.value.step, err.value.residuals) == (1, [])
 
 
+
+def full_plane_if_rk4(phi, dt, n_steps, mu, use_dealias):
+    """IF-RK4 on the full FFT-ordered plane with fft2/ifft2: the same stages,
+    Nyquist-symmetrised propagators and 2/3 mask, written out from scratch."""
+    g = phi.grid
+    mx = np.fft.fftfreq(g.nx, d=1.0 / g.nx)
+    my = np.fft.fftfreq(g.ny, d=1.0 / g.ny)
+    xi = (2.0 * np.pi * mx / g.lx)[None, :]
+    eta = (2.0 * np.pi * my / g.ly)[:, None]
+    phase = np.where((mx[None, :] + my[:, None]) % 2 == 0, 1.0, -1.0)
+    mask = (np.abs(mx) <= g.nx // 3)[None, :] & (np.abs(my) <= g.ny // 3)[:, None]
+
+    def fwd(u):
+        return np.fft.fft2(u) * (g.cell_area * phase)
+
+    def inv(c):
+        return np.fft.ifft2(c * (phase / g.cell_area)).real
+
+    def propagator(t):
+        v = np.exp(1j * t * (xi * eta**2 - xi * np.abs(xi)) - t * mu * (xi**2 + eta**2))
+        sym = 0.5 * (v + np.conj(np.roll(v[::-1, ::-1], shift=(1, 1), axis=(0, 1))))
+        v[:, g.nx // 2] = sym[:, g.nx // 2]
+        v[g.ny // 2, :] = sym[g.ny // 2, :]
+        return v
+
+    def rhs(c):
+        if use_dealias:
+            c = np.where(mask, c, 0.0)
+        w = fwd(inv(c) ** 2) * (-0.5j * xi)
+        return np.where(mask, w, 0.0) if use_dealias else w
+
+    eh, ef = propagator(0.5 * dt), propagator(dt)
+    c = fwd(phi.samples)
+    for _ in range(n_steps):
+        k1 = rhs(c)
+        k2 = rhs(eh * (c + (0.5 * dt) * k1))
+        k3 = rhs(eh * c + (0.5 * dt) * k2)
+        k4 = rhs(ef * c + dt * (eh * k3))
+        c = ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (k2 + k3) + k4)
+    return inv(c)
+
+
+@pytest.mark.parametrize("use_dealias", [True, False])
+@pytest.mark.parametrize("mu", [0.0, 0.1])
+def test_half_plane_stepper_matches_full_plane(use_dealias, mu):
+    g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
+    phi = fields.gaussian(g, amplitude=4.0, sigma_x=1.2, sigma_y=1.8, center=(0.7, -0.4))
+    dt, n_steps = 5e-3, 20
+    cfg = SolverConfig(dt=dt, t_final=n_steps * dt, mu=mu, dealias=use_dealias, stride=n_steps)
+    out = run(phi, cfg).final.samples
+    ref = full_plane_if_rk4(phi, dt, n_steps, mu, use_dealias)
+    assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+    assert np.max(np.abs(out - phi.samples)) > 1e-3 * np.max(np.abs(ref))
+
+
+def test_every_step_is_audited():
+    # the breach is caught at the step that first starts from a state over
+    # the CFL limit, and reported at the index of that state; records (only
+    # at both ends here) never see it, and the run ended one step earlier
+    # stays clean
+    g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
+    phi = fields.gaussian(g, amplitude=50.0)
+    cfg = SolverConfig(dt=2e-3, t_final=1.0, stride=500)
+    with pytest.raises(SolverAbort) as err:
+        run(phi, cfg)
+    e = err.value
+    assert e.reason == "cfl_audit"
+    assert 0 < e.step < 500 and e.t == pytest.approx(e.step * 2e-3)
+    res = run(phi, SolverConfig(dt=2e-3, t_final=(e.step - 1) * 2e-3, stride=500))
+    assert list(res.series.step) == [0, e.step - 1]
+
+
 def test_semidiscrete_energy_balance():
     # <u, H u_xx + u_xyy + P(u u_x)> = 0 to roundoff for dealiased u: the
     # linear symbols are imaginary odd and the masked product is alias-free,
