@@ -15,14 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .grid import (
-    RealField,
-    SpectrumField,
-    forward,
-    inverse,
-    require_same_grid,
-)
-from .operators import fractional_op, hilbert_x
+from .grid import RealField, apply_multiplier, forward, inverse, require_same_grid
+from .operators import fractional_op, hilbert_x, sobolev_weight
 from .solver import TimeSeries
 from .weights import WeightSpec, weight_field
 
@@ -78,12 +72,12 @@ def norm(u: RealField, spec: NormSpec) -> float:
     grid."""
     g = u.grid
     if spec.kind == "hs":
-        return forward(u).l2((1.0 + g.xi2**2 + g.eta2**2) ** spec.s)
+        return forward(u).l2(sobolev_weight(g, "J", spec.s))
     if spec.kind == "aniso":
         F = forward(u)
         a = F.l2()
-        b = F.l2((1.0 + g.xi2**2) ** spec.s1)
-        c = F.l2((1.0 + g.eta2**2) ** spec.s2)
+        b = F.l2(sobolev_weight(g, "J_x", spec.s1))
+        c = F.l2(sobolev_weight(g, "J_y", spec.s2))
         return math.sqrt(a * a + b * b + c * c)
     if spec.kind == "l2r":
         return u.l2((1.0 + g.xmesh**2 + g.ymesh**2) ** spec.r)
@@ -129,9 +123,7 @@ def conservation_report(ts: TimeSeries) -> ConservationReport:
 
 
 def _dx_power(u: RealField, order: int) -> RealField:
-    g = u.grid
-    F = forward(u)
-    return inverse(SpectrumField(g, (1j * g.xi2) ** order * F.coeffs))
+    return inverse(apply_multiplier(forward(u), lambda xi, eta: (1j * xi) ** order))
 
 
 def interpolation_ratio(
@@ -224,13 +216,8 @@ def half_derivative_commutator_ratio(phi: RealField, f: RealField) -> float:
     analogue of the commutator check."""
     require_same_grid(phi, f)
     g = phi.grid
-
-    def dhalf(u: RealField) -> RealField:
-        F = forward(u)
-        return inverse(SpectrumField(g, np.abs(g.xi2) ** 0.5 * F.coeffs))
-
-    prod = RealField(g, phi.samples * f.samples)
-    lhs = RealField(g, dhalf(prod).samples - phi.samples * dhalf(f).samples).l2()
+    dprod = fractional_op(RealField(g, phi.samples * f.samples), "D_x", 0.5).samples
+    lhs = RealField(g, dprod - phi.samples * fractional_op(f, "D_x", 0.5).samples).l2()
     denom = norm(phi, NormSpec.hs(2.0)) * f.l2()
     if denom == 0.0:
         raise ValueError("zero denominator in half-derivative commutator ratio")

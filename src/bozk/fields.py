@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import Grid2D, RealField, SpectrumField, forward, inverse
+from .grid import Grid2D, RealField, apply_multiplier, forward, inverse
 
 
 def gaussian(
@@ -72,8 +72,8 @@ def random_smooth(
     rng = np.random.default_rng(seed)
     white = rng.standard_normal((grid.ny, grid.nx))
     F = forward(RealField(grid, white))
-    damp = np.exp(-(grid.xi2**2 + grid.eta2**2) / (2 * spectral_width**2))
-    smooth = inverse(SpectrumField(grid, F.coeffs * damp))
+    two_w2 = 2 * spectral_width**2
+    smooth = inverse(apply_multiplier(F, lambda xi, eta: np.exp(-(xi**2 + eta**2) / two_w2)))
     w = envelope_width if envelope_width is not None else min(grid.lx, grid.ly) / 6.0
     env = np.exp(-(grid.xmesh**2 + grid.ymesh**2) / (2 * w**2))
     samples = smooth.samples * env

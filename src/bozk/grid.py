@@ -24,6 +24,7 @@ Conventions fixed here and relied on everywhere else:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -108,6 +109,12 @@ class Grid2D:
     @property
     def cell_area(self) -> float:
         return self.dx * self.dy
+
+    @functools.cached_property
+    def advection_symbol(self) -> np.ndarray:
+        """Grid symbol ``-i xi/2`` of -1/2 d_x (0 on the Nyquist column),
+        built once per grid for the solver's quadratic term."""
+        return multiplier_array(self, lambda xi, eta: -0.5j * xi)
 
 
 class NonFiniteField(ValueError):

@@ -27,7 +27,15 @@ from .grid import (
     multiplier_array,
 )
 
-_FRACTIONAL_KINDS = ("J", "J_x", "J_y", "D", "D_x")
+# squared-modulus base of each fractional kind: J^z has the symbol
+# base**(z/2), D^z has sqrt(base)**z, and base**s weighs the Sobolev norms
+_BASES = {
+    "J": lambda xi, eta: 1.0 + xi**2 + eta**2,
+    "J_x": lambda xi, eta: 1.0 + xi**2,
+    "J_y": lambda xi, eta: 1.0 + eta**2,
+    "D": lambda xi, eta: xi**2 + eta**2,
+    "D_x": lambda xi, eta: xi**2,
+}
 
 
 def dispersion(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
@@ -49,6 +57,13 @@ def hilbert_x(f: RealField) -> RealField:
     return inverse(apply_multiplier(forward(f), lambda xi, eta: -1j * np.sign(xi)))
 
 
+def sobolev_weight(grid: Grid2D, kind: str, s: float) -> np.ndarray:
+    """Real Fourier weight ``base**s`` of a fractional kind, as
+    :meth:`bozk.grid.SpectrumField.l2` takes it: ``(1 + xi^2 + eta^2)^s`` for "J"."""
+    base = _BASES[kind]
+    return multiplier_array(grid, lambda xi, eta: base(xi, eta) ** s).real
+
+
 def fractional_op(f: RealField, kind: str, z: float) -> RealField:
     """Apply J^z, J_x^z, J_y^z, D^z or D_x^z.
 
@@ -57,32 +72,26 @@ def fractional_op(f: RealField, kind: str, z: float) -> RealField:
     field carries no content there, and the singular entries of the symbol
     are replaced by zero once that is checked.
     """
-    if kind not in _FRACTIONAL_KINDS:
+    if kind not in _BASES:
         raise ValueError(f"unknown fractional operator kind {kind!r}")
     F = forward(f)
-    g = f.grid
-    xi2, eta2 = g.xi2, g.eta2
-    if kind == "J":
-        marr = (1.0 + xi2**2 + eta2**2) ** (z / 2.0)
-    elif kind == "J_x":
-        marr = (1.0 + xi2**2) ** (z / 2.0)
-    elif kind == "J_y":
-        marr = (1.0 + eta2**2) ** (z / 2.0)
-    else:
-        base = xi2**2 + eta2**2 if kind == "D" else np.abs(xi2) ** 2
-        singular = base == 0.0
-        if z < 0:
-            scale = np.max(np.abs(F.coeffs))
-            resid = np.max(np.abs(F.coeffs[singular])) if scale > 0 else 0.0
-            if resid > 1e-13 * max(scale, 1.0):
-                raise ValueError(
-                    f"{kind}^z with z < 0 needs a field with no mass on its "
-                    f"singular modes (residual {resid:.3e})"
-                )
-        with np.errstate(divide="ignore", invalid="ignore"):
-            marr = np.sqrt(base) ** z
-        marr = np.where(singular, 0.0 if z != 0 else 1.0, marr)
-    return inverse(SpectrumField(g, F.coeffs * marr.astype(np.complex128)))
+    base = _BASES[kind]
+    if kind.startswith("J"):
+        return inverse(apply_multiplier(F, lambda xi, eta: base(xi, eta) ** (z / 2.0)))
+    if z < 0:
+        singular = sobolev_weight(f.grid, kind, 1.0) == 0.0
+        resid = np.max(np.abs(F.coeffs[singular]))
+        if resid > 1e-13 * max(np.max(np.abs(F.coeffs)), 1.0):
+            raise ValueError(
+                f"{kind}^z with z < 0 needs a field with no mass on its "
+                f"singular modes (residual {resid:.3e})"
+            )
+
+    def symbol(xi, eta):
+        b = base(xi, eta)
+        return np.where(b == 0.0, 0.0 if z != 0 else 1.0, np.sqrt(b) ** z)
+
+    return inverse(apply_multiplier(F, symbol))
 
 
 def propagator_array(grid: Grid2D, t: float, mu: float) -> np.ndarray:

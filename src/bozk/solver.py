@@ -33,7 +33,7 @@ from .grid import (
     forward,
     inverse,
 )
-from .operators import propagator_array
+from .operators import propagator_array, sobolev_weight
 from .weights import WeightSpec
 
 CFL_LIMIT = 0.5
@@ -103,7 +103,7 @@ def nonlinear_rhs(
     if audit is not None:
         audit(float(np.max(np.abs(u.samples))))
     w = forward(RealField(g, u.samples**2))
-    out = w.coeffs * (-0.5j * g.xi)
+    out = w.coeffs * g.advection_symbol
     if use_dealias:
         out = np.where(g.dealias_mask, out, 0.0)
     return SpectrumField(g, out)
@@ -187,7 +187,7 @@ def run(
     # final time is n_steps * dt, the closest step multiple to t_final
     n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
 
-    hs_w = {s: (1.0 + g.xi2**2 + g.eta2**2) ** s for s in diag.hs_orders}
+    hs_w = {s: sobolev_weight(g, "J", s) for s in diag.hs_orders}
     w2 = {spec.label(): spec.evaluate(g.xmesh, g.ymesh) ** 2 for spec in diag.weights}
     area = g.cell_area
 
@@ -313,9 +313,6 @@ def picard_solve(
     free = [table[j] * phi_hat for j in range(n_nodes)]
     weights = [_cumulative_weights(j, h) for j in range(n_nodes)]
 
-    def l2(coeffs: np.ndarray) -> float:
-        return SpectrumField(g, coeffs).l2()
-
     u = [f.copy() for f in free]
     residuals: List[float] = []
     for it in range(1, max_iter + 1):
@@ -331,7 +328,7 @@ def picard_solve(
                 if wj[m] != 0.0:
                     acc += wj[m] * (table[j - m] * rhs[m])
             new.append(acc)
-        res = max(l2(new[j] - u[j]) for j in range(n_nodes))
+        res = max(SpectrumField(g, new[j] - u[j]).l2() for j in range(n_nodes))
         if not math.isfinite(res):
             raise PicardDivergence(t_final, it, residuals)
         residuals.append(res)

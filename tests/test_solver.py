@@ -2,13 +2,21 @@ import numpy as np
 import pytest
 
 from bozk import fields
-from bozk.grid import RealField, forward, inverse, make_grid
+from bozk.grid import (
+    RealField,
+    SpectrumField,
+    forward,
+    inverse,
+    inverse_imag_residual,
+    make_grid,
+)
 from bozk.operators import propagate
 from bozk.solver import (
     PicardDivergence,
     RunDiagnostics,
     SolverAbort,
     SolverConfig,
+    _StepKernel,
     nonlinear_rhs,
     picard_solve,
     run,
@@ -45,6 +53,31 @@ class TestNonlinearRHS:
         u = fields.random_smooth(g, 0)
         out = nonlinear_rhs(forward(u))
         assert np.max(np.abs(out.coeffs[:, 0])) == 0.0
+
+    def test_nyquist_column_never_touched(self):
+        # d_x is odd in xi, so its symbol averages to 0 on the self-paired
+        # Nyquist column, with or without the 2/3 mask
+        g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
+        F = forward(fields.random_smooth(g, 3, spectral_width=8.0))
+        assert np.max(np.abs(F.coeffs[:, -1])) > 1e-3
+        out = nonlinear_rhs(F, use_dealias=False)
+        assert np.all(out.coeffs[:, -1] == 0.0)
+
+
+def test_undealiased_steps_keep_the_spectrum_hermitian():
+    # with Nyquist content and no 2/3 mask the state stays the transform of
+    # a real field: inverse() drops nothing, and Parseval (the hs_* records)
+    # agrees with the physical norm
+    g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
+    phi = fields.random_smooth(g, 3, spectral_width=8.0)
+    kernel = _StepKernel(g, SolverConfig(dt=1e-3, t_final=0.02, dealias=False))
+    c = forward(phi).coeffs
+    for _ in range(20):
+        c = kernel.advance(c)
+    F = SpectrumField(g, c)
+    u = inverse(F)
+    assert inverse_imag_residual(F) <= 1e-15
+    assert abs(F.l2() - u.l2()) <= 1e-14 * u.l2()
 
 
 class TestStep:
