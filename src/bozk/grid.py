@@ -17,9 +17,11 @@ Conventions fixed here and relied on everywhere else:
   partner of row n is row -n of the same column); every other column stands
   for itself and its unstored mirror at -xi, so Parseval counts it twice.
 * The Nyquist lines (the last column and the row ``n = -ny/2``) have no
-  partner of opposite sign, so every multiplier evaluated on the grid is
-  symmetrised there (average over the two Nyquist signs).  This keeps
-  inverse transforms of Hermitian data exactly real without branching.
+  partner of opposite sign, so every symbol, generators included, is
+  evaluated on the grid only by :func:`multiplier_array`, which symmetrises
+  it there (average over the two Nyquist signs).  This keeps inverse
+  transforms of Hermitian data exactly real without branching; a propagator
+  is the exponential of a symmetrised generator.
 """
 
 from __future__ import annotations
@@ -248,6 +250,9 @@ def multiplier_array(grid: Grid2D, m: Multiplier) -> np.ndarray:
     array satisfies the same identity on the discrete index set, including
     the self-paired Nyquist lines, so multiplying a Hermitian spectrum keeps
     it exactly Hermitian.  Off the Nyquist lines the values are untouched.
+    Symmetrise a propagator's generator, not its exponential: the average is
+    linear, so it respects sums of generators but not products of
+    exponentials, and only ``exp`` of the symmetrised generator is a group.
 
     A Nyquist-line value is ``(m(p) + conj m(p*))/2``, where ``p*`` is the
     grid point paired with ``p``: on the Nyquist column, the same column at

@@ -7,10 +7,11 @@ multiplies each coefficient by the unit-modulus phase ``exp(i t omega)`` and
 the regularised one adds the decay ``exp(-t mu (xi^2 + eta^2))``.
 
 The self-paired x-Nyquist column carries no continuum sign for xi, so every
-symbol is averaged over the two Nyquist signs there (see
-:func:`bozk.grid.multiplier_array`); odd symbols annihilate the column and
-phases reduce to their real part.  Composition laws therefore hold exactly on
-fields with no Nyquist content, which is the resolved regime.
+symbol, generators included, is averaged over the two Nyquist signs there,
+and only by :func:`bozk.grid.multiplier_array`; odd symbols annihilate the
+column.  A propagator is the exponential of its symmetrised generator, so its
+Nyquist column is ``exp(-t mu (xi^2 + eta^2))`` and composition laws hold
+exactly on the whole grid.
 """
 
 from __future__ import annotations
@@ -95,16 +96,18 @@ def fractional_op(f: RealField, kind: str, z: float) -> RealField:
 
 
 def propagator_array(grid: Grid2D, t: float, mu: float) -> np.ndarray:
-    """Grid symbol of E_mu(t), Nyquist-symmetrised."""
+    """Grid symbol of E_mu(t): the exponential of the Nyquist-symmetrised
+    generator ``i t omega - t mu (xi^2 + eta^2)``, so the table is a true
+    (semi)group, ``E(s) E(t) = E(s + t)``, Nyquist column included."""
     if mu < 0:
         raise ValueError("viscosity mu must be >= 0")
     if mu > 0 and t < 0:
         raise ValueError("backward diffusion: t < 0 requires mu = 0")
 
-    def symbol(xi, eta):
-        return np.exp(1j * t * dispersion(xi, eta) - t * damping_rate(xi, eta, mu))
+    def generator(xi, eta):
+        return 1j * t * dispersion(xi, eta) - t * damping_rate(xi, eta, mu)
 
-    return multiplier_array(grid, symbol)
+    return np.exp(multiplier_array(grid, generator))
 
 
 def propagate(F: SpectrumField, t: float, mu: float = 0.0) -> SpectrumField:

@@ -7,6 +7,7 @@ from bozk.operators import (
     fractional_op,
     hilbert_x,
     propagate,
+    propagator_array,
     smoothing_ratio,
 )
 
@@ -119,6 +120,17 @@ class TestPropagate:
         a = propagate(propagate(F, 0.3, 0.0), 0.45, 0.0)
         b = propagate(F, 0.75, 0.0)
         assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-12 * np.max(np.abs(F.coeffs))
+
+    @pytest.mark.parametrize("mu", [0.0, 0.1])
+    def test_group_law_on_the_whole_table(self, mu):
+        # the Nyquist column included: the table is the exponential of a
+        # symmetrised generator, not a symmetrised exponential
+        g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
+        step = propagator_array(g, 0.4 / 64, mu)
+        acc = np.ones_like(step)
+        for _ in range(64):
+            acc = acc * step
+        assert np.max(np.abs(acc - propagator_array(g, 0.4, mu))) <= 1e-13
 
     def test_semigroup_law(self):
         g = make_grid(32, 32, 8.0, 8.0)
