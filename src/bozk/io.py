@@ -19,6 +19,7 @@ from .grid import RealField, make_grid
 
 MAGIC = b"BOZK"
 VERSION = 1
+HEADER_BYTES = 4 + struct.calcsize("<IIIdd")
 
 
 def atomic_write_bytes(path: str | Path, data: bytes) -> None:
@@ -46,15 +47,25 @@ def write_snapshot(path: str | Path, field: RealField) -> None:
 
 
 def read_snapshot(path: str | Path) -> RealField:
-    raw = Path(path).read_bytes()
+    """Read a snapshot; an unreadable, truncated or overlong file is bad
+    input data and raises ValueError."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise ValueError(f"{path}: cannot read snapshot ({exc.strerror})") from None
     if raw[:4] != MAGIC:
         raise ValueError(f"{path}: not a field snapshot (bad magic)")
+    if len(raw) < HEADER_BYTES:
+        raise ValueError(f"{path}: snapshot header truncated at {len(raw)} bytes")
     version, nx, ny, lx, ly = struct.unpack_from("<IIIdd", raw, 4)
     if version != VERSION:
         raise ValueError(f"{path}: unsupported snapshot version {version}")
-    offset = 4 + struct.calcsize("<IIIdd")
-    samples = np.frombuffer(raw, dtype="<f8", count=nx * ny, offset=offset)
     grid = make_grid(nx, ny, lx, ly)
+    if len(raw) != HEADER_BYTES + 8 * nx * ny:
+        raise ValueError(
+            f"{path}: {len(raw)} bytes, not {HEADER_BYTES + 8 * nx * ny} for a {nx}x{ny} grid"
+        )
+    samples = np.frombuffer(raw, dtype="<f8", offset=HEADER_BYTES)
     return RealField(grid, samples.reshape(ny, nx).copy())
 
 

@@ -315,28 +315,30 @@ def picard_solve(
 
     u = [f.copy() for f in free]
     residuals: List[float] = []
-    for it in range(1, max_iter + 1):
-        try:
-            rhs = [nonlinear_rhs(SpectrumField(g, u[m])).coeffs for m in range(n_nodes)]
-        except NonFiniteField:
-            raise PicardDivergence(t_final, it, residuals) from None
-        new = []
-        for j in range(n_nodes):
-            acc = free[j].copy()
-            wj = weights[j]
-            for m in range(j + 1):
-                if wj[m] != 0.0:
-                    acc += wj[m] * (table[j - m] * rhs[m])
-            new.append(acc)
-        res = max(SpectrumField(g, new[j] - u[j]).l2() for j in range(n_nodes))
-        if not math.isfinite(res):
-            raise PicardDivergence(t_final, it, residuals)
-        residuals.append(res)
-        u = new
-        if res < tol:
-            return PicardResult(
-                final=inverse(SpectrumField(g, u[-1])),
-                residuals=residuals,
-                iterations=it,
-            )
+    # an iterate that overflows is the divergence the sweeps detect
+    with np.errstate(over="ignore"):
+        for it in range(1, max_iter + 1):
+            try:
+                rhs = [nonlinear_rhs(SpectrumField(g, u[m])).coeffs for m in range(n_nodes)]
+            except NonFiniteField:
+                raise PicardDivergence(t_final, it, residuals) from None
+            new = []
+            for j in range(n_nodes):
+                acc = free[j].copy()
+                wj = weights[j]
+                for m in range(j + 1):
+                    if wj[m] != 0.0:
+                        acc += wj[m] * (table[j - m] * rhs[m])
+                new.append(acc)
+            res = max(SpectrumField(g, new[j] - u[j]).l2() for j in range(n_nodes))
+            if not math.isfinite(res):
+                raise PicardDivergence(t_final, it, residuals)
+            residuals.append(res)
+            u = new
+            if res < tol:
+                return PicardResult(
+                    final=inverse(SpectrumField(g, u[-1])),
+                    residuals=residuals,
+                    iterations=it,
+                )
     raise PicardDivergence(t_final, max_iter, residuals)

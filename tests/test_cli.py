@@ -353,6 +353,26 @@ class TestExecute:
         assert execute(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
         assert not (out / "abort.json").exists()
 
+    @pytest.mark.parametrize("damage", ["short_header", "missing", "trailing_bytes"])
+    def test_bad_snapshot_exit_two(self, tmp_path, damage):
+        # an unreadable data file is bad input: exit 2, no abort.json
+        snap = tmp_path / "seed.bozk"
+        write_snapshot(snap, RealField.zeros(make_grid(48, 48, 16 * math.pi, 16 * math.pi)))
+        raw = snap.read_bytes()
+        if damage == "short_header":
+            snap.write_bytes(raw[:20])
+        elif damage == "missing":
+            snap.unlink()
+        else:
+            snap.write_bytes(raw + b"\0" * 8)
+        with pytest.raises(ValueError):
+            read_snapshot(snap)
+        text = SIM_CFG.replace("data.kind = gaussian", "data.kind = file")
+        cfg = write_cfg(tmp_path, text + f"data.path = {snap}\n")
+        out = tmp_path / "out"
+        assert execute(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert not (out / "abort.json").exists()
+
     def test_reproducibility_byte_identical(self, tmp_path):
         cfg = write_cfg(tmp_path, SIM_CFG)
         o1, o2 = tmp_path / "r1", tmp_path / "r2"
