@@ -115,8 +115,11 @@ class Grid2D:
     @functools.cached_property
     def advection_symbol(self) -> np.ndarray:
         """Grid symbol ``-i xi/2`` of -1/2 d_x (0 on the Nyquist column),
-        built once per grid for the solver's quadratic term."""
-        return multiplier_array(self, lambda xi, eta: -0.5j * xi)
+        built once per grid for the solver's quadratic term; read-only, as
+        every caller shares it."""
+        table = multiplier_array(self, lambda xi, eta: -0.5j * xi)
+        table.setflags(write=False)
+        return table
 
 
 class NonFiniteField(ValueError):

@@ -80,7 +80,7 @@ def fractional_op(f: RealField, kind: str, z: float) -> RealField:
     if kind.startswith("J"):
         return inverse(apply_multiplier(F, lambda xi, eta: base(xi, eta) ** (z / 2.0)))
     if z < 0:
-        singular = sobolev_weight(f.grid, kind, 1.0) == 0.0
+        singular = multiplier_array(f.grid, base).real == 0.0
         resid = np.max(np.abs(F.coeffs[singular]))
         if resid > 1e-13 * max(np.max(np.abs(F.coeffs)), 1.0):
             raise ValueError(
