@@ -178,7 +178,6 @@ def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> int:
             lambda g: m.initial_data(g),
             grid,
             m.solver_config(),
-            r_list=(2.0, 2.5),
             doublings=m.uc_doublings,
             cut=CutoffSpec(max(m.uc_epsilon, 16.0 * 2.0 * math.pi / grid.lx)),
         )

@@ -29,6 +29,14 @@ import numpy as np
 # Calibrated ceiling for the mixed-phase estimate; see mixed_phase_bound.
 MIXED_PHASE_CALIBRATION = 5.0
 
+# Decay-persistence probe policy: refine_divergence, uc.b1_indicator and
+# uc.obstruction_density all integrate with this reach and node density, and
+# read their refinement ratios with these thresholds.
+PROBE_R_OUTER = 2.0
+PROBE_NODES_PER_DECADE = 48
+DIVERGENCE_DELTA = 0.10    # divergent: both of the last two ratios > 1 + delta
+CONVERGENCE_DELTA = 0.02   # convergent: both within delta of 1
+
 _GL_ORDER = 8
 
 # Inverse of the cubic B-spline sampling filter (1, 4, 1)/6 is
@@ -227,17 +235,15 @@ def refinement_ladder(
     *,
     h0: float,
     window: float,
-    r_outer: float,
-    nodes_per_decade: int,
 ) -> Tuple[List[RefinementLevel], List[float]]:
     """Windowed L2 mass of Db on dyadically refined grids, and its ratios.
 
     Level k samples on the symmetric grid of step h0 * 2^-k reaching
-    window + r_outer (plus eight cells) on each side.  ``slices(xs)`` returns
-    (weight, samples) pairs on that grid; each slice's Db is evaluated on
-    window points outside a four-cell resolution floor around the origin,
-    and the level's window norm is the square root of the weighted sum of
-    their squared masses.  Ratios are successive window-norm quotients (1.0
+    window + PROBE_R_OUTER (plus eight cells) on each side.  ``slices(xs)``
+    returns (weight, samples) pairs on that grid; each slice's Db is
+    evaluated on window points outside a four-cell resolution floor around
+    the origin, and the level's window norm is the square root of the
+    weighted sum of their squared masses.  Ratios are successive window-norm quotients (1.0
     after a vanishing level).
     """
     if levels < 3:
@@ -245,14 +251,14 @@ def refinement_ladder(
     out_levels: List[RefinementLevel] = []
     for k in range(levels):
         step = h0 * 0.5**k
-        n = math.ceil((window + r_outer + 8.0 * step) / step)
+        n = math.ceil((window + PROBE_R_OUTER + 8.0 * step) / step)
         xs = step * np.arange(-n, n + 1)
         pts = xs[(np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= window)]
         cfg = SteinConfig(
             b=b,
-            r_outer=r_outer,
+            r_outer=PROBE_R_OUTER,
             h_inner=min(2.0 * step, 0.5),
-            nodes_per_decade=nodes_per_decade,
+            nodes_per_decade=PROBE_NODES_PER_DECADE,
         )
         total = 0.0
         for weight, fs in slices(xs):
@@ -266,46 +272,36 @@ def refinement_ladder(
     return out_levels, ratios
 
 
+def diverges(ratios: Sequence[float]) -> bool:
+    """The divergence verdict: both of the last two refinement ratios exceed
+    1 + DIVERGENCE_DELTA."""
+    return all(r > 1.0 + DIVERGENCE_DELTA for r in ratios[-2:])
+
+
 @dataclass(frozen=True)
 class RefinementReport:
-    b: float
     levels: List[RefinementLevel]
     ratios: List[float]
     verdict: str  # "divergent" | "convergent" | "inconclusive"
 
 
 def refine_divergence(
-    f: Callable[[np.ndarray], np.ndarray],
-    b: float,
-    levels: int,
-    *,
-    h0: float = 0.0625,
-    window: float = 0.5,
-    r_outer: float = 2.0,
-    nodes_per_decade: int = 48,
-    delta_div: float = 0.10,
-    delta_conv: float = 0.02,
+    f: Callable[[np.ndarray], np.ndarray], b: float, levels: int
 ) -> RefinementReport:
     """Windowed L2 mass of Db f on dyadically refined grids.
 
-    Runs :func:`refinement_ladder` on the single slice f.  A jump at the
-    origin makes the window norms grow without bound under refinement
-    ("divergent"); a function with bounded Db stabilises ("convergent").
+    Runs :func:`refinement_ladder` on the single slice f (coarsest step
+    1/16, window [-1/2, 1/2]).  A jump at the origin makes the window norms
+    grow without bound under refinement ("divergent"); a function with
+    bounded Db stabilises ("convergent").
     """
     out_levels, ratios = refinement_ladder(
-        lambda xs: [(1.0, np.asarray(f(xs)))],
-        b,
-        levels,
-        h0=h0,
-        window=window,
-        r_outer=r_outer,
-        nodes_per_decade=nodes_per_decade,
+        lambda xs: [(1.0, np.asarray(f(xs)))], b, levels, h0=0.0625, window=0.5
     )
-    last = ratios[-2:]
-    if all(r > 1.0 + delta_div for r in last):
+    if diverges(ratios):
         verdict = "divergent"
-    elif all(abs(r - 1.0) <= delta_conv for r in last):
+    elif all(abs(r - 1.0) <= CONVERGENCE_DELTA for r in ratios[-2:]):
         verdict = "convergent"
     else:
         verdict = "inconclusive"
-    return RefinementReport(b=b, levels=out_levels, ratios=ratios, verdict=verdict)
+    return RefinementReport(levels=out_levels, ratios=ratios, verdict=verdict)

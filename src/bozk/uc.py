@@ -20,12 +20,25 @@ import numpy as np
 
 from .grid import Grid2D, RealField, forward, make_grid, xi_line
 from .solver import RunDiagnostics, SolverAbort, SolverConfig, TimeSeries, run
-from .stein import RefinementLevel, SteinConfig, refinement_ladder, stein_derivative
+from .stein import (
+    PROBE_NODES_PER_DECADE,
+    PROBE_R_OUTER,
+    RefinementLevel,
+    SteinConfig,
+    diverges,
+    refinement_ladder,
+    stein_derivative,
+)
 from .weights import WeightSpec
 
 OBSTRUCTION_GROWTH_THRESHOLD = 1.5   # per domain doubling; recorded calibration
 STABLE_BAND = 0.10                   # "unchanged" tolerance per doubling
-DIVERGENCE_DELTA = 0.10              # refinement-ratio threshold (obstructed)
+GROWTH_ORDERS = (2.0, 2.5)           # decay orders of the domain-growth study
+B1_ETA_TARGETS = np.linspace(-2.0, 2.0, 9)   # b1_indicator's eta slices
+DENSITY_ETA_TARGETS = (0.0, 0.5, 1.0)        # obstruction_density's eta rows
+TAIL_TOL = 1e-8                      # largest relative spectral tail probed
+GROWTH_LIMIT = 2.0                   # persistence flag: max Z / initial Z
+BOUNDARY_TOL = 1e-3                  # edge/interior amplitude abort level
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -103,13 +116,6 @@ def b1_indicator(
     t: float,
     cut: Optional[CutoffSpec] = None,
     levels: int = 4,
-    *,
-    eta_max: float = 2.0,
-    n_eta: int = 9,
-    r_outer: float = 2.0,
-    nodes_per_decade: int = 48,
-    delta_div: float = DIVERGENCE_DELTA,
-    tail_tol: float = 1e-8,
 ) -> UCReport:
     """Refinement probe of the sgn(xi) term of the linearly evolved spectrum.
 
@@ -127,22 +133,15 @@ def b1_indicator(
     if t <= 0:
         raise ValueError("b1_indicator needs t > 0")
     tail = spectrum_tail_ratio(phi)
-    if tail > tail_tol:
+    if tail > TAIL_TOL:
         raise ValueError(
-            f"spectrum not resolved: relative tail {tail:.2e} > {tail_tol:.0e}"
+            f"spectrum not resolved: relative tail {tail:.2e} > {TAIL_TOL:.0e}"
         )
     cut = cut or CutoffSpec()
     eps = cut.epsilon
-    eta_targets = np.linspace(-eta_max, eta_max, n_eta)
-    rows = _semidiscrete_rows(phi, eta_targets)
-    etas = np.array([e for e, _ in rows])
-    # trapezoid weights on the (sorted, deduplicated) eta set
-    order = np.argsort(etas)
-    uniq = []
-    for idx in order:
-        if not uniq or abs(etas[idx] - etas[uniq[-1]]) > 1e-12:
-            uniq.append(idx)
-    etas_u = etas[uniq]
+    rows = _semidiscrete_rows(phi, B1_ETA_TARGETS)
+    # trapezoid weights on the sorted set of distinct grid etas
+    etas_u, uniq = np.unique([e for e, _ in rows], return_index=True)
     if len(etas_u) > 1:
         d = np.diff(etas_u)
         wts = np.empty_like(etas_u)
@@ -175,14 +174,11 @@ def b1_indicator(
         levels,
         h0=eps / 16.0,
         window=0.5 * eps,
-        r_outer=r_outer,
-        nodes_per_decade=nodes_per_decade,
     )
-    obstructed = all(r > 1.0 + delta_div for r in ratios[-2:])
     return UCReport(
         levels=out_levels,
         ratios=ratios,
-        verdict="obstructed" if obstructed else "persists",
+        verdict="obstructed" if diverges(ratios) else "persists",
     )
 
 
@@ -197,12 +193,11 @@ class PersistenceRow:
 
 @dataclass(frozen=True)
 class PersistenceTable:
-    s: float
     t: np.ndarray
     series: Dict[float, np.ndarray]   # r -> Z_{s,r} norm per record
     rows: List[PersistenceRow]
     boundary_ratio: float             # max boundary |u| / max |u| over the run
-    raw: TimeSeries = None            # the underlying run diagnostics
+    raw: TimeSeries                   # the underlying run diagnostics
 
 
 def persistence_scan(
@@ -210,16 +205,14 @@ def persistence_scan(
     cfg: SolverConfig,
     r_list: Sequence[float],
     s: float,
-    *,
-    growth_limit: float = 2.0,
-    boundary_tol: float = 1e-3,
 ) -> PersistenceTable:
     """Track Z_{s,r} norms along a run and flag runaway growth.
 
     Weighted norms on a periodic box only mean something while the solution
     stays away from the boundary; the scan records the worst boundary/interior
     amplitude ratio and raises :class:`SolverAbort` ("boundary", at the first
-    record over the tolerance) when it exceeds `boundary_tol`.
+    record over the tolerance) when it exceeds BOUNDARY_TOL.  An r whose norm
+    grows past GROWTH_LIMIT times its initial value is flagged.
     """
     r_list = [float(r) for r in r_list]
     if any(r < 0 or r >= 3.5 for r in r_list):
@@ -244,14 +237,14 @@ def persistence_scan(
     )
     ts = run(phi, cfg, diag).series
     edge = ts.extra["boundary_ratio"]
-    if np.any(edge > boundary_tol):
-        i = int(np.argmax(edge > boundary_tol))
+    if np.any(edge > BOUNDARY_TOL):
+        i = int(np.argmax(edge > BOUNDARY_TOL))
         raise SolverAbort(
             "boundary",
             float(ts.t[i]),
             int(ts.step[i]),
             f"solution reached the domain boundary (edge/interior amplitude "
-            f"{edge[i]:.2e} > {boundary_tol:.0e}); weighted norms untrusted",
+            f"{edge[i]:.2e} > {BOUNDARY_TOL:.0e}); weighted norms untrusted",
         )
     hs = ts.hs[float(s)]
     series: Dict[float, np.ndarray] = {}
@@ -267,11 +260,11 @@ def persistence_scan(
                 initial=float(z[0]),
                 peak=float(z.max()),
                 growth=growth,
-                flagged=growth > growth_limit,
+                flagged=growth > GROWTH_LIMIT,
             )
         )
     return PersistenceTable(
-        s=float(s), t=ts.t, series=series, rows=rows, boundary_ratio=float(edge.max()), raw=ts
+        t=ts.t, series=series, rows=rows, boundary_ratio=float(edge.max()), raw=ts
     )
 
 
@@ -325,9 +318,6 @@ def obstruction_density(
     u: RealField,
     r: float,
     cut: Optional[CutoffSpec] = None,
-    *,
-    eta_targets: Sequence[float] = (0.0, 0.5, 1.0),
-    r_outer: float = 2.0,
 ) -> float:
     """Peak squared D^(r-2) density of chi*sgn(xi)*u_hat near xi = 0.
 
@@ -347,7 +337,7 @@ def obstruction_density(
     window = 0.5 * cut.epsilon
     floor = 4.0 * dxi
     peak = 0.0
-    for target in eta_targets:
+    for target in DENSITY_ETA_TARGETS:
         n = int(np.argmin(np.abs(g.eta - target)))
         xi, slice_eta = xi_line(F, n)
         q = cut.chi(xi, float(g.eta[n])) * np.sign(xi) * slice_eta
@@ -360,7 +350,10 @@ def obstruction_density(
             sel = (np.abs(xi) >= floor) & (np.abs(xi) <= window)
             pts = xi[sel]
             cfg = SteinConfig(
-                b=b, r_outer=r_outer, h_inner=min(2.0 * dxi, 0.5), nodes_per_decade=48
+                b=b,
+                r_outer=PROBE_R_OUTER,
+                h_inner=min(2.0 * dxi, 0.5),
+                nodes_per_decade=PROBE_NODES_PER_DECADE,
             )
             vals = stein_derivative(xi, q, cfg, pts).values
             val = float(np.max(vals**2)) if pts.size else 0.0
@@ -372,18 +365,17 @@ def domain_growth_study(
     data: Callable[[Grid2D], RealField],
     base_grid: Grid2D,
     cfg: SolverConfig,
-    r_list: Sequence[float] = (2.0, 2.5),
     doublings: int = 2,
     *,
     cut: Optional[CutoffSpec] = None,
-    threshold: float = OBSTRUCTION_GROWTH_THRESHOLD,
 ) -> DomainGrowthReport:
     """Fixed physical data on domains L, 2L, 4L at fixed resolution density;
-    reports the obstruction densities and their per-doubling growth.
+    reports the obstruction densities at r in GROWTH_ORDERS and their
+    per-doubling growth.
 
-    An r whose density grows by more than `threshold` at every doubling is
-    marked obstructed; densities staying within the stable band are the
-    persistence side of the dichotomy.
+    An r whose density grows by at least OBSTRUCTION_GROWTH_THRESHOLD at
+    every doubling is marked obstructed; densities staying within the stable
+    band are the persistence side of the dichotomy.
     """
     rows: List[DomainGrowthRow] = []
     for k in range(doublings + 1):
@@ -391,19 +383,18 @@ def domain_growth_study(
         g = make_grid(base_grid.nx * f, base_grid.ny * f, base_grid.lx * f, base_grid.ly * f)
         phi = data(g)
         rr = run(phi, cfg)
-        inds = {float(r): obstruction_density(rr.final, r, cut) for r in r_list}
+        inds = {r: obstruction_density(rr.final, r, cut) for r in GROWTH_ORDERS}
         rows.append(DomainGrowthRow(length=g.lx, indicators=inds))
     factors: Dict[float, List[float]] = {}
     obstructed: Dict[float, bool] = {}
     stable: Dict[float, bool] = {}
-    for r in r_list:
-        r = float(r)
+    for r in GROWTH_ORDERS:
         vals = [row.indicators[r] for row in rows]
         fac = [b / a if a > 0 else 1.0 for a, b in zip(vals, vals[1:])]
         factors[r] = fac
-        obstructed[r] = all(x >= threshold for x in fac)
+        obstructed[r] = all(x >= OBSTRUCTION_GROWTH_THRESHOLD for x in fac)
         stable[r] = all(abs(x - 1.0) <= STABLE_BAND for x in fac)
     return DomainGrowthReport(
-        rows=rows, factors=factors, threshold=threshold, obstructed=obstructed,
-        stable=stable,
+        rows=rows, factors=factors, threshold=OBSTRUCTION_GROWTH_THRESHOLD,
+        obstructed=obstructed, stable=stable,
     )

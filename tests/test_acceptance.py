@@ -260,7 +260,6 @@ def test_criterion_08_persistence_thresholds():
         lambda g: fields.gaussian(g, amplitude=0.75, sigma_x=1.2, sigma_y=1.2),
         base,
         SolverConfig(dt=1e-3, t_final=0.4, mu=0.0, stride=100),
-        r_list=(2.0, 2.5),
         doublings=2,
         cut=CutoffSpec(2.0),
     )

@@ -166,7 +166,7 @@ class TestRefineDivergence:
 
 
 class TestRefinementLadder:
-    LADDER = dict(h0=0.0625, window=0.5, r_outer=2.0, nodes_per_decade=48)
+    LADDER = dict(h0=0.0625, window=0.5)
 
     def test_split_slice_weights_add_exactly(self):
         def step_fn(xs):

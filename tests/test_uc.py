@@ -5,7 +5,9 @@ from bozk import fields
 from bozk.grid import RealField, make_grid
 from bozk.solver import SolverConfig, run
 from bozk.uc import (
+    B1_ETA_TARGETS,
     CutoffSpec,
+    _semidiscrete_rows,
     b1_indicator,
     domain_growth_study,
     moment_drift,
@@ -83,6 +85,21 @@ class TestB1Indicator:
                 SpectrumField(grid, 1j * grid.xi2 * forward(g0).coeffs)
             )
             assert b1_indicator(phi, 0.5).verdict == "persists"
+
+    def test_colliding_eta_targets(self):
+        # eta spacing 1: the nine targets snap onto five distinct grid etas
+        g = make_grid(128, 16, L16, 2 * np.pi)
+        etas = {e for e, _ in _semidiscrete_rows(RealField.zeros(g), B1_ETA_TARGETS)}
+        assert sorted(etas) == [-2.0, -1.0, 0.0, 1.0, 2.0]
+
+        def bump(x, y):
+            return np.exp(-x**2 / 4.5) * (1 + np.cos(y) / 2)
+
+        def dx_bump(x, y):
+            return -2 * x / 4.5 * bump(x, y)
+
+        assert b1_indicator(RealField.from_function(g, bump), 0.5).verdict == "obstructed"
+        assert b1_indicator(RealField.from_function(g, dx_bump), 0.5).verdict == "persists"
 
     def test_unresolved_spectrum_rejected(self):
         g = make_grid(32, 32, L16, L16)
@@ -186,7 +203,6 @@ class TestDomainGrowth:
             lambda g: fields.gaussian(g, amplitude=0.75, sigma_x=1.2, sigma_y=1.2),
             base,
             cfg,
-            r_list=(2.0, 2.5),
             doublings=1,
             cut=CutoffSpec(2.0),
         )
