@@ -94,7 +94,7 @@ def norm(u: RealField, spec: NormSpec) -> float:
 class ConservationReport:
     l2_drift: float          # max relative drift of ||u||
     zero_mode_drift: float   # max over (t, eta) of |u_hat(0,eta,t) - u_hat(0,eta,0)|
-    moment_residual: float   # max |M_x(t) - M_x(0) - (t/2)||phi||^2| / ((T/2)||phi||^2)
+    moment_residual: float   # max |M_x(t) - M_x(0) - t rate| / ((T/2)||phi||^2)
 
 
 def conservation_report(ts: TimeSeries) -> ConservationReport:
@@ -107,11 +107,10 @@ def conservation_report(ts: TimeSeries) -> ConservationReport:
     base = ts.l2[0]
     l2_drift = float(np.max(np.abs(ts.l2 - base)) / base) if base > 0 else 0.0
     zm = float(np.max(ts.zero_mode_drift()))
-    pred = 0.5 * ts.phi_l2**2
-    horizon = ts.t[-1]
-    if pred > 0 and horizon > 0:
-        resid = np.abs(ts.moment_x - ts.moment_x[0] - 0.5 * ts.t * ts.phi_l2**2)
-        moment = float(np.max(resid) / (0.5 * horizon * ts.phi_l2**2))
+    scale = 0.5 * ts.t[-1] * ts.phi_l2**2
+    if scale > 0:
+        resid = np.abs(ts.moment_x - ts.moment_x[0] - ts.t * ts.moment_rate())
+        moment = float(np.max(resid) / scale)
     else:
         moment = 0.0
     return ConservationReport(l2_drift=l2_drift, zero_mode_drift=zm, moment_residual=moment)

@@ -153,6 +153,7 @@ class TimeSeries:
     """Per-record diagnostics of one run; rows strictly increasing in t."""
 
     mu: float
+    nonlinear: bool
     phi_l2: float
     t: np.ndarray
     step: np.ndarray  # step index of each record
@@ -166,6 +167,11 @@ class TimeSeries:
     def zero_mode_drift(self) -> np.ndarray:
         """max_eta |u_hat(0,eta,t) - u_hat(0,eta,0)| per record."""
         return np.max(np.abs(self.zero_mode - self.zero_mode[0]), axis=1)
+
+    def moment_rate(self) -> float:
+        """dM_x/dt predicted for the mu = 0 flow: ||phi||^2 / 2 for the full
+        equation, 0 for the linear one, whose propagator keeps M_x."""
+        return 0.5 * self.phi_l2**2 if self.nonlinear else 0.0
 
 
 @dataclass(frozen=True)
@@ -237,6 +243,7 @@ def run(
 
     series = TimeSeries(
         mu=cfg.mu,
+        nonlinear=cfg.nonlinear,
         phi_l2=rows[0]["l2"],
         t=np.array([r["t"] for r in rows]),
         step=np.array([r["step"] for r in rows]),

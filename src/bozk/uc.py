@@ -277,7 +277,8 @@ class MomentDrift:
 
 
 def moment_drift(ts: TimeSeries) -> MomentDrift:
-    """Least-squares slope of the first x-moment against (1/2)||phi||^2.
+    """Least-squares slope of the first x-moment against its predicted rate
+    (``TimeSeries.moment_rate``), relative to (1/2)||phi||^2.
 
     The moment is linear in time with that slope, so it crosses zero at most
     once unless the solution vanishes; the crossing count is reported as the
@@ -288,8 +289,9 @@ def moment_drift(ts: TimeSeries) -> MomentDrift:
     if len(ts.t) < 4:
         raise ValueError("need at least 4 records for a slope fit")
     slope = float(np.polyfit(ts.t, ts.moment_x, 1)[0])
-    predicted = 0.5 * ts.phi_l2**2
-    rel = abs(slope - predicted) / predicted if predicted > 0 else 0.0
+    predicted = ts.moment_rate()
+    scale = 0.5 * ts.phi_l2**2
+    rel = abs(slope - predicted) / scale if scale > 0 else 0.0
     scale = max(float(np.max(np.abs(ts.moment_x))), 1e-300)
     sgn = np.sign(np.where(np.abs(ts.moment_x) < 1e-13 * scale, 0.0, ts.moment_x))
     nz = sgn[sgn != 0]

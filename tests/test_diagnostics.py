@@ -76,6 +76,7 @@ class TestConservationReport:
         rep = conservation_report(run(phi, cfg).series)
         assert rep.l2_drift < 1e-12
         assert rep.zero_mode_drift < 1e-13
+        assert rep.moment_residual < 1e-2
 
     def test_dissipative_series_rejected(self):
         g = make_grid(32, 32, 12.0, 12.0)
