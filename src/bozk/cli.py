@@ -385,7 +385,12 @@ def execute(argv: Sequence[str]) -> int:
         if args.seed is not None:
             m.seed = args.seed
         out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValueError(
+                f"{out}: cannot create output directory ({exc.strerror})"
+            ) from None
 
         if args.subcommand == "simulate":
             return _cmd_simulate(m, out, args.quiet, linear_only=False)

@@ -228,7 +228,8 @@ def parse_manifest_text(text: str) -> RunManifest:
 
 
 def load_manifest(path: str | Path) -> RunManifest:
-    p = Path(path)
-    if not p.exists():
-        raise ManifestError(f"config file not found: {path}")
-    return parse_manifest_text(p.read_text())
+    try:
+        text = Path(path).read_text()
+    except OSError as exc:
+        raise ManifestError(f"{path}: cannot read config ({exc.strerror})") from None
+    return parse_manifest_text(text)

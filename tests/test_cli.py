@@ -384,6 +384,22 @@ class TestExecute:
     def test_missing_config(self, tmp_path):
         assert execute(["simulate", "--config", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
 
+    def test_unreadable_config_exit_two(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = execute(["simulate", "--config", str(tmp_path), "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "cannot read config" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_out_not_a_directory_exit_two(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, SIM_CFG)
+        out = tmp_path / "taken"
+        out.write_text("a file, not a directory")
+        assert execute(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+        assert "cannot create output directory" in capsys.readouterr().err
+        assert out.read_text() == "a file, not a directory"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg", "taken"]
+
     def test_verify_on_defaults(self, tmp_path):
         out = tmp_path / "outv"
         assert execute(["verify", "--out", str(out), "--quiet"]) == EXIT_OK
