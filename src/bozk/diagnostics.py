@@ -94,7 +94,7 @@ def norm(u: RealField, spec: NormSpec) -> float:
 class ConservationReport:
     l2_drift: float          # max relative drift of ||u||
     zero_mode_drift: float   # max over (t, eta) of |u_hat(0,eta,t) - u_hat(0,eta,0)|
-    moment_residual: float   # max |M_x(t) - M_x(0) - t rate| / ((T/2)||phi||^2)
+    moment_residual: float   # max |M_x(t) - M_x(0) - t moment_rate| / ((T/2)||phi||^2)
 
 
 def conservation_report(ts: TimeSeries) -> ConservationReport:

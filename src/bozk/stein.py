@@ -243,8 +243,8 @@ def refinement_ladder(
     returns (weight, samples) pairs on that grid; each slice's Db is
     evaluated on window points outside a four-cell resolution floor around
     the origin, and the level's window norm is the square root of the
-    weighted sum of their squared masses.  Ratios are successive window-norm quotients (1.0
-    after a vanishing level).
+    weighted sum of their squared masses.  Ratios are successive window-norm
+    quotients (1.0 after a vanishing level).
     """
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
@@ -282,7 +282,9 @@ def diverges(ratios: Sequence[float]) -> bool:
 class RefinementReport:
     levels: List[RefinementLevel]
     ratios: List[float]
-    verdict: str  # "divergent" | "convergent" | "inconclusive"
+    # refine_divergence: "divergent" | "convergent" | "inconclusive";
+    # uc.b1_indicator: "obstructed" | "persists"
+    verdict: str
 
 
 def refine_divergence(

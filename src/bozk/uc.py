@@ -23,7 +23,7 @@ from .solver import RunDiagnostics, SolverAbort, SolverConfig, TimeSeries, run
 from .stein import (
     PROBE_NODES_PER_DECADE,
     PROBE_R_OUTER,
-    RefinementLevel,
+    RefinementReport,
     SteinConfig,
     diverges,
     refinement_ladder,
@@ -34,8 +34,8 @@ from .weights import WeightSpec
 OBSTRUCTION_GROWTH_THRESHOLD = 1.5   # per domain doubling; recorded calibration
 STABLE_BAND = 0.10                   # "unchanged" tolerance per doubling
 GROWTH_ORDERS = (2.0, 2.5)           # decay orders of the domain-growth study
-B1_ETA_TARGETS = np.linspace(-2.0, 2.0, 9)   # b1_indicator's eta slices
-DENSITY_ETA_TARGETS = (0.0, 0.5, 1.0)        # obstruction_density's eta rows
+B1_ETA_TARGETS = (-2.0, -1.5, -1.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.0)
+DENSITY_ETA_TARGETS = (0.0, 0.5, 1.0) # obstruction_density's eta rows
 TAIL_TOL = 1e-8                      # largest relative spectral tail probed
 GROWTH_LIMIT = 2.0                   # persistence flag: max Z / initial Z
 BOUNDARY_TOL = 1e-3                  # edge/interior amplitude abort level
@@ -79,13 +79,6 @@ class CutoffSpec:
         return self.chi_tilde(xi) * np.exp(-np.asarray(eta) ** 2)
 
 
-@dataclass(frozen=True)
-class UCReport:
-    levels: List[RefinementLevel]
-    ratios: List[float]
-    verdict: str  # "persists" | "obstructed"
-
-
 def _semidiscrete_rows(phi: RealField, eta_targets: Sequence[float]):
     """Partial transform A(x_i, eta) = sum_j phi e^(-i eta y_j) dy on the
     nearest grid eta to each target, ready for arbitrary-xi evaluation."""
@@ -116,10 +109,10 @@ def b1_indicator(
     t: float,
     cut: Optional[CutoffSpec] = None,
     levels: int = 4,
-) -> UCReport:
+) -> RefinementReport:
     """Refinement probe of the sgn(xi) term of the linearly evolved spectrum.
 
-    For each transverse frequency eta in a coarse set, the slice
+    For each grid eta nearest to one of B1_ETA_TARGETS, the slice
 
         f_eta(xi) = 2 t chi(xi, eta) e^(i t xi (eta^2 - |xi|)) sgn(xi) phi_hat(xi, eta)
 
@@ -175,7 +168,7 @@ def b1_indicator(
         h0=eps / 16.0,
         window=0.5 * eps,
     )
-    return UCReport(
+    return RefinementReport(
         levels=out_levels,
         ratios=ratios,
         verdict="obstructed" if diverges(ratios) else "persists",
