@@ -37,14 +37,13 @@ from .io import write_csv, write_json, write_snapshot
 from .manifest import RunManifest, load_manifest
 from .solver import (
     PicardDivergence,
-    RunDiagnostics,
     SolverAbort,
     picard_solve,
     run,
 )
 from .stein import SteinConfig, phase_bound, refine_divergence, stein_derivative
 from .uc import CutoffSpec, b1_indicator, domain_growth_study, moment_drift, persistence_scan
-from .weights import WeightSpec, a2_statistic, beta, beta_audit, weight_field
+from .weights import WeightSpec, a2_statistic, beta, beta_audit
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -80,8 +79,7 @@ def _cmd_simulate(m: RunManifest, out: Path, quiet: bool, linear_only: bool) -> 
         from dataclasses import replace
 
         cfg = replace(cfg, nonlinear=False)
-    diag = RunDiagnostics(hs_orders=m.hs_orders, weights=m.weights)
-    result = run(phi, cfg, diag)
+    result = run(phi, cfg, hs_orders=m.hs_orders, weights=m.weights)
     header, rows = _series_rows(result.series)
     write_csv(out / "series.csv", header, rows)
     write_snapshot(out / "final.bozk", result.final)
@@ -256,13 +254,13 @@ def _verify_weights(rows: List[List], seed: int) -> None:
         ok = audit.min_slope >= -1e-9 and audit.max_slope <= 1.0 + 1e-9
         rows.append(["weights", f"beta_slope_N{n}", audit.max_slope, 1.0, ok])
     g = make_grid(64, 64, 48.0, 48.0)
-    wn = weight_field(g, WeightSpec.truncated(4)).samples
-    pl = weight_field(g, WeightSpec.polynomial(1.0)).samples
+    wn = WeightSpec.truncated(4).evaluate(g.xmesh, g.ymesh)
+    pl = WeightSpec.polynomial(1.0).evaluate(g.xmesh, g.ymesh)
     rows.append(["weights", "wN<=poly1", float(np.max(wn - pl)), 0.0,
                  bool(np.all(wn <= pl + 1e-12))])
     grads = []
     for lam in (0.5, 0.1, 0.01, 0.001):
-        w = weight_field(g, WeightSpec.damped(1.0, lam)).samples
+        w = WeightSpec.damped(1.0, lam).evaluate(g.xmesh, g.ymesh)
         gx = np.gradient(w, g.dx, axis=1)
         gy = np.gradient(w, g.dy, axis=0)
         grads.append(float(np.max(np.hypot(gx, gy))))

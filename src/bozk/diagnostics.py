@@ -18,7 +18,7 @@ import numpy as np
 from .grid import RealField, apply_multiplier, forward, inverse, require_same_grid
 from .operators import fractional_op, hilbert_x, sobolev_weight
 from .solver import TimeSeries
-from .weights import WeightSpec, weight_field
+from .weights import WeightSpec
 
 
 @dataclass(frozen=True)
@@ -86,7 +86,7 @@ def norm(u: RealField, spec: NormSpec) -> float:
         b = norm(u, NormSpec.l2r(spec.r))
         return math.sqrt(a * a + b * b)
     if spec.kind == "l2w":
-        return u.l2(weight_field(g, spec.weight).samples ** 2)
+        return u.l2(spec.weight.evaluate(g.xmesh, g.ymesh) ** 2)
     raise ValueError(f"unknown norm kind {spec.kind!r}")
 
 

@@ -114,10 +114,12 @@ class Grid2D:
 
     @functools.cached_property
     def advection_symbol(self) -> np.ndarray:
-        """Grid symbol ``-i xi/2`` of -1/2 d_x (0 on the Nyquist column),
-        built once per grid for the solver's quadratic term; read-only, as
-        every caller shares it."""
+        """Grid symbol ``-i xi/2`` of -1/2 d_x (0 on the Nyquist column)
+        times the 2/3 mask (0 outside ``dealias_mask``), built once per grid
+        for the solver's quadratic term; read-only, as every caller shares
+        it."""
         table = multiplier_array(self, lambda xi, eta: -0.5j * xi)
+        table[~self.dealias_mask] = 0.0
         table.setflags(write=False)
         return table
 
@@ -194,10 +196,6 @@ class SpectrumField:
         cols = np.sum(sq, axis=0)
         total = np.sum(cols) + np.sum(cols[1:-1])
         return float(np.sqrt(total * dxi * deta) / (2.0 * np.pi))
-
-    def zero_mode_row(self) -> np.ndarray:
-        """u_hat(0, eta) for all grid eta, i.e. the x-mean transform."""
-        return self.coeffs[:, 0].copy()
 
 
 # The transform pair is rfft2/irfft2.  Both run their y pass in place on an

@@ -84,7 +84,6 @@ _KEYS: Dict[str, Tuple[str, Callable[[str], Any]]] = {
     "solver.dt": ("dt", _float),
     "solver.t_final": ("t_final", _float),
     "solver.mu": ("mu", _float),
-    "solver.dealias": ("dealias", _parse_bool),
     "solver.stride": ("stride", int),
     "solver.nonlinear": ("nonlinear", _parse_bool),
     "diag.hs": ("hs_orders", lambda v: _floats(v) if v else ()),
@@ -119,7 +118,6 @@ class RunManifest:
     dt: float = 1e-3
     t_final: float = 0.5
     mu: float = 0.0
-    dealias: bool = True
     stride: int = 10
     nonlinear: bool = True
     hs_orders: Tuple[float, ...] = ()
@@ -149,7 +147,6 @@ class RunManifest:
                 dt=self.dt,
                 t_final=self.t_final,
                 mu=self.mu,
-                dealias=self.dealias,
                 stride=self.stride,
                 nonlinear=self.nonlinear,
             )

@@ -73,7 +73,6 @@ class SolverConfig:
     dt: float
     t_final: float
     mu: float = 0.0
-    dealias: bool = True
     stride: int = 10
     nonlinear: bool = True
 
@@ -89,24 +88,19 @@ class SolverConfig:
 
 
 def nonlinear_rhs(
-    F: SpectrumField,
-    use_dealias: bool = True,
-    audit: Optional[Callable[[float], None]] = None,
+    F: SpectrumField, audit: Optional[Callable[[float], None]] = None
 ) -> SpectrumField:
-    """Spectrum of -1/2 d_x(u^2), with the 2/3 mask around the square.
+    """Spectrum of -1/2 d_x(u^2), with the 2/3 mask around the square (the
+    mask on the output is folded into ``Grid2D.advection_symbol``).
 
     `audit`, when given, is called with max|u| of the field that is squared
     before the square is taken; it may raise to stop the evaluation."""
     g = F.grid
-    src = dealias(F) if use_dealias else F
-    u = inverse(src)
+    u = inverse(dealias(F))
     if audit is not None:
         audit(float(np.max(np.abs(u.samples))))
     w = forward(RealField(g, u.samples**2))
-    out = w.coeffs * g.advection_symbol
-    if use_dealias:
-        out = np.where(g.dealias_mask, out, 0.0)
-    return SpectrumField(g, out)
+    return SpectrumField(g, w.coeffs * g.advection_symbol)
 
 
 class _StepKernel:
@@ -122,7 +116,7 @@ class _StepKernel:
         self, c: np.ndarray, audit: Optional[Callable[[float], None]] = None
     ) -> np.ndarray:
         """Coefficients one dt after `c`; `audit` sees max|u| of the field
-        stage k1 squares, i.e. of `c` (dealiased when the run dealiases)."""
+        stage k1 squares, i.e. of `c` after the 2/3 mask."""
         cfg = self.cfg
         if not cfg.nonlinear:
             return self.e_full * c
@@ -130,22 +124,13 @@ class _StepKernel:
         dt, eh, ef = cfg.dt, self.e_half, self.e_full
 
         def rhs(coeffs: np.ndarray) -> np.ndarray:
-            return nonlinear_rhs(SpectrumField(g, coeffs), cfg.dealias).coeffs
+            return nonlinear_rhs(SpectrumField(g, coeffs)).coeffs
 
-        k1 = nonlinear_rhs(SpectrumField(g, c), cfg.dealias, audit).coeffs
+        k1 = nonlinear_rhs(SpectrumField(g, c), audit).coeffs
         c2 = rhs(eh * (c + (0.5 * dt) * k1))
         c3 = rhs(eh * c + (0.5 * dt) * c2)
         c4 = rhs(ef * c + dt * (eh * c3))
         return ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (c2 + c3) + c4)
-
-
-@dataclass(frozen=True)
-class RunDiagnostics:
-    """What to record along a run (every `stride` steps plus both endpoints)."""
-
-    hs_orders: Tuple[float, ...] = ()
-    weights: Tuple[WeightSpec, ...] = ()
-    extra: Tuple[Tuple[str, Callable[[RealField], float]], ...] = ()
 
 
 @dataclass
@@ -183,21 +168,29 @@ class RunResult:
 def run(
     phi: RealField,
     cfg: SolverConfig,
-    diagnostics: Optional[RunDiagnostics] = None,
+    *,
+    hs_orders: Sequence[float] = (),
+    weights: Sequence[WeightSpec] = (),
+    extra: Sequence[Tuple[str, Callable[[RealField], float]]] = (),
 ) -> RunResult:
-    """Evolve phi to t_final, recording diagnostics every `stride` steps."""
-    diag = diagnostics or RunDiagnostics()
+    """Evolve phi to t_final, recording diagnostics every `stride` steps and
+    at both endpoints: the L2 norm, the first x-moment, the x-mean transform
+    u_hat(0, eta), the H^s norm of each of `hs_orders`, the weighted L2 norm
+    ||w u|| of each of `weights` (keyed by label), and each (label, fn) of
+    `extra` (fn applied to the recorded field)."""
     g = phi.grid
     kernel = _StepKernel(g, cfg)
     max_xi = float(np.max(np.abs(g.xi)))
     # final time is n_steps * dt, the closest step multiple to t_final
     n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
 
-    hs_w = {s: sobolev_weight(g, "J", s) for s in diag.hs_orders}
-    w2 = {spec.label(): spec.evaluate(g.xmesh, g.ymesh) ** 2 for spec in diag.weights}
+    hs_w = {s: sobolev_weight(g, "J", s) for s in hs_orders}
+    w2 = {spec.label(): spec.evaluate(g.xmesh, g.ymesh) ** 2 for spec in weights}
     area = g.cell_area
 
-    rows: List[dict] = []
+    # one tuple per record: t, step, l2, moment_x, zero mode, then the hs,
+    # weighted and extra values in the order of their dicts
+    rows: List[tuple] = []
 
     def audit(m: float, t: float, n: int) -> None:
         """Stability and blow-up checks on max|u| of the state after step n."""
@@ -212,17 +205,16 @@ def run(
     def record(c: np.ndarray, t: float, n: int) -> None:
         u = inverse(spec := SpectrumField(g, c))
         audit(float(np.max(np.abs(u.samples))), t, n)
-        row = {
-            "t": t,
-            "step": n,
-            "l2": u.l2(),
-            "moment_x": float(np.sum(g.xmesh * u.samples) * area),
-            "zero_mode": spec.zero_mode_row(),
-            "hs": {s: spec.l2(w) for s, w in hs_w.items()},
-            "weighted": {lbl: u.l2(w) for lbl, w in w2.items()},
-            "extra": {lbl: fn(u) for lbl, fn in diag.extra},
-        }
-        rows.append(row)
+        rows.append((
+            t,
+            n,
+            u.l2(),
+            float(np.sum(g.xmesh * u.samples) * area),
+            c[:, 0].copy(),  # u_hat(0, eta), the x-mean transform
+            *(spec.l2(w) for w in hs_w.values()),
+            *(u.l2(w) for w in w2.values()),
+            *(fn(u) for _, fn in extra),
+        ))
 
     # every step audits the state it starts from (stage k1's field), every
     # record the state it reads; a non-finite sample anywhere in the loop is
@@ -241,20 +233,20 @@ def run(
     except NonFiniteField as exc:
         raise SolverAbort("blow_up", t, n, str(exc)) from None
 
+    t_col, step, l2, moment_x, zero_mode, *cols = map(np.array, zip(*rows))
+    nh, nw = len(hs_w), len(w2)
     series = TimeSeries(
         mu=cfg.mu,
         nonlinear=cfg.nonlinear,
-        phi_l2=rows[0]["l2"],
-        t=np.array([r["t"] for r in rows]),
-        step=np.array([r["step"] for r in rows]),
-        l2=np.array([r["l2"] for r in rows]),
-        moment_x=np.array([r["moment_x"] for r in rows]),
-        zero_mode=np.array([r["zero_mode"] for r in rows]),
-        hs={s: np.array([r["hs"][s] for r in rows]) for s in diag.hs_orders},
-        weighted={
-            lbl: np.array([r["weighted"][lbl] for r in rows]) for lbl in w2
-        },
-        extra={lbl: np.array([r["extra"][lbl] for r in rows]) for lbl, _ in diag.extra},
+        phi_l2=rows[0][2],
+        t=t_col,
+        step=step,
+        l2=l2,
+        moment_x=moment_x,
+        zero_mode=zero_mode,
+        hs=dict(zip(hs_w, cols[:nh])),
+        weighted=dict(zip(w2, cols[nh : nh + nw])),
+        extra=dict(zip((lbl for lbl, _ in extra), cols[nh + nw :])),
     )
     return RunResult(series=series, final=inverse(SpectrumField(g, c)))
 

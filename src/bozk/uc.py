@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .grid import Grid2D, RealField, forward, make_grid, xi_line
-from .solver import RunDiagnostics, SolverAbort, SolverConfig, TimeSeries, run
+from .solver import SolverAbort, SolverConfig, TimeSeries, run
 from .stein import (
     PROBE_NODES_PER_DECADE,
     PROBE_R_OUTER,
@@ -223,12 +223,13 @@ def persistence_scan(
         peak = float(np.max(np.abs(u.samples)))
         return edge / peak if peak > 0 else 0.0
 
-    diag = RunDiagnostics(
+    ts = run(
+        phi,
+        cfg,
         hs_orders=(float(s),),
-        weights=tuple(WeightSpec.polynomial(r) for r in r_list),
-        extra=(("boundary_ratio", boundary_ratio),),
-    )
-    ts = run(phi, cfg, diag).series
+        weights=[WeightSpec.polynomial(r) for r in r_list],
+        extra=[("boundary_ratio", boundary_ratio)],
+    ).series
     edge = ts.extra["boundary_ratio"]
     if np.any(edge > BOUNDARY_TOL):
         i = int(np.argmax(edge > BOUNDARY_TOL))

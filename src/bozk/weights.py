@@ -20,8 +20,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .grid import Grid2D, RealField
-
 _SLOPE_TOL = 1e-9
 
 
@@ -181,11 +179,6 @@ class WeightSpec:
         if self.kind == "gamma_power":
             return (1.0 + rho2) ** (self.gamma / 2.0)
         return (1.0 + rho2) ** (self.gamma / 2.0) * np.exp(-self.lam * rho2)
-
-
-def weight_field(grid: Grid2D, spec: WeightSpec) -> RealField:
-    """Pointwise evaluation of the weight on the (centred) grid."""
-    return RealField(grid, spec.evaluate(grid.xmesh, grid.ymesh))
 
 
 def _abs_power_integral(e: float, a: float, b: float) -> float:

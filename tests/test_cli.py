@@ -57,7 +57,7 @@ class TestManifest:
         with pytest.raises(ManifestError):
             parse_manifest_text("grid.nx = twelve\n")
         with pytest.raises(ManifestError):
-            parse_manifest_text("solver.dealias = maybe\n")
+            parse_manifest_text("solver.nonlinear = maybe\n")
         with pytest.raises(ManifestError):
             parse_manifest_text("diag.weights = poly\n")
 
@@ -81,7 +81,6 @@ data.spectral_width = 2.5
 solver.dt = 2e-3
 solver.t_final = 0.3
 solver.mu = 0.05
-solver.dealias = false
 solver.stride = 7
 solver.nonlinear = off
 diag.hs = 1,3
@@ -108,7 +107,7 @@ seed = 42
                 "spectral_width": 2.5,
             },
             "data_path": "snap.bozk",
-            "dt": 2e-3, "t_final": 0.3, "mu": 0.05, "dealias": False, "stride": 7,
+            "dt": 2e-3, "t_final": 0.3, "mu": 0.05, "stride": 7,
             "nonlinear": False,
             "hs_orders": (1.0, 3.0),
             "weights": (
@@ -124,7 +123,7 @@ seed = 42
         m = parse_manifest_text(text)
         default = RunManifest(raw={})
         assert set(expected) == {f.name for f in dataclasses.fields(RunManifest)} - {"raw"}
-        assert len(m.raw) == 35
+        assert len(m.raw) == 34
         for name, value in expected.items():
             assert getattr(m, name) == value, name
             assert getattr(default, name) != value, name
@@ -204,32 +203,13 @@ class TestExecute:
         abort = read_strict_json(out / "abort.json")
         assert abort["reason"] == "cfl_audit"
 
-    def test_blow_up_between_records_exit_three(self, tmp_path):
-        text = SIM_CFG.replace("grid.nx = 48", "grid.nx = 64").replace(
-            "grid.ny = 48", "grid.ny = 64"
-        )
-        text = text.replace("data.amplitude = 0.5", "data.amplitude = 50").replace(
-            "solver.dt = 5e-3", "solver.dt = 2e-3"
-        ).replace("solver.t_final = 0.05", "solver.t_final = 1").replace(
-            "solver.stride = 5", "solver.stride = 500"
-        )
-        cfg = write_cfg(tmp_path, text + "solver.dealias = false\n")
-        out = tmp_path / "outblow"
-        assert execute(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_NUMERIC
-        abort = read_strict_json(out / "abort.json")
-        # every step is audited, so the run stops at its CFL breach (step
-        # 59), long before the undealiased field goes non-finite (step 354)
-        assert abort["reason"] == "cfl_audit"
-        assert 0 < abort["step"] < 500
-        assert set(abort) == {"reason", "t", "step", "detail"}
-
     def test_cfl_audit_on_every_step(self, tmp_path):
         text = SIM_CFG.replace("grid.nx = 48", "grid.nx = 64").replace(
             "grid.ny = 48", "grid.ny = 64"
         )
         text = text.replace("data.amplitude = 0.5", "data.amplitude = 50").replace(
             "solver.dt = 5e-3", "solver.dt = 2e-3"
-        ).replace("solver.stride = 5", "solver.stride = 500") + "solver.dealias = true\n"
+        ).replace("solver.stride = 5", "solver.stride = 500")
         cfg = write_cfg(tmp_path, text.replace("solver.t_final = 0.05", "solver.t_final = 1"))
         out = tmp_path / "outcfl"
         assert execute(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_NUMERIC
@@ -237,6 +217,7 @@ class TestExecute:
         assert abort["reason"] == "cfl_audit"
         step = abort["step"]
         assert 0 < step < 500
+        assert set(abort) == {"reason", "t", "step", "detail"}
         # the same manifest ended one step before the breach runs clean
         t_end = f"solver.t_final = {(step - 1) * 2e-3!r}"
         cfg = write_cfg(tmp_path, text.replace("solver.t_final = 0.05", t_end), "short.cfg")

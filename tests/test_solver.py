@@ -13,7 +13,6 @@ from bozk.grid import (
 from bozk.operators import propagate
 from bozk.solver import (
     PicardDivergence,
-    RunDiagnostics,
     SolverAbort,
     SolverConfig,
     _StepKernel,
@@ -56,21 +55,22 @@ class TestNonlinearRHS:
 
     def test_nyquist_column_never_touched(self):
         # d_x is odd in xi, so its symbol averages to 0 on the self-paired
-        # Nyquist column, with or without the 2/3 mask
+        # Nyquist column (which the 2/3 mask zeroes as well)
         g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
         F = forward(fields.random_smooth(g, 3, spectral_width=8.0))
         assert np.max(np.abs(F.coeffs[:, -1])) > 1e-3
-        out = nonlinear_rhs(F, use_dealias=False)
+        out = nonlinear_rhs(F)
         assert np.all(out.coeffs[:, -1] == 0.0)
 
 
 def test_undealiased_steps_keep_the_spectrum_hermitian():
-    # with Nyquist content and no 2/3 mask the state stays the transform of
-    # a real field: inverse() drops nothing, and Parseval (the hs_* records)
-    # agrees with the physical norm
+    # the 2/3 mask acts only around the square, so the state itself keeps
+    # its Nyquist content; it stays the transform of a real field: inverse()
+    # drops nothing, and Parseval (the hs_* records) agrees with the
+    # physical norm
     g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
     phi = fields.random_smooth(g, 3, spectral_width=8.0)
-    kernel = _StepKernel(g, SolverConfig(dt=1e-3, t_final=0.02, dealias=False))
+    kernel = _StepKernel(g, SolverConfig(dt=1e-3, t_final=0.02))
     c = forward(phi).coeffs
     for _ in range(20):
         c = kernel.advance(c)
@@ -244,7 +244,7 @@ class TestPicard:
 
 
 
-def full_plane_if_rk4(phi, dt, n_steps, mu, use_dealias):
+def full_plane_if_rk4(phi, dt, n_steps, mu):
     """IF-RK4 on the full FFT-ordered plane with fft2/ifft2: the same stages,
     propagators (exponentials of the Nyquist-symmetrised generator) and 2/3
     mask, written out from scratch."""
@@ -270,10 +270,8 @@ def full_plane_if_rk4(phi, dt, n_steps, mu, use_dealias):
         return np.exp(v)
 
     def rhs(c):
-        if use_dealias:
-            c = np.where(mask, c, 0.0)
-        w = fwd(inv(c) ** 2) * (-0.5j * xi)
-        return np.where(mask, w, 0.0) if use_dealias else w
+        w = fwd(inv(np.where(mask, c, 0.0)) ** 2) * (-0.5j * xi)
+        return np.where(mask, w, 0.0)
 
     eh, ef = propagator(0.5 * dt), propagator(dt)
     c = fwd(phi.samples)
@@ -286,15 +284,14 @@ def full_plane_if_rk4(phi, dt, n_steps, mu, use_dealias):
     return inv(c)
 
 
-@pytest.mark.parametrize("use_dealias", [True, False])
 @pytest.mark.parametrize("mu", [0.0, 0.1])
-def test_half_plane_stepper_matches_full_plane(use_dealias, mu):
+def test_half_plane_stepper_matches_full_plane(mu):
     g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
     phi = fields.gaussian(g, amplitude=4.0, sigma_x=1.2, sigma_y=1.8, center=(0.7, -0.4))
     dt, n_steps = 5e-3, 20
-    cfg = SolverConfig(dt=dt, t_final=n_steps * dt, mu=mu, dealias=use_dealias, stride=n_steps)
+    cfg = SolverConfig(dt=dt, t_final=n_steps * dt, mu=mu, stride=n_steps)
     out = run(phi, cfg).final.samples
-    ref = full_plane_if_rk4(phi, dt, n_steps, mu, use_dealias)
+    ref = full_plane_if_rk4(phi, dt, n_steps, mu)
     assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
     assert np.max(np.abs(out - phi.samples)) > 1e-3 * np.max(np.abs(ref))
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bozk.grid import make_grid
-from bozk.weights import WeightSpec, a2_statistic, beta, beta_audit, weight_field
+from bozk.weights import WeightSpec, a2_statistic, beta, beta_audit
 
 
 class TestBeta:
@@ -56,14 +56,14 @@ class TestBeta:
 class TestWeightSpecs:
     def test_truncated_at_origin(self):
         g = make_grid(32, 32, 10.0, 10.0)
-        w = weight_field(g, WeightSpec.truncated(3)).samples
+        w = WeightSpec.truncated(3).evaluate(g.xmesh, g.ymesh)
         i0 = np.argmin(np.abs(g.x))
         j0 = np.argmin(np.abs(g.y))
         assert abs(w[j0, i0] - 1.0) < 1e-12
 
     def test_polynomial_zero_is_one(self):
         g = make_grid(16, 16, 7.0, 7.0)
-        w = weight_field(g, WeightSpec.polynomial(0.0)).samples
+        w = WeightSpec.polynomial(0.0).evaluate(g.xmesh, g.ymesh)
         assert np.array_equal(w, np.ones_like(w))
 
     def test_damped_value(self):
@@ -73,8 +73,8 @@ class TestWeightSpecs:
 
     def test_truncated_below_polynomial(self):
         g = make_grid(64, 64, 40.0, 40.0)
-        wn = weight_field(g, WeightSpec.truncated(4)).samples
-        pl = weight_field(g, WeightSpec.polynomial(1.0)).samples
+        wn = WeightSpec.truncated(4).evaluate(g.xmesh, g.ymesh)
+        pl = WeightSpec.polynomial(1.0).evaluate(g.xmesh, g.ymesh)
         assert np.all(wn <= pl + 1e-12)
         rho = np.hypot(g.xmesh, g.ymesh)
         assert np.max(np.abs((wn - pl)[rho <= 4.0])) == 0.0
@@ -83,7 +83,7 @@ class TestWeightSpecs:
         g = make_grid(96, 96, 60.0, 60.0)
         worst = 0.0
         for lam in (0.5, 0.1, 0.01, 0.001):
-            w = weight_field(g, WeightSpec.damped(1.0, lam)).samples
+            w = WeightSpec.damped(1.0, lam).evaluate(g.xmesh, g.ymesh)
             gx = np.gradient(w, g.dx, axis=1)
             gy = np.gradient(w, g.dy, axis=0)
             worst = max(worst, float(np.max(np.hypot(gx, gy))))
