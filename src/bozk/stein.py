@@ -30,8 +30,8 @@ import numpy as np
 MIXED_PHASE_CALIBRATION = 5.0
 
 # Decay-persistence probe policy: refine_divergence, uc.b1_indicator and
-# uc.obstruction_density all integrate with this reach and node density, and
-# read their refinement ratios with these thresholds.
+# uc.obstruction_density all integrate through probe_window, with this reach
+# and node density, and read their refinement ratios with these thresholds.
 PROBE_R_OUTER = 2.0
 PROBE_NODES_PER_DECADE = 48
 DIVERGENCE_DELTA = 0.10    # divergent: both of the last two ratios > 1 + delta
@@ -222,6 +222,24 @@ def mixed_phase_bound(b: float, t: float, x: float) -> float:
     return MIXED_PHASE_CALIBRATION * (t ** (b / 2.0) + t**b * abs(x) ** b)
 
 
+def probe_window(
+    xs: np.ndarray, fs: np.ndarray, b: float, step: float, window: float
+) -> np.ndarray:
+    """Db of the samples (xs, fs), of grid step `step`, under the probe
+    policy: reach PROBE_R_OUTER, PROBE_NODES_PER_DECADE log-band nodes and an
+    inner patch of min(2 step, 1/2), evaluated at the window points
+    4 step <= |x| <= window (a four-cell resolution floor around the
+    origin)."""
+    pts = xs[(np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= window)]
+    cfg = SteinConfig(
+        b=b,
+        r_outer=PROBE_R_OUTER,
+        h_inner=min(2.0 * step, 0.5),
+        nodes_per_decade=PROBE_NODES_PER_DECADE,
+    )
+    return stein_derivative(xs, fs, cfg, pts).values
+
+
 @dataclass(frozen=True)
 class RefinementLevel:
     step: float
@@ -240,9 +258,8 @@ def refinement_ladder(
 
     Level k samples on the symmetric grid of step h0 * 2^-k reaching
     window + PROBE_R_OUTER (plus eight cells) on each side.  ``slices(xs)``
-    returns (weight, samples) pairs on that grid; each slice's Db is
-    evaluated on window points outside a four-cell resolution floor around
-    the origin, and the level's window norm is the square root of the
+    returns (weight, samples) pairs on that grid; each slice's Db comes from
+    :func:`probe_window`, and the level's window norm is the square root of the
     weighted sum of their squared masses.  Ratios are successive window-norm
     quotients (1.0 after a vanishing level).
     """
@@ -253,16 +270,9 @@ def refinement_ladder(
         step = h0 * 0.5**k
         n = math.ceil((window + PROBE_R_OUTER + 8.0 * step) / step)
         xs = step * np.arange(-n, n + 1)
-        pts = xs[(np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= window)]
-        cfg = SteinConfig(
-            b=b,
-            r_outer=PROBE_R_OUTER,
-            h_inner=min(2.0 * step, 0.5),
-            nodes_per_decade=PROBE_NODES_PER_DECADE,
-        )
         total = 0.0
         for weight, fs in slices(xs):
-            vals = stein_derivative(xs, fs, cfg, pts).values
+            vals = probe_window(xs, fs, b, step, window)
             total += weight * float(np.sum(vals**2) * step)
         out_levels.append(RefinementLevel(step=step, window_norm=math.sqrt(total)))
     ratios = [

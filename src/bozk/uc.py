@@ -20,15 +20,7 @@ import numpy as np
 
 from .grid import Grid2D, RealField, forward, make_grid, xi_line
 from .solver import SolverAbort, SolverConfig, TimeSeries, run
-from .stein import (
-    PROBE_NODES_PER_DECADE,
-    PROBE_R_OUTER,
-    RefinementReport,
-    SteinConfig,
-    diverges,
-    refinement_ladder,
-    stein_derivative,
-)
+from .stein import RefinementReport, diverges, probe_window, refinement_ladder
 from .weights import WeightSpec
 
 OBSTRUCTION_GROWTH_THRESHOLD = 1.5   # per domain doubling; recorded calibration
@@ -331,7 +323,6 @@ def obstruction_density(
     F = forward(u)
     dxi = 2.0 * np.pi / g.lx
     window = 0.5 * cut.epsilon
-    floor = 4.0 * dxi
     peak = 0.0
     for target in DENSITY_ETA_TARGETS:
         n = int(np.argmin(np.abs(g.eta - target)))
@@ -343,16 +334,8 @@ def obstruction_density(
             sel0 = (np.abs(xi) > 0) & (np.abs(xi) <= window)
             val = float(np.max(np.abs(q[sel0]) ** 2)) if np.any(sel0) else 0.0
         else:
-            sel = (np.abs(xi) >= floor) & (np.abs(xi) <= window)
-            pts = xi[sel]
-            cfg = SteinConfig(
-                b=b,
-                r_outer=PROBE_R_OUTER,
-                h_inner=min(2.0 * dxi, 0.5),
-                nodes_per_decade=PROBE_NODES_PER_DECADE,
-            )
-            vals = stein_derivative(xi, q, cfg, pts).values
-            val = float(np.max(vals**2)) if pts.size else 0.0
+            vals = probe_window(xi, q, b, dxi, window)
+            val = float(np.max(vals**2)) if vals.size else 0.0
         peak = max(peak, val)
     return peak
 
