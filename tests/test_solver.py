@@ -62,6 +62,15 @@ class TestNonlinearRHS:
         out = nonlinear_rhs(F)
         assert np.all(out.coeffs[:, -1] == 0.0)
 
+    def test_zero_outside_the_dealias_mask(self):
+        # the 2/3 mask on the output lives in the advection symbol
+        g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
+        F = forward(fields.random_smooth(g, 3, spectral_width=8.0))
+        assert np.max(np.abs(F.coeffs[~g.dealias_mask])) > 1e-3
+        out = nonlinear_rhs(F)
+        assert np.all(out.coeffs[~g.dealias_mask] == 0.0)
+        assert np.max(np.abs(out.coeffs[g.dealias_mask])) > 1e-3
+
 
 def test_undealiased_steps_keep_the_spectrum_hermitian():
     # the 2/3 mask acts only around the square, so the state itself keeps
