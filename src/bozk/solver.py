@@ -38,6 +38,9 @@ from .weights import WeightSpec
 
 CFL_LIMIT = 0.5
 BLOWUP_AMPLITUDE = 1e8
+# the x-mean transform of phi counts as vanishing at or below this fraction
+# of max|phi_hat|
+X_MEAN_TOL = 1e-8
 
 
 class SolverAbort(RuntimeError):
@@ -140,6 +143,9 @@ class TimeSeries:
     mu: float
     nonlinear: bool
     phi_l2: float
+    # max|phi_hat(0, eta)| <= X_MEAN_TOL * max|phi_hat|; the moment law is
+    # measured only for such data (see diagnostics.conservation_report)
+    x_mean_vanishes: bool
     t: np.ndarray
     step: np.ndarray  # step index of each record
     l2: np.ndarray
@@ -221,6 +227,7 @@ def run(
     # a blow-up, and for one inside a step, t is the time that step started
     # from
     c = forward(phi).coeffs
+    x_mean_vanishes = bool(np.max(np.abs(c[:, 0])) <= X_MEAN_TOL * np.max(np.abs(c)))
     t = 0.0
     n = 0
     try:
@@ -239,6 +246,7 @@ def run(
         mu=cfg.mu,
         nonlinear=cfg.nonlinear,
         phi_l2=rows[0][2],
+        x_mean_vanishes=x_mean_vanishes,
         t=t_col,
         step=step,
         l2=l2,

@@ -289,6 +289,23 @@ class TestExecute:
         assert rows[0] == "norm,value"
         assert any(r.startswith("l2,") for r in rows)
 
+    def test_moment_residual_null_unless_x_mean_vanishes(self, tmp_path):
+        # gaussian data has a nonzero x-mean transform, so its x-tails reach
+        # the box edge and the box moment follows no law: JSON null; the
+        # dx_gaussian's vanishes and its residual is measured
+        for kind in ("gaussian", "dx_gaussian"):
+            text = SIM_CFG.replace("data.kind = gaussian", f"data.kind = {kind}")
+            cfg = write_cfg(tmp_path, text, f"{kind}.cfg")
+            out = tmp_path / kind
+            assert execute(["linear", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+            cons = read_strict_json(out / "summary.json")["conservation"]
+            assert cons["l2_drift"] < 1e-12
+            if kind == "gaussian":
+                assert "null" in (out / "summary.json").read_text()
+                assert cons["moment_residual"] is None
+            else:
+                assert 0.0 <= cons["moment_residual"] < 1e-2
+
     def test_picard_subcommand(self, tmp_path):
         cfg = write_cfg(
             tmp_path,
