@@ -99,7 +99,12 @@ def nonlinear_rhs(
     `audit`, when given, is called with max|u| of the field that is squared
     before the square is taken; it may raise to stop the evaluation."""
     g = F.grid
-    u = inverse(dealias(F))
+    # `src` stays bound until the return: freed before the forward transform,
+    # it changes how glibc trims the heap, and a 256-step 256^2 `simulate`
+    # re-faults about twice as many pages (292k against 132k minor faults,
+    # 0.2-0.3 s of wall time; glibc 2.36, numpy 2.4, 2-core Xeon)
+    src = dealias(F)
+    u = inverse(src)
     if audit is not None:
         audit(float(np.max(np.abs(u.samples))))
     w = forward(RealField(g, u.samples**2))
