@@ -72,16 +72,10 @@ class Grid2D:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-        # exp(-i xi_m x_0) = (-1)^m exactly for the centred grid
-        phase = np.where(mx % 2 == 0, 1.0, -1.0)[None, :] * np.where(
-            my % 2 == 0, 1.0, -1.0
-        )[:, None]
-        object.__setattr__(self, "_centre_phase", phase)
-
         keep = (np.abs(mx) <= self.nx // 3)[None, :] & (np.abs(my) <= self.ny // 3)[:, None]
         object.__setattr__(self, "dealias_mask", keep)
 
-        for arr in (mx, my, x, y, phase, keep):
+        for arr in (mx, my, x, y, keep):
             arr.setflags(write=False)
 
     # broadcastable 2-D views -------------------------------------------------
@@ -122,6 +116,28 @@ class Grid2D:
         table[~self.dealias_mask] = 0.0
         table.setflags(write=False)
         return table
+
+    @functools.cached_property
+    def forward_scale(self) -> np.ndarray:
+        """``cell_area`` times the centring phase ``(-1)**(m+n)``, which takes
+        a raw ``rfft2`` to the normalised coefficients; read-only, cached."""
+        table = self.cell_area * self._centre_phase()
+        table.setflags(write=False)
+        return table
+
+    @functools.cached_property
+    def inverse_scale(self) -> np.ndarray:
+        """The centring phase over ``cell_area``, which takes coefficients to
+        the input of a raw ``irfft2``; read-only, cached."""
+        table = self._centre_phase() / self.cell_area
+        table.setflags(write=False)
+        return table
+
+    def _centre_phase(self) -> np.ndarray:
+        # exp(-i xi_m x_0) = (-1)^m exactly for the centred grid
+        return np.where(self.mx % 2 == 0, 1.0, -1.0)[None, :] * np.where(
+            self.my % 2 == 0, 1.0, -1.0
+        )[:, None]
 
 
 class NonFiniteField(ValueError):
@@ -207,13 +223,13 @@ class SpectrumField:
 def forward(f: RealField) -> SpectrumField:
     g = f.grid
     coeffs = np.fft.rfft2(f.samples, out=np.empty(g.spectral_shape, dtype=np.complex128))
-    coeffs *= g.cell_area * g._centre_phase
+    coeffs *= g.forward_scale
     return SpectrumField(g, coeffs)
 
 
 def inverse(F: SpectrumField) -> RealField:
     g = F.grid
-    raw = F.coeffs * (g._centre_phase / g.cell_area)
+    raw = F.coeffs * g.inverse_scale
     np.fft.ifft(raw, axis=0, out=raw)  # irfft2 is this y pass, then irfft along x
     return RealField(g, np.fft.irfft(raw, n=g.nx, axis=1))
 
@@ -226,7 +242,7 @@ def inverse_imag_residual(F: SpectrumField) -> float:
     in sign along x for the Nyquist column, and :func:`inverse` keeps the
     real part of each."""
     g = F.grid
-    raw = F.coeffs[:, [0, -1]] * (g._centre_phase[:, [0, -1]] / g.cell_area)
+    raw = F.coeffs[:, [0, -1]] * g.inverse_scale[:, [0, -1]]
     imag = np.fft.ifft(raw, axis=0).imag / g.nx
     return float(np.max(np.abs(imag[:, 0]) + np.abs(imag[:, 1])))
 

@@ -24,15 +24,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .grid import (
-    Grid2D,
-    NonFiniteField,
-    RealField,
-    SpectrumField,
-    dealias,
-    forward,
-    inverse,
-)
+from .grid import Grid2D, NonFiniteField, RealField, SpectrumField, forward, inverse
 from .operators import propagator_array, sobolev_weight
 from .weights import WeightSpec
 
@@ -90,6 +82,51 @@ class SolverConfig:
             raise ValueError("diagnostic stride must be >= 1")
 
 
+def _scratch(g: Grid2D) -> Tuple[np.ndarray, np.ndarray]:
+    """Buffers of :func:`_rhs_into`: the transform buffer, which holds only
+    the columns 0..nx//3 that the 2/3 mask keeps, and the sample buffer."""
+    return np.empty((g.ny, g.nx // 3 + 1), dtype=np.complex128), np.empty((g.ny, g.nx))
+
+
+def _rhs_into(
+    g: Grid2D,
+    c: np.ndarray,
+    out: np.ndarray,
+    buf: np.ndarray,
+    u: np.ndarray,
+    audit: Optional[Callable[[float], None]] = None,
+) -> None:
+    """Write the spectrum of -1/2 d_x(u^2) of the coefficients `c` into `out`
+    (which may be `c`: it is read before `out` is written); `buf` and `u`
+    come from :func:`_scratch`.
+
+    The y passes run only on the columns the 2/3 mask keeps: on the way in
+    the others are zero (``irfft`` pads them), and on the way out
+    ``Grid2D.advection_symbol`` is zero there.  Non-finite samples, or a
+    square that overflows, raise :class:`NonFiniteField`; `audit`, when
+    given, sees max|u| of the finite field before it is squared."""
+    keep = buf.shape[1]
+    lo, hi = g.ny // 3 + 1, g.ny - g.ny // 3  # rows the 2/3 mask zeroes
+    np.multiply(c[:, :keep], g.inverse_scale[:, :keep], out=buf)
+    buf[lo:hi] = 0.0
+    np.fft.ifft(buf, axis=0, out=buf)
+    np.fft.irfft(buf, n=g.nx, axis=1, out=u)
+    if audit is not None:
+        top = max(float(np.max(u)), -float(np.min(u)))  # max|u|, NaN if any is
+        if not math.isfinite(top):
+            raise NonFiniteField("field contains non-finite samples")
+        audit(top)
+    np.square(u, out=u)
+    if not math.isfinite(np.max(u)):
+        raise NonFiniteField("field contains non-finite samples")
+    np.fft.rfft(u, axis=1, out=out)
+    o = out[:, :keep]
+    np.fft.fft(o, axis=0, out=o)
+    o *= g.forward_scale[:, :keep]
+    o *= g.advection_symbol[:, :keep]
+    out[:, keep:] = 0.0
+
+
 def nonlinear_rhs(
     F: SpectrumField, audit: Optional[Callable[[float], None]] = None
 ) -> SpectrumField:
@@ -99,46 +136,74 @@ def nonlinear_rhs(
     `audit`, when given, is called with max|u| of the field that is squared
     before the square is taken; it may raise to stop the evaluation."""
     g = F.grid
-    # `src` stays bound until the return: freed before the forward transform,
-    # it changes how glibc trims the heap, and a 256-step 256^2 `simulate`
-    # re-faults about twice as many pages (292k against 132k minor faults,
-    # 0.2-0.3 s of wall time; glibc 2.36, numpy 2.4, 2-core Xeon)
-    src = dealias(F)
-    u = inverse(src)
-    if audit is not None:
-        audit(float(np.max(np.abs(u.samples))))
-    w = forward(RealField(g, u.samples**2))
-    return SpectrumField(g, w.coeffs * g.advection_symbol)
+    out = np.empty(g.spectral_shape, dtype=np.complex128)
+    _rhs_into(g, F.coeffs, out, *_scratch(g), audit)
+    return SpectrumField(g, out)
 
 
 class _StepKernel:
-    """Per-run precomputed arrays for the IF-RK4 stage."""
+    """The IF-RK4 step on plain arrays, with the buffers of one run: the two
+    propagator tables, the stage values k1..c4 and the buffers of
+    :func:`_rhs_into`.  Each stage builds its input in its own buffer, which
+    :func:`_rhs_into` reads before it writes the stage value there; c4 is
+    scratch until then."""
 
     def __init__(self, grid: Grid2D, cfg: SolverConfig):
         self.grid = grid
         self.cfg = cfg
         self.e_half = propagator_array(grid, 0.5 * cfg.dt, cfg.mu)
         self.e_full = propagator_array(grid, cfg.dt, cfg.mu)
+        if cfg.nonlinear:
+            shape = grid.spectral_shape
+            self.k1, self.c2, self.c3, self.c4 = (
+                np.empty(shape, dtype=np.complex128) for _ in range(4)
+            )
+            self.scratch = _scratch(grid)
 
     def advance(
         self, c: np.ndarray, audit: Optional[Callable[[float], None]] = None
     ) -> np.ndarray:
-        """Coefficients one dt after `c`; `audit` sees max|u| of the field
-        stage k1 squares, i.e. of `c` after the 2/3 mask."""
+        """Coefficients one dt after `c`, as a new array; `audit` sees max|u|
+        of the field stage k1 squares, i.e. of `c` after the 2/3 mask.
+
+        Each product with a propagator keeps one operand order on every grid
+        (complex multiplication is not bitwise commutative under FMA)."""
         cfg = self.cfg
         if not cfg.nonlinear:
             return self.e_full * c
-        g = self.grid
-        dt, eh, ef = cfg.dt, self.e_half, self.e_full
+        g, dt, eh, ef = self.grid, cfg.dt, self.e_half, self.e_full
+        k1, c2, c3, c4 = self.k1, self.c2, self.c3, self.c4
 
-        def rhs(coeffs: np.ndarray) -> np.ndarray:
-            return nonlinear_rhs(SpectrumField(g, coeffs)).coeffs
+        def rhs(x: np.ndarray) -> None:
+            _rhs_into(g, x, x, *self.scratch)
 
-        k1 = nonlinear_rhs(SpectrumField(g, c), audit).coeffs
-        c2 = rhs(eh * (c + (0.5 * dt) * k1))
-        c3 = rhs(eh * c + (0.5 * dt) * c2)
-        c4 = rhs(ef * c + dt * (eh * c3))
-        return ef * c + (dt / 6.0) * (ef * k1 + 2.0 * eh * (c2 + c3) + c4)
+        _rhs_into(g, c, k1, *self.scratch, audit)
+        # c2 = rhs((c + dt/2 k1) eh)
+        np.multiply(k1, 0.5 * dt, out=c2)
+        c2 += c
+        c2 *= eh
+        rhs(c2)
+        # c3 = rhs(eh c + dt/2 c2)
+        np.multiply(eh, c, out=c3)
+        np.multiply(c2, 0.5 * dt, out=c4)
+        c3 += c4
+        rhs(c3)
+        # c4 = rhs(ef c + dt (eh c3)); ef c is also the first term of the sum
+        new = ef * c
+        np.multiply(eh, c3, out=c4)
+        c4 *= dt
+        c4 += new
+        rhs(c4)
+        # ef c + dt/6 (ef k1 + (2 eh) (c2 + c3) + c4)
+        c2 += c3
+        np.multiply(eh, 2.0, out=c3)
+        np.multiply(c3, c2, out=c2)
+        np.multiply(ef, k1, out=k1)
+        k1 += c2
+        k1 += c4
+        k1 *= dt / 6.0
+        new += k1
+        return new
 
 
 @dataclass

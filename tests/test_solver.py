@@ -2,9 +2,12 @@ import numpy as np
 import pytest
 
 from bozk import fields
+from bozk import solver
 from bozk.grid import (
+    NonFiniteField,
     RealField,
     SpectrumField,
+    dealias,
     forward,
     inverse,
     inverse_imag_residual,
@@ -87,6 +90,83 @@ def test_undealiased_steps_keep_the_spectrum_hermitian():
     u = inverse(F)
     assert inverse_imag_residual(F) <= 1e-15
     assert abs(F.l2() - u.l2()) <= 1e-14 * u.l2()
+
+
+def reference_step(g, c, eh, ef, dt, audit):
+    """One IF-RK4 step with full transforms, every product spelled out as
+    np.multiply(a, b) in the kernel's operand order (operators would let
+    numpy's temporary elision swap them on arrays of 256 KiB or more)."""
+
+    def rhs(a, audit=None):
+        u = inverse(dealias(SpectrumField(g, a))).samples
+        if audit is not None:
+            audit(float(np.max(np.abs(u))))
+        w = forward(RealField(g, np.multiply(u, u))).coeffs
+        return np.multiply(w, g.advection_symbol)
+
+    k1 = rhs(c, audit)
+    c2 = rhs(np.multiply(np.add(c, np.multiply(0.5 * dt, k1)), eh))
+    c3 = rhs(np.add(np.multiply(eh, c), np.multiply(0.5 * dt, c2)))
+    c4 = rhs(np.add(np.multiply(ef, c), np.multiply(dt, np.multiply(eh, c3))))
+    inner = np.add(np.multiply(ef, k1), np.multiply(np.multiply(2.0, eh), np.add(c2, c3)))
+    return np.add(np.multiply(ef, c), np.multiply(dt / 6.0, np.add(inner, c4)))
+
+
+@pytest.mark.parametrize("nx, ny", [(64, 64), (256, 128)])
+def test_step_matches_reference_exactly(nx, ny):
+    # one grid below numpy's elision size, one above; the pruned y passes
+    # skip only columns that are zero on the way in or masked on the way out
+    g = make_grid(nx, ny, 16 * np.pi, 8 * np.pi)
+    cfg = SolverConfig(dt=2e-3, t_final=1.0, mu=0.05)
+    kernel = _StepKernel(g, cfg)
+    c = ref = forward(fields.random_smooth(g, 5, amplitude=2.0)).coeffs
+    for _ in range(3):
+        seen, ref_seen = [], []
+        c = kernel.advance(c, seen.append)
+        ref = reference_step(g, ref, kernel.e_half, kernel.e_full, cfg.dt, ref_seen.append)
+        assert np.array_equal(c, ref)
+        assert seen == ref_seen
+    assert np.max(np.abs(c[:, 1:])) > 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_nonfinite_state_raises_before_the_audit(bad):
+    g = make_grid(32, 32, 16 * np.pi, 16 * np.pi)
+    c = forward(fields.gaussian(g, amplitude=0.5)).coeffs
+    c[1, 1] = bad
+    seen = []
+    with pytest.raises(NonFiniteField), np.errstate(invalid="ignore"):
+        _StepKernel(g, SolverConfig(dt=1e-3, t_final=0.01)).advance(c, seen.append)
+    assert seen == []
+
+
+# a spike in one retained mode of a propagator table and where the run
+# stops; the t and step are those of the step that failed, and the last
+# case grows the state past the blow-up amplitude without overflowing
+@pytest.mark.parametrize("table, value, t, step, detail", [
+    ("half", np.nan, 0.0, 1, "field contains non-finite samples"),  # stage 2
+    ("half", 1e200, 0.0, 1, "field contains non-finite samples"),  # stage 2, u^2
+    ("half", 1e100, 0.0, 1, "field contains non-finite samples"),  # stage 3, u^2
+    ("full", np.nan, 0.0, 1, "field contains non-finite samples"),  # stage 4
+    ("full", 1e200, 0.0, 1, "field contains non-finite samples"),  # stage 4, u^2
+    ("full", 1e150, 1e-3, 1, "max|u| = 3.040e+290"),  # step 2, stage k1
+])
+def test_stage_blow_up(monkeypatch, table, value, t, step, detail):
+    g = make_grid(32, 32, 16 * np.pi, 16 * np.pi)
+    dt = 1e-3
+    real = solver.propagator_array
+
+    def spiked(grid, tau, mu):
+        out = real(grid, tau, mu)
+        if tau == (0.5 * dt if table == "half" else dt):
+            out[1, 1] = value
+        return out
+
+    monkeypatch.setattr(solver, "propagator_array", spiked)
+    with pytest.raises(SolverAbort) as err, np.errstate(all="ignore"):
+        run(fields.gaussian(g, amplitude=0.5), SolverConfig(dt=dt, t_final=0.01, stride=100))
+    e = err.value
+    assert (e.reason, e.t, e.step, e.detail) == ("blow_up", t, step, detail)
 
 
 class TestStep:
