@@ -143,8 +143,9 @@ def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> int:
     report = b1_indicator(phi, m.uc_t, cut, levels=m.uc_levels)
     table = persistence_scan(phi, m.solver_config(), m.uc_r_list, m.uc_s)
 
-    # the moment law holds for the mu = 0 flow; reuse the scan's own series
-    md = moment_drift(table.raw) if m.mu == 0.0 else None
+    # the moment law holds for the mu = 0 flow of data whose x-mean
+    # transform vanishes (see conservation_report); reuse the scan's series
+    md = moment_drift(table.raw) if m.mu == 0.0 and table.raw.x_mean_vanishes else None
 
     summary = {
         "subcommand": "uc",
@@ -161,14 +162,13 @@ def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> int:
             for row in table.rows
         ],
         "boundary_ratio": table.boundary_ratio,
-    }
-    if md is not None:
-        summary["moment"] = {
+        "moment": None if md is None else {
             "slope": md.slope,
             "predicted": md.predicted,
             "rel_error": md.rel_error,
             "zero_crossings": md.zero_crossings,
-        }
+        },
+    }
 
     growth = None
     if m.uc_doublings > 0:

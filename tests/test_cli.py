@@ -184,10 +184,11 @@ class TestExecute:
 
     def test_uc_config_error_writes_no_files(self, tmp_path):
         # three records are too few for the moment-law fit, which only
-        # fails after the indicator and the persistence scan have run
+        # fails after the indicator and the persistence scan have run (the
+        # fit runs only for data whose x-mean transform vanishes)
         text = SIM_CFG.replace("grid.nx = 48", "grid.nx = 64").replace(
             "grid.ny = 48", "grid.ny = 64"
-        ).replace("16pi", "8pi")
+        ).replace("16pi", "8pi").replace("data.kind = gaussian", "data.kind = dx_gaussian")
         cfg = write_cfg(tmp_path, text + "uc.levels = 3\nuc.r_list = 1\nuc.s = 2\n")
         out = tmp_path / "outuc3"
         assert execute(["uc", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
@@ -306,6 +307,23 @@ class TestExecute:
                 assert cons["moment_residual"] is None
             else:
                 assert 0.0 <= cons["moment_residual"] < 1e-2
+
+    def test_uc_moment_null_unless_x_mean_vanishes(self, tmp_path):
+        # the moment-law fit of `uc` follows conservation_report: JSON null
+        # for gaussian data, whose box moment follows no law
+        for kind in ("gaussian", "dx_gaussian"):
+            text = SIM_CFG.replace("grid.nx = 48", "grid.nx = 64").replace(
+                "grid.ny = 48", "grid.ny = 64"
+            ).replace("16pi", "8pi").replace("solver.stride = 5", "solver.stride = 2")
+            text = text.replace("data.kind = gaussian", f"data.kind = {kind}")
+            cfg = write_cfg(tmp_path, text + "uc.levels = 3\nuc.r_list = 1\nuc.s = 2\n", f"{kind}.cfg")
+            out = tmp_path / kind
+            assert execute(["uc", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+            moment = read_strict_json(out / "summary.json")["moment"]
+            if kind == "gaussian":
+                assert moment is None
+            else:
+                assert set(moment) == {"slope", "predicted", "rel_error", "zero_crossings"}
 
     def test_picard_subcommand(self, tmp_path):
         cfg = write_cfg(
