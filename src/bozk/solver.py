@@ -134,7 +134,10 @@ def nonlinear_rhs(
     mask on the output is folded into ``Grid2D.advection_symbol``).
 
     `audit`, when given, is called with max|u| of the field that is squared
-    before the square is taken; it may raise to stop the evaluation."""
+    before the square is taken; it may raise to stop the evaluation.
+    Non-finite samples, or a square that overflows, raise
+    :class:`NonFiniteField`.  The step kernel runs the same code in its own
+    buffers."""
     g = F.grid
     out = np.empty(g.spectral_shape, dtype=np.complex128)
     _rhs_into(g, F.coeffs, out, *_scratch(g), audit)

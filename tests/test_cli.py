@@ -350,7 +350,7 @@ class TestExecute:
         assert (out / "persistence.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["b1_verdict"] == "persists"
-        assert "moment" in summary
+        assert summary["moment"] is not None
 
     def test_file_data_roundtrip(self, tmp_path):
         g = make_grid(48, 48, 16 * math.pi, 16 * math.pi)

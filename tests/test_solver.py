@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from bozk import fields
-from bozk import solver
+from bozk import fields, solver
 from bozk.grid import (
     NonFiniteField,
     RealField,
