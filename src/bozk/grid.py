@@ -126,6 +126,16 @@ class Grid2D:
         return table
 
     @functools.cached_property
+    def parseval_weight(self) -> np.ndarray:
+        """Weight of each coefficient's ``|u_hat|^2`` in the Parseval sum for
+        ``||u||^2``: the column's multiplicity (1 for column 0 and the
+        Nyquist column, 2 for the rest, which also stand for their unstored
+        mirrors) times ``dxi*deta/(2 pi)^2 = 1/(lx*ly)``; read-only, cached."""
+        row = np.full(self.mx.size, 2.0 / (self.lx * self.ly))
+        row[[0, -1]] *= 0.5
+        return np.broadcast_to(row, self.spectral_shape)
+
+    @functools.cached_property
     def inverse_scale(self) -> np.ndarray:
         """The centring phase over ``cell_area``, which takes coefficients to
         the input of a raw ``irfft2``; read-only, cached."""
@@ -200,18 +210,15 @@ class SpectrumField:
         """L2 norm of the underlying field via Parseval; ``weight`` is a
         nonnegative Fourier weight of coefficient shape, even under
         ``(xi, eta) -> (-xi, -eta)``, e.g. ``(1 + xi^2 + eta^2)^s`` for the H^s
-        norm (unweighted when omitted).  Each column counts with its Parseval
-        multiplicity: once for column 0 and the Nyquist column, twice for the
-        rest, which also stand for their unstored mirrors."""
-        g = self.grid
-        dxi = 2.0 * np.pi / g.lx
-        deta = 2.0 * np.pi / g.ly
-        sq = np.abs(self.coeffs) ** 2
+        norm (unweighted when omitted).  Each coefficient counts with
+        ``Grid2D.parseval_weight``."""
+        c = self.coeffs
+        sq = np.square(c.real)
+        sq += np.square(c.imag)
         if weight is not None:
-            sq = weight * sq
-        cols = np.sum(sq, axis=0)
-        total = np.sum(cols) + np.sum(cols[1:-1])
-        return float(np.sqrt(total * dxi * deta) / (2.0 * np.pi))
+            sq *= weight
+        sq *= self.grid.parseval_weight
+        return float(np.sqrt(np.sum(sq)))
 
 
 # The transform pair is rfft2/irfft2.  Both run their y pass in place on an

@@ -263,12 +263,22 @@ def run(
     # final time is n_steps * dt, the closest step multiple to t_final
     n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
 
-    hs_w = {s: sobolev_weight(g, "J", s) for s in hs_orders}
-    w2 = {spec.label(): spec.evaluate(g.xmesh, g.ymesh) ** 2 for spec in weights}
+    # per-run tables: hs_table[k] weighs |u_hat|^2 for ||u||_{H^s_k}^2 (the
+    # Sobolev weight times the Parseval weight), w2_table[k] weighs u^2 for
+    # ||w_k u||^2 / cell_area; the einsum reductions below use no BLAS, whose
+    # summation order may vary from run to run
     area = g.cell_area
+    hs_table = np.empty((len(hs_orders), *g.spectral_shape))
+    for row, s in zip(hs_table, hs_orders):
+        np.multiply(sobolev_weight(g, "J", s), g.parseval_weight, out=row)
+    w2_table = np.empty((len(weights), g.ny, g.nx))
+    for row, spec in zip(w2_table, weights):
+        np.square(spec.evaluate(g.xmesh, g.ymesh), out=row)
+    usq = np.empty((g.ny, g.nx))  # x u, then u^2
+    csq, isq = np.empty((2, *g.spectral_shape))  # |u_hat|^2, (Im u_hat)^2
 
     # one tuple per record: t, step, l2, moment_x, zero mode, then the hs,
-    # weighted and extra values in the order of their dicts
+    # weighted and extra values in their input order
     rows: List[tuple] = []
 
     def audit(m: float, t: float, n: int) -> None:
@@ -282,16 +292,23 @@ def run(
             )
 
     def record(c: np.ndarray, t: float, n: int) -> None:
-        u = inverse(spec := SpectrumField(g, c))
-        audit(float(np.max(np.abs(u.samples))), t, n)
+        u = inverse(SpectrumField(g, c))
+        samples = u.samples
+        audit(max(float(np.max(samples)), -float(np.min(samples))), t, n)
+        np.multiply(g.xmesh, samples, out=usq)
+        moment_x = float(np.sum(usq) * area)
+        np.square(samples, out=usq)
+        np.square(c.real, out=csq)
+        np.square(c.imag, out=isq)
+        np.add(csq, isq, out=csq)
         rows.append((
             t,
             n,
-            u.l2(),
-            float(np.sum(g.xmesh * u.samples) * area),
+            float(np.sqrt(np.sum(usq) * area)),
+            moment_x,
             c[:, 0].copy(),  # u_hat(0, eta), the x-mean transform
-            *(spec.l2(w) for w in hs_w.values()),
-            *(u.l2(w) for w in w2.values()),
+            *np.sqrt(np.einsum("kij,ij->k", hs_table, csq)).tolist(),
+            *np.sqrt(np.einsum("kij,ij->k", w2_table, usq) * area).tolist(),
             *(fn(u) for _, fn in extra),
         ))
 
@@ -314,7 +331,7 @@ def run(
         raise SolverAbort("blow_up", t, n, str(exc)) from None
 
     t_col, step, l2, moment_x, zero_mode, *cols = map(np.array, zip(*rows))
-    nh, nw = len(hs_w), len(w2)
+    nh, nw = len(hs_orders), len(weights)
     series = TimeSeries(
         mu=cfg.mu,
         nonlinear=cfg.nonlinear,
@@ -325,8 +342,8 @@ def run(
         l2=l2,
         moment_x=moment_x,
         zero_mode=zero_mode,
-        hs=dict(zip(hs_w, cols[:nh])),
-        weighted=dict(zip(w2, cols[nh : nh + nw])),
+        hs=dict(zip(hs_orders, cols[:nh])),
+        weighted=dict(zip((spec.label() for spec in weights), cols[nh : nh + nw])),
         extra=dict(zip((lbl for lbl, _ in extra), cols[nh + nw :])),
     )
     return RunResult(series=series, final=inverse(SpectrumField(g, c)))
