@@ -108,12 +108,13 @@ class Grid2D:
 
     @functools.cached_property
     def advection_symbol(self) -> np.ndarray:
-        """Grid symbol ``-i xi/2`` of -1/2 d_x (0 on the Nyquist column)
-        times the 2/3 mask (0 outside ``dealias_mask``), built once per grid
-        for the solver's quadratic term; read-only, as every caller shares
-        it."""
-        table = multiplier_array(self, lambda xi, eta: -0.5j * xi)
-        table[~self.dealias_mask] = 0.0
+        """Grid symbol ``-i xi/2`` of -1/2 d_x times the 2/3 mask, on the
+        columns ``0..nx//3`` that the mask keeps (it is 0 on the others),
+        built once per grid for the solver's quadratic term; read-only, as
+        every caller shares it."""
+        keep = self.nx // 3 + 1
+        sym = multiplier_array(self, lambda xi, eta: -0.5j * xi)[:, :keep]
+        table = np.where(self.dealias_mask[:, :keep], sym, 0.0)
         table.setflags(write=False)
         return table
 

@@ -83,34 +83,48 @@ class SolverConfig:
 
 
 def _scratch(g: Grid2D) -> Tuple[np.ndarray, np.ndarray]:
-    """Buffers of :func:`_rhs_into`: the transform buffer, which holds only
-    the columns 0..nx//3 that the 2/3 mask keeps, and the sample buffer."""
-    return np.empty((g.ny, g.nx // 3 + 1), dtype=np.complex128), np.empty((g.ny, g.nx))
+    """Buffers of :func:`_rhs_into`: the full-width transform buffer, whose
+    columns past nx//3 are zero between calls, and the sample buffer."""
+    return np.zeros(g.spectral_shape, dtype=np.complex128), np.empty((g.ny, g.nx))
+
+
+def _raw(g: Grid2D, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the columns 0..nx//3 of the coefficients `c` into `out` in raw
+    transform units, the input of ``norm="forward"`` inverse passes: times
+    ``Grid2D.inverse_scale``, and times the 1/(nx ny) that such passes
+    leave out."""
+    keep = out.shape[1]
+    np.multiply(c[:, :keep], g.inverse_scale[:, :keep], out=out)
+    out *= 1.0 / (g.nx * g.ny)
+    return out
 
 
 def _rhs_into(
-    g: Grid2D,
-    c: np.ndarray,
+    x: np.ndarray,
     out: np.ndarray,
-    buf: np.ndarray,
+    table: np.ndarray,
+    spec: np.ndarray,
     u: np.ndarray,
     audit: Optional[Callable[[float], None]] = None,
 ) -> None:
-    """Write the spectrum of -1/2 d_x(u^2) of the coefficients `c` into `out`
-    (which may be `c`: it is read before `out` is written); `buf` and `u`
-    come from :func:`_scratch`.
+    """Write ``table`` times the raw transform of u^2 into `out`, on the
+    columns 0..nx//3 that the 2/3 mask keeps, where `x` holds u on those
+    columns in raw units (see :func:`_raw`).  `table` is
+    ``Grid2D.advection_symbol`` times the output normalisation, so `out`
+    is the spectrum of -1/2 d_x(u^2) in the table's units.
 
-    The y passes run only on the columns the 2/3 mask keeps: on the way in
-    the others are zero (``irfft`` pads them), and on the way out
-    ``Grid2D.advection_symbol`` is zero there.  Non-finite samples, or a
-    square that overflows, raise :class:`NonFiniteField`; `audit`, when
-    given, sees max|u| of the finite field before it is squared."""
-    keep = buf.shape[1]
-    lo, hi = g.ny // 3 + 1, g.ny - g.ny // 3  # rows the 2/3 mask zeroes
-    np.multiply(c[:, :keep], g.inverse_scale[:, :keep], out=buf)
-    buf[lo:hi] = 0.0
-    np.fft.ifft(buf, axis=0, out=buf)
-    np.fft.irfft(buf, n=g.nx, axis=1, out=u)
+    `x` is read before `out` is written, so they may be one array, and
+    either may be the kept columns of `spec`; the rows of `x` that the 2/3
+    mask drops are zeroed.  `spec` and `u` come from :func:`_scratch`: the
+    inverse x pass reads all of `spec`, so it pads nothing, and the forward
+    x pass fills it, so its tail is zeroed again after.  Non-finite
+    samples, or a square that overflows, raise :class:`NonFiniteField`;
+    `audit`, when given, sees max|u| of the finite field before it is
+    squared."""
+    ny, keep = x.shape
+    x[ny // 3 + 1 : ny - ny // 3] = 0.0
+    np.fft.ifft(x, axis=0, norm="forward", out=spec[:, :keep])
+    np.fft.irfft(spec, n=u.shape[1], axis=1, norm="forward", out=u)
     if audit is not None:
         top = max(float(np.max(u)), -float(np.min(u)))  # max|u|, NaN if any is
         if not math.isfinite(top):
@@ -119,12 +133,10 @@ def _rhs_into(
     np.square(u, out=u)
     if not math.isfinite(np.max(u)):
         raise NonFiniteField("field contains non-finite samples")
-    np.fft.rfft(u, axis=1, out=out)
-    o = out[:, :keep]
-    np.fft.fft(o, axis=0, out=o)
-    o *= g.forward_scale[:, :keep]
-    o *= g.advection_symbol[:, :keep]
-    out[:, keep:] = 0.0
+    np.fft.rfft(u, axis=1, out=spec)
+    np.fft.fft(spec[:, :keep], axis=0, out=out)
+    spec[:, keep:] = 0.0
+    out *= table
 
 
 def nonlinear_rhs(
@@ -139,28 +151,34 @@ def nonlinear_rhs(
     :class:`NonFiniteField`.  The step kernel runs the same code in its own
     buffers."""
     g = F.grid
-    out = np.empty(g.spectral_shape, dtype=np.complex128)
-    _rhs_into(g, F.coeffs, out, *_scratch(g), audit)
+    sym = g.advection_symbol
+    out, u = _scratch(g)  # the transform buffer is the result
+    x = _raw(g, F.coeffs, out[:, : sym.shape[1]])
+    _rhs_into(x, x, sym * g.forward_scale[:, : sym.shape[1]], out, u, audit)
     return SpectrumField(g, out)
 
 
 class _StepKernel:
-    """The IF-RK4 step on plain arrays, with the buffers of one run: the two
-    propagator tables, the stage values k1..c4 and the buffers of
-    :func:`_rhs_into`.  Each stage builds its input in its own buffer, which
-    :func:`_rhs_into` reads before it writes the stage value there; c4 is
-    scratch until then."""
+    """The IF-RK4 step on plain arrays, with the tables and buffers of one
+    run.  Between the transforms, everything runs on the columns 0..nx//3
+    that the 2/3 mask keeps, in raw transform units (see :func:`_raw`), so
+    `e_half` holds only those columns, and so do the rhs table
+    (``Grid2D.advection_symbol`` times dt/2 and the 1/(nx ny) of raw units)
+    and the stage buffers.  The state's other columns see only `e_full`, as
+    the stage values vanish there."""
 
     def __init__(self, grid: Grid2D, cfg: SolverConfig):
         self.grid = grid
         self.cfg = cfg
-        self.e_half = propagator_array(grid, 0.5 * cfg.dt, cfg.mu)
         self.e_full = propagator_array(grid, cfg.dt, cfg.mu)
         if cfg.nonlinear:
-            shape = grid.spectral_shape
-            self.k1, self.c2, self.c3, self.c4 = (
-                np.empty(shape, dtype=np.complex128) for _ in range(4)
+            sym = grid.advection_symbol
+            keep = sym.shape[1]
+            self.e_half = np.ascontiguousarray(
+                propagator_array(grid, 0.5 * cfg.dt, cfg.mu)[:, :keep]
             )
+            self.table = sym * (0.5 * cfg.dt / (grid.nx * grid.ny))
+            self.a, self.k1, self.k2, self.k3 = np.empty((4, *sym.shape), dtype=np.complex128)
             self.scratch = _scratch(grid)
 
     def advance(
@@ -169,43 +187,47 @@ class _StepKernel:
         """Coefficients one dt after `c`, as a new array; `audit` sees max|u|
         of the field stage k1 squares, i.e. of `c` after the 2/3 mask.
 
-        Each product with a propagator keeps one operand order on every grid
-        (complex multiplication is not bitwise commutative under FMA)."""
+        The stage values k1..k4 below are dt/2 times those of RK4, in raw
+        units.  Each product with a propagator keeps one operand order on
+        every grid (complex multiplication is not bitwise commutative under
+        FMA)."""
         cfg = self.cfg
         if not cfg.nonlinear:
             return self.e_full * c
-        g, dt, eh, ef = self.grid, cfg.dt, self.e_half, self.e_full
-        k1, c2, c3, c4 = self.k1, self.c2, self.c3, self.c4
+        g, eh = self.grid, self.e_half
+        keep = eh.shape[1]
+        ef = self.e_full[:, :keep]
+        a, k1, k2, k3 = self.a, self.k1, self.k2, self.k3
 
-        def rhs(x: np.ndarray) -> None:
-            _rhs_into(g, x, x, *self.scratch)
+        def rhs(x: np.ndarray, out: np.ndarray, audit=None) -> None:
+            _rhs_into(x, out, self.table, *self.scratch, audit)
 
-        _rhs_into(g, c, k1, *self.scratch, audit)
-        # c2 = rhs((c + dt/2 k1) eh)
-        np.multiply(k1, 0.5 * dt, out=c2)
-        c2 += c
-        c2 *= eh
-        rhs(c2)
-        # c3 = rhs(eh c + dt/2 c2)
-        np.multiply(eh, c, out=c3)
-        np.multiply(c2, 0.5 * dt, out=c4)
-        c3 += c4
-        rhs(c3)
-        # c4 = rhs(ef c + dt (eh c3)); ef c is also the first term of the sum
-        new = ef * c
-        np.multiply(eh, c3, out=c4)
-        c4 *= dt
-        c4 += new
-        rhs(c4)
-        # ef c + dt/6 (ef k1 + (2 eh) (c2 + c3) + c4)
-        c2 += c3
-        np.multiply(eh, 2.0, out=c3)
-        np.multiply(c3, c2, out=c2)
+        rhs(_raw(g, c, a), k1, audit)
+        # k2 = rhs(eh (a + k1))
+        np.add(a, k1, out=k2)
+        np.multiply(eh, k2, out=k2)
+        rhs(k2, k2)
+        # k3 = rhs(eh a + k2)
+        np.multiply(eh, a, out=k3)
+        k3 += k2
+        rhs(k3, k3)
+        # k4 = rhs(ef a + 2 eh k3), in a; k3 is summed into k2 first
+        k2 += k3
+        np.multiply(eh, k3, out=k3)
+        k3 *= 2.0
+        np.multiply(ef, a, out=a)
+        a += k3
+        rhs(a, a)
+        # ef c + (ef k1 + 2 eh (k2 + k3) + k4) / 3, back in coefficients
+        np.multiply(eh, k2, out=k2)
+        k2 *= 2.0
         np.multiply(ef, k1, out=k1)
-        k1 += c2
-        k1 += c4
-        k1 *= dt / 6.0
-        new += k1
+        k1 += k2
+        k1 += a
+        k1 *= g.nx * g.ny / 3.0
+        k1 *= g.forward_scale[:, :keep]
+        new = self.e_full * c
+        new[:, :keep] += k1
         return new
 
 

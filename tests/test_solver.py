@@ -8,7 +8,6 @@ from bozk.grid import (
     NonFiniteField,
     RealField,
     SpectrumField,
-    dealias,
     forward,
     inverse,
     inverse_imag_residual,
@@ -95,40 +94,66 @@ def test_undealiased_steps_keep_the_spectrum_hermitian():
 
 
 def reference_step(g, c, eh, ef, dt, audit):
-    """One IF-RK4 step with full transforms, every product spelled out as
-    np.multiply(a, b) in the kernel's operand order (operators would let
-    numpy's temporary elision swap them on arrays of 256 KiB or more)."""
+    """One IF-RK4 step in the kernel's arithmetic: full-plane transforms of
+    each masked stage input, then the stage arithmetic on contiguous copies
+    of the kept columns 0..nx//3 in raw transform units, every product
+    spelled out as np.multiply(a, b) in the kernel's operand order
+    (operators would let numpy's temporary elision swap them on arrays of
+    256 KiB or more).  `eh` is the kernel's half-step table, which holds
+    only the kept columns."""
+    keep = g.nx // 3 + 1
+    n = g.nx * g.ny
 
-    def rhs(a, audit=None):
-        u = inverse(dealias(SpectrumField(g, a))).samples
+    def cols(a):
+        return np.ascontiguousarray(a[:, :keep])
+
+    table = np.multiply(g.advection_symbol, 0.5 * dt / n)
+
+    def rhs(x, audit=None):
+        full = np.zeros(g.spectral_shape, dtype=np.complex128)
+        full[:, :keep] = x
+        raw = np.fft.ifft(np.where(g.dealias_mask, full, 0.0), axis=0, norm="forward")
+        u = np.fft.irfft(raw, n=g.nx, axis=1, norm="forward")
         if audit is not None:
             audit(float(np.max(np.abs(u))))
-        w = forward(RealField(g, np.multiply(u, u))).coeffs
-        return np.multiply(w, g.advection_symbol)
+        return np.multiply(cols(np.fft.rfft2(np.multiply(u, u))), table)
 
-    k1 = rhs(c, audit)
-    c2 = rhs(np.multiply(np.add(c, np.multiply(0.5 * dt, k1)), eh))
-    c3 = rhs(np.add(np.multiply(eh, c), np.multiply(0.5 * dt, c2)))
-    c4 = rhs(np.add(np.multiply(ef, c), np.multiply(dt, np.multiply(eh, c3))))
-    inner = np.add(np.multiply(ef, k1), np.multiply(np.multiply(2.0, eh), np.add(c2, c3)))
-    return np.add(np.multiply(ef, c), np.multiply(dt / 6.0, np.add(inner, c4)))
+    a = np.multiply(np.multiply(cols(c), cols(g.inverse_scale)), 1.0 / n)
+    efk = cols(ef)
+    k1 = rhs(a, audit)
+    k2 = rhs(np.multiply(eh, np.add(a, k1)))
+    k3 = rhs(np.add(np.multiply(eh, a), k2))
+    k4 = rhs(np.add(np.multiply(efk, a), np.multiply(np.multiply(eh, k3), 2.0)))
+    twice = np.multiply(np.multiply(eh, np.add(k2, k3)), 2.0)
+    inc = np.add(np.add(np.multiply(efk, k1), twice), k4)
+    inc = np.multiply(np.multiply(inc, n / 3.0), cols(g.forward_scale))
+    new = np.multiply(ef, c)
+    new[:, :keep] = np.add(new[:, :keep], inc)
+    return new
 
 
-@pytest.mark.parametrize("nx, ny", [(64, 64), (256, 128)])
+@pytest.mark.parametrize("nx, ny", [(64, 64), (96, 72), (256, 128)])
 def test_step_matches_reference_exactly(nx, ny):
-    # one grid below numpy's elision size, one above; the pruned y passes
-    # skip only columns that are zero on the way in or masked on the way out
+    # one grid below numpy's elision size, one above, and one where 3
+    # divides nx, so the kept band ends exactly at the alias-free limit;
+    # the pruned transforms skip only columns that are zero on the way in
+    # or masked on the way out, and the columns past the band see only the
+    # full-step propagator
     g = make_grid(nx, ny, 16 * np.pi, 8 * np.pi)
     cfg = SolverConfig(dt=2e-3, t_final=1.0, mu=0.05)
     kernel = _StepKernel(g, cfg)
+    keep = nx // 3 + 1
     c = ref = forward(fields.random_smooth(g, 5, amplitude=2.0)).coeffs
     for _ in range(3):
         seen, ref_seen = [], []
+        start = c
         c = kernel.advance(c, seen.append)
         ref = reference_step(g, ref, kernel.e_half, kernel.e_full, cfg.dt, ref_seen.append)
         assert np.array_equal(c, ref)
         assert seen == ref_seen
+        assert np.array_equal(c[:, keep:], np.multiply(kernel.e_full, start)[:, keep:])
     assert np.max(np.abs(c[:, 1:])) > 0
+    assert np.max(np.abs(c[:, keep:])) > 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -487,6 +512,25 @@ def test_run_keeps_the_record_closure():
     ]
     assert len(records) == 1
     assert "inverse" in records[0].co_names
+
+
+def test_tracer_hooks_stay(monkeypatch):
+    # perfbench's tracer wraps `advance` on the kernel class, and it finds
+    # each Picard sweep by that sweep's n_nodes calls to the module-level
+    # nonlinear_rhs
+    assert "advance" in vars(_StepKernel)
+    calls = []
+    real = solver.nonlinear_rhs
+
+    def counted(F, audit=None):
+        calls.append(F)
+        return real(F, audit)
+
+    monkeypatch.setattr(solver, "nonlinear_rhs", counted)
+    g = make_grid(32, 32, 16 * np.pi, 16 * np.pi)
+    res = picard_solve(fields.gaussian(g, amplitude=0.25), 0.01, 0.1, tol=1.0, n_nodes=7)
+    assert res.iterations == 1
+    assert len(calls) == 7
 
 
 def test_semidiscrete_energy_balance():
