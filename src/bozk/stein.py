@@ -20,9 +20,10 @@ the evaluation splits |x - y| = z into three zones:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Sequence, Tuple
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,6 +39,7 @@ DIVERGENCE_DELTA = 0.10    # divergent: both of the last two ratios > 1 + delta
 CONVERGENCE_DELTA = 0.02   # convergent: both within delta of 1
 
 _GL_ORDER = 8
+_BAND_POINTS = 64  # evaluation points per log-band block: bounds its temporaries
 
 # Inverse of the cubic B-spline sampling filter (1, 4, 1)/6 is
 # sqrt(3) z^|k| with z = sqrt(3) - 2; |z|^30 < 1e-17 ends the taps.
@@ -52,27 +54,60 @@ class UniformCubicSpline:
     Eden, IEEE Trans. Signal Process. 41, 1993) over the samples extended by
     odd reflection at both ends.  Away from the ends this is the interpolating
     spline of any end condition: the end terms decay by |z| = 0.268 per cell.
+
+    Only the coefficients that serve the cells lo <= x_i < hi are built, from
+    the samples within _PAD cells of that window; odd reflection enters only
+    where the window reaches an end of the array.  The grid's x0 and dx and
+    its cell indices stay those of the whole array, so a window evaluates bit
+    for bit like the whole-array build, and a query outside it raises.  fs may
+    be one row (N,) or a stack (S, N) of rows on the same grid.
     """
 
-    def __init__(self, xs: np.ndarray, fs: np.ndarray):
+    def __init__(self, xs: np.ndarray, fs: np.ndarray, lo: int = 0, hi: Optional[int] = None):
         self.n = len(xs)
         self.x0 = float(xs[0])
         self.dx = (float(xs[-1]) - self.x0) / (self.n - 1)
-        padded = np.pad(fs, _PAD, mode="reflect", reflect_type="odd")
-        self.coef = np.convolve(padded, _PREFILTER, mode="valid")  # c_-1 .. c_n
+        lo = max(lo, 0)
+        hi = self.n - 1 if hi is None else min(hi, self.n - 1)
+        if lo < _PAD and hi + _PAD >= self.n:
+            lo, hi = 0, self.n - 1  # both ends reached: the whole-array build
+        start, stop = max(lo - _PAD, 0), min(hi + _PAD + 1, self.n)
+        seg = np.asarray(fs)[..., start:stop]
+        pad = (start - (lo - _PAD), hi + _PAD + 1 - stop)
+        if any(pad):
+            widths = [(0, 0)] * (seg.ndim - 1) + [pad]
+            seg = np.pad(seg, widths, mode="reflect", reflect_type="odd")
+        # c_(lo-1) .. c_(hi+1)
+        self.coef = np.apply_along_axis(np.convolve, -1, seg, _PREFILTER, "valid")
+        self.lo = lo
 
-    def __call__(self, x: np.ndarray, derivative: bool = False) -> np.ndarray:
+    def basis(self, x: np.ndarray, derivative: bool = False):
+        """Window-local coefficient index of each query point and its four
+        B-spline weights (of the derivative, before the 1/dx factor, if asked);
+        one basis serves every row of the stack."""
         t = (np.asarray(x, dtype=np.float64) - self.x0) / self.dx
         i = np.clip(np.floor(t), 0, self.n - 2).astype(np.intp)
         u = t - i
         v = 1.0 - u
+        j = i - self.lo
+        if j.size and (j.min() < 0 or j.max() + 3 >= self.coef.shape[-1]):
+            raise ValueError("spline query outside the coefficient window")
         if derivative:
             w = (-0.5 * v * v, u * (1.5 * u - 2.0), v * (2.0 - 1.5 * v), 0.5 * u * u)
         else:
             w = (v**3 / 6.0, 2.0 / 3.0 - u * u * (1.0 - 0.5 * u),
                  2.0 / 3.0 - v * v * (1.0 - 0.5 * v), u**3 / 6.0)
-        c = self.coef
-        s = w[0] * c[i] + w[1] * c[i + 1] + w[2] * c[i + 2] + w[3] * c[i + 3]
+        return j, w
+
+    @staticmethod
+    def combine(basis, coef: np.ndarray) -> np.ndarray:
+        """Spline sum of a basis over coefficients coef (one row or a stack)."""
+        j, w = basis
+        return (w[0] * coef[..., j] + w[1] * coef[..., j + 1]
+                + w[2] * coef[..., j + 2] + w[3] * coef[..., j + 3])
+
+    def __call__(self, x: np.ndarray, derivative: bool = False) -> np.ndarray:
+        s = self.combine(self.basis(x, derivative), self.coef)
         return s / self.dx if derivative else s
 
 
@@ -96,12 +131,24 @@ class SteinConfig:
 
 @dataclass(frozen=True)
 class SteinResult:
-    values: np.ndarray
-    tail_sq_bound: float
+    values: np.ndarray                       # (P,), or (S, P) for a stack
+    tail_sq_bound: Union[float, np.ndarray]  # float, or (S,) for a stack
 
     def upper(self) -> np.ndarray:
         """Value consistent with assigning the whole tail bound to the integral."""
-        return np.sqrt(self.values**2 + self.tail_sq_bound)
+        return np.sqrt(self.values**2 + np.asarray(self.tail_sq_bound)[..., None])
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
+    """The _GL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only.
+
+    Computed on first use, not at import: leggauss loads numpy's LAPACK
+    module, which subcommands without a Stein call never need."""
+    rule = np.polynomial.legendre.leggauss(_GL_ORDER)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _log_band_nodes(h: float, z1: float, nodes_per_decade: int):
@@ -109,7 +156,7 @@ def _log_band_nodes(h: float, z1: float, nodes_per_decade: int):
     s0, s1 = math.log(h), math.log(z1)
     decades = max((s1 - s0) / math.log(10.0), 1e-9)
     panels = max(1, math.ceil(decades * nodes_per_decade / _GL_ORDER))
-    gx, gw = np.polynomial.legendre.leggauss(_GL_ORDER)
+    gx, gw = _gauss_legendre()
     edges = np.linspace(s0, s1, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
@@ -117,6 +164,25 @@ def _log_band_nodes(h: float, z1: float, nodes_per_decade: int):
     w = (half[:, None] * gw[None, :]).ravel()
     z = np.exp(s)
     return z, w * z  # weights carry the dz = z ds Jacobian
+
+
+def _uniform_step(xs: np.ndarray) -> float:
+    """The step of the grid xs, or ValueError unless it is uniform and
+    increasing: the decision of np.allclose(steps, dx, rtol=1e-9, atol=0) on
+    every grid with finite steps, made on one buffer."""
+    steps = np.subtract(xs[1:], xs[:-1])
+    dx = float(steps[0])
+    np.subtract(steps, dx, out=steps)
+    np.abs(steps, out=steps)
+    if not (0.0 < dx < math.inf and steps.max() <= 1e-9 * dx):  # False on NaN
+        raise ValueError("sample grid must be uniform and increasing")
+    return dx
+
+
+def _abs_diff(a, b, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """|a - b| into the real buffer out, through the buffer diff."""
+    np.subtract(a, b, out=diff)
+    return np.abs(diff, out=out)
 
 
 def stein_derivative(
@@ -131,24 +197,24 @@ def stein_derivative(
     samples are allowed (the integrand uses |.|^2).  The returned tail bound
     is 2 * osc(f)^2 * R^(-2b) / b, a uniform bound on the neglected squared
     mass beyond R.
+
+    fs may be a stack (S, N) of rows on the one grid xs; values are then
+    (S, P) and the tail bound has one entry per row.  Every reduction runs
+    per row, so a row's results do not depend on the rest of the stack.
     """
     xs = np.asarray(xs, dtype=np.float64)
     fs = np.asarray(fs)
-    if xs.ndim != 1 or xs.shape != fs.shape:
-        raise ValueError("xs and fs must be matching 1-D arrays")
-    steps = np.diff(xs)
-    dx = float(steps[0])
-    if dx <= 0 or not np.allclose(steps, dx, rtol=1e-9, atol=0.0):
-        raise ValueError("sample grid must be uniform and increasing")
-    if not np.all(np.isfinite(fs.real)) or not np.all(np.isfinite(np.imag(fs))):
+    if xs.ndim != 1 or fs.ndim not in (1, 2) or fs.shape[-1] != xs.size:
+        raise ValueError("xs must be 1-D and fs a matching 1-D array or (S, N) stack")
+    dx = _uniform_step(xs)
+    if not np.isfinite(fs).all():
         raise ValueError("samples contain non-finite values")
+    rows = fs.reshape(-1, xs.size)
 
     pts = np.atleast_1d(np.asarray(points, dtype=np.float64))
     b, h, big_r = cfg.b, cfg.h_inner, cfg.r_outer
     if np.any(pts - big_r < xs[0] - 1e-12) or np.any(pts + big_r > xs[-1] + 1e-12):
         raise ValueError("evaluation points too close to the sample boundary")
-
-    spline = UniformCubicSpline(xs, fs)
 
     # outer band starts on a grid multiple at ~1 so trapezoid nodes are shifts
     k0 = max(1, math.ceil((1.0 - 1e-12) / dx))
@@ -158,45 +224,81 @@ def stein_derivative(
     if z1 >= r_eff:
         raise ValueError("r_outer leaves no room for the outer band at this step")
 
+    idx = [int(round((x - xs[0]) / dx)) for x in pts]
+    on_node = [abs(xs[i] - x) < 1e-9 * dx for i, x in zip(idx, pts)]
+    # node points read the spline within z1, others along the whole outer band
+    reach = (k0 if all(on_node) else k1) + 2
+    lo, hi = (min(idx) - reach, max(idx) + reach) if idx else (0, 0)
+    spline = UniformCubicSpline(xs, rows, lo, hi)
+
     zb, wb = _log_band_nodes(h, z1, cfg.nodes_per_decade)
     kernel_b = wb * zb ** (-1.0 - 2.0 * b)
 
     ks = np.arange(k0, k1 + 1)
-    trap_w = np.full(ks.shape, dx)
-    trap_w[0] *= 0.5
-    trap_w[-1] *= 0.5
-    kernel_o = trap_w * (ks * dx) ** (-1.0 - 2.0 * b)
+    kernel_o = np.power(ks * dx, -1.0 - 2.0 * b)
+    kernel_o *= dx  # trapezoid weights: dx, halved at both ends
+    kernel_o[0] *= 0.5
+    kernel_o[-1] *= 0.5
 
     inner_scale = h ** (2.0 - 2.0 * b) / (1.0 - b)
 
-    # inner patch and log band for all points at once: (points x nodes)
+    # inner patch for all rows and points at once: (rows x points)
     fx = spline(pts)
     inner = np.abs(spline(pts, derivative=True)) ** 2 * inner_scale
-    band = np.sum(
-        (
-            np.abs(fx[:, None] - spline(pts[:, None] - zb)) ** 2
-            + np.abs(fx[:, None] - spline(pts[:, None] + zb)) ** 2
-        )
-        * kernel_b,
-        axis=1,
-    )
+    # log band one row at a time and _BAND_POINTS points at a time, from
+    # spline weights shared by the rows
+    band = np.empty(fx.shape)
+    for a in range(0, pts.size, _BAND_POINTS):
+        near = slice(a, a + _BAND_POINTS)
+        minus = spline.basis(pts[near, None] - zb)
+        plus = spline.basis(pts[near, None] + zb)
+        for s, coef in enumerate(spline.coef):
+            f0 = fx[s, near, None]
+            band[s, near] = np.sum(
+                (
+                    np.abs(f0 - spline.combine(minus, coef)) ** 2
+                    + np.abs(f0 - spline.combine(plus, coef)) ** 2
+                )
+                * kernel_b,
+                axis=1,
+            )
 
-    values = np.empty(pts.shape)
-    for j, x in enumerate(pts):
-        idx = int(round((x - xs[0]) / dx))
-        if abs(xs[idx] - x) < 1e-9 * dx:
-            fm = fs[idx - ks[-1] : idx - ks[0] + 1][::-1]
-            fp = fs[idx + ks[0] : idx + ks[-1] + 1]
-        else:
-            fm = spline(x - ks * dx)
-            fp = spline(x + ks * dx)
-        outer = np.sum((np.abs(fx[j] - fm) ** 2 + np.abs(fx[j] - fp) ** 2) * kernel_o)
-        values[j] = math.sqrt(max(inner[j] + band[j] + outer, 0.0))
+    # the outer zone, and then the oscillation bound in blocks of `width`
+    # samples, run through these buffers
+    width = max(ks.size, min(xs.size, 1 << 14))
+    diff = np.empty(width, dtype=np.result_type(spline.coef, rows))
+    sq_m = np.empty(width)
+    sq_p = np.empty(width)
+    dm, dp, dd = sq_m[: ks.size], sq_p[: ks.size], diff[: ks.size]
+    values = np.empty(fx.shape)
+    for j, (x, i, node) in enumerate(zip(pts, idx, on_node)):
+        if not node:
+            far_m = spline.basis(x - ks * dx)
+            far_p = spline.basis(x + ks * dx)
+        for s, f in enumerate(rows):
+            if node:
+                fm = f[i - k1 : i - k0 + 1][::-1]
+                fp = f[i + k0 : i + k1 + 1]
+            else:
+                fm = spline.combine(far_m, spline.coef[s])
+                fp = spline.combine(far_p, spline.coef[s])
+            np.square(_abs_diff(fx[s, j], fm, dd, dm), out=dm)
+            np.square(_abs_diff(fx[s, j], fp, dd, dp), out=dp)
+            np.add(dm, dp, out=dm)
+            outer = np.sum(np.multiply(dm, kernel_o, out=dm))
+            values[s, j] = math.sqrt(max(inner[s, j] + band[s, j] + outer, 0.0))
 
-    centred = fs - fs.mean()
-    osc = 2.0 * float(np.max(np.abs(centred)))
-    tail = 2.0 * osc**2 * r_eff ** (-2.0 * b) / b
-    return SteinResult(values=values, tail_sq_bound=tail)
+    tails = np.empty(len(rows))
+    for s, (f, mean) in enumerate(zip(rows, rows.mean(axis=1))):
+        dev = 0.0
+        for a in range(0, f.size, width):
+            seg = f[a : a + width]
+            dev = max(dev, float(_abs_diff(seg, mean, diff[: seg.size], sq_m[: seg.size]).max()))
+        osc = 2.0 * dev
+        tails[s] = 2.0 * osc**2 * r_eff ** (-2.0 * b) / b
+    if fs.ndim == 1:
+        return SteinResult(values=values[0], tail_sq_bound=float(tails[0]))
+    return SteinResult(values=values, tail_sq_bound=tails)
 
 
 def phase_bound(b: float, eta: float, t: float) -> float:
@@ -229,7 +331,7 @@ def probe_window(
     policy: reach PROBE_R_OUTER, PROBE_NODES_PER_DECADE log-band nodes and an
     inner patch of min(2 step, 1/2), evaluated at the window points
     4 step <= |x| <= window (a four-cell resolution floor around the
-    origin)."""
+    origin).  fs may be an (S, N) stack; the values are then (S, P)."""
     pts = xs[(np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= window)]
     cfg = SteinConfig(
         b=b,
@@ -258,10 +360,10 @@ def refinement_ladder(
 
     Level k samples on the symmetric grid of step h0 * 2^-k reaching
     window + PROBE_R_OUTER (plus eight cells) on each side.  ``slices(xs)``
-    returns (weight, samples) pairs on that grid; each slice's Db comes from
-    :func:`probe_window`, and the level's window norm is the square root of the
-    weighted sum of their squared masses.  Ratios are successive window-norm
-    quotients (1.0 after a vanishing level).
+    returns (weight, samples) pairs on that grid; the slices of a level go
+    through one :func:`probe_window` call as a stack, and the level's window
+    norm is the square root of the weighted sum of their squared masses.
+    Ratios are successive window-norm quotients (1.0 after a vanishing level).
     """
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
@@ -270,9 +372,9 @@ def refinement_ladder(
         step = h0 * 0.5**k
         n = math.ceil((window + PROBE_R_OUTER + 8.0 * step) / step)
         xs = step * np.arange(-n, n + 1)
+        weights, rows = zip(*slices(xs))
         total = 0.0
-        for weight, fs in slices(xs):
-            vals = probe_window(xs, fs, b, step, window)
+        for weight, vals in zip(weights, probe_window(xs, np.stack(rows), b, step, window)):
             total += weight * float(np.sum(vals**2) * step)
         out_levels.append(RefinementLevel(step=step, window_norm=math.sqrt(total)))
     ratios = [

@@ -137,12 +137,16 @@ def b1_indicator(
         wts = np.array([1.0])
 
     g = phi.grid
+    cols = np.stack([rows[idx][1] for idx in uniq])
 
     def eta_slices(xi: np.ndarray):
-        kern = np.exp(-1j * np.outer(xi, g.x)) * g.dx
-        for w_eta, idx in zip(wts, uniq):
-            eta_val, col = rows[idx]
-            phat = kern @ col
+        kern = -1j * np.outer(xi, g.x)
+        np.exp(kern, out=kern)
+        kern *= g.dx
+        # every slice transform of the level at once; einsum without
+        # optimize sums in its own loops, so no BLAS call is made
+        phats = np.einsum("px,sx->sp", kern, cols)
+        for w_eta, eta_val, phat in zip(wts, etas_u, phats):
             f = (
                 2.0
                 * t

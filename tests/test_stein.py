@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,11 +10,15 @@ import pytest
 
 import bozk
 from bozk.stein import (
+    _GL_ORDER,
     MIXED_PHASE_CALIBRATION,
     SteinConfig,
     UniformCubicSpline,
+    _gauss_legendre,
+    _uniform_step,
     mixed_phase_bound,
     phase_bound,
+    probe_window,
     refine_divergence,
     refinement_ladder,
     stein_derivative,
@@ -102,6 +107,88 @@ class TestSteinDerivative:
         xs = np.array([0.0, 0.1, 0.25, 0.3])
         with pytest.raises(ValueError):
             stein_derivative(xs, np.ones(4), SteinConfig(b=0.5, r_outer=2.0), [0.0])
+
+    @pytest.mark.parametrize("jitter", [0.0, 3e-10, 9e-10, 1.1e-9, 1e-6, np.nan, -0.5])
+    def test_uniformity_check_keeps_allclose_decision(self, jitter):
+        xs = 0.1 * np.arange(50.0)
+        xs[31] += jitter * 0.1
+        steps = np.diff(xs)
+        expected = steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+        try:
+            _uniform_step(xs)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expected
+
+    def test_one_row_keeps_its_return_types(self):
+        xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
+        res = stein_derivative(xs, np.exp(1j * xs), SteinConfig(b=0.5, r_outer=5.0), [0.0, 1.0])
+        assert res.values.shape == (2,)
+        assert type(res.tail_sq_bound) is float
+        assert res.upper().shape == (2,)
+
+    def test_verify_size_call_allocates_little(self):
+        # one verify-size call: 168,001 complex samples, R = 400, one node
+        # point; a full-length spline or copy of the samples would show here
+        xs = sampled_line()
+        fs = np.exp(1j * xs)
+        cfg = SteinConfig(b=0.5, r_outer=400.0)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            stein_derivative(xs, fs, cfg, [0.0])
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * fs.nbytes
+
+
+class TestStacks:
+    @staticmethod
+    def stack(xs, rows):
+        rng = np.random.default_rng(rows)
+        amp = rng.standard_normal((rows, 1)) + 1j * rng.standard_normal((rows, 1))
+        freq = rng.uniform(0.0, 3.0, (rows, 1))
+        return amp * np.exp(-(xs**2) + 1j * freq * xs) * (1.0 + (xs >= 0.1))
+
+    @pytest.mark.parametrize("rows", [1, 2, 9])
+    def test_stein_rows_equal_single_calls(self, rows):
+        xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
+        fs = self.stack(xs, rows)
+        cfg = SteinConfig(b=0.5, r_outer=5.0)
+        pts = [0.0, 0.5, 1.03]  # 1.03 is off the grid
+        res = stein_derivative(xs, fs, cfg, pts)
+        assert res.values.shape == (rows, 3)
+        assert res.tail_sq_bound.shape == (rows,)
+        upper = res.upper()
+        for s in range(rows):
+            one = stein_derivative(xs, fs[s], cfg, pts)
+            assert np.array_equal(res.values[s], one.values)
+            assert res.tail_sq_bound[s] == one.tail_sq_bound
+            assert np.array_equal(upper[s], one.upper())
+
+    @pytest.mark.parametrize("rows", [1, 2, 9])
+    def test_probe_window_rows_equal_single_calls(self, rows):
+        step = 1.0 / 128.0
+        n = math.ceil((0.5 + 2.0 + 8.0 * step) / step)
+        xs = step * np.arange(-n, n + 1)
+        fs = self.stack(xs, rows)
+        vals = probe_window(xs, fs, 0.5, step, 0.5)
+        assert vals.shape[0] == rows
+        for s in range(rows):
+            assert np.array_equal(vals[s], probe_window(xs, fs[s], 0.5, step, 0.5))
+
+
+def test_gauss_legendre_rule_computed_once_and_read_only():
+    nodes, weights = _gauss_legendre()
+    assert _gauss_legendre()[0] is nodes
+    gx, gw = np.polynomial.legendre.leggauss(_GL_ORDER)
+    assert np.array_equal(nodes.view(np.uint64), gx.view(np.uint64))
+    assert np.array_equal(weights.view(np.uint64), gw.view(np.uint64))
+    for rule in (nodes, weights):
+        with pytest.raises(ValueError):
+            rule[0] = 0.0
 
 
 class TestPhaseBounds:
@@ -203,6 +290,26 @@ class TestUniformCubicSpline:
         fs = rng.standard_normal(xs.size) + 1j * rng.standard_normal(xs.size)
         err = np.max(np.abs(UniformCubicSpline(xs, fs)(xs) - fs))
         assert err <= 1e-12 * np.max(np.abs(fs))
+
+    # interior, touching the left end, touching the right end
+    @pytest.mark.parametrize("lo, hi", [(200, 400), (0, 150), (10, 120), (450, 600), (500, 590)])
+    def test_window_equals_whole_array_build(self, lo, hi):
+        xs = 0.01 * np.arange(-300, 301)
+        rng = np.random.default_rng(11)
+        fs = rng.standard_normal(xs.size) + 1j * rng.standard_normal(xs.size)
+        whole = UniformCubicSpline(xs, fs)
+        window = UniformCubicSpline(xs, fs, lo, hi)
+        assert window.coef.size < whole.coef.size
+        q = xs[lo] + (xs[hi] - xs[lo]) * np.linspace(0.0, 1.0, 1001, endpoint=False)
+        for derivative in (False, True):
+            assert np.array_equal(window(q, derivative), whole(q, derivative))
+
+    def test_query_outside_the_window_raises(self):
+        xs = 0.01 * np.arange(-300, 301)
+        window = UniformCubicSpline(xs, np.sin(xs), 200, 400)
+        for x in (xs[150], xs[199] + 0.005, xs[400] + 0.005, xs[450]):
+            with pytest.raises(ValueError, match="outside the coefficient window"):
+                window(np.array([x]))
 
 
 # Any top-level import outside the standard library, numpy and bozk fails.

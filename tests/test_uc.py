@@ -1,9 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from bozk import fields
 from bozk.grid import RealField, make_grid
 from bozk.solver import SolverConfig, run
+from bozk.stein import PROBE_R_OUTER, probe_window
 from bozk.uc import (
     B1_ETA_TARGETS,
     CutoffSpec,
@@ -42,7 +45,41 @@ def grid():
     return make_grid(128, 128, L16, L16)
 
 
+def per_slice_level_norms(phi, t, levels=4):
+    """b1_indicator's level norms from the per-slice loop: one kern @ col
+    transform and one probe_window call per eta slice."""
+    cut = CutoffSpec()
+    rows = _semidiscrete_rows(phi, B1_ETA_TARGETS)
+    etas, uniq = np.unique([e for e, _ in rows], return_index=True)
+    d = np.diff(etas)
+    wts = np.concatenate([[d[0] / 2], (d[:-1] + d[1:]) / 2, [d[-1] / 2]])
+    g = phi.grid
+    window = 0.5 * cut.epsilon
+    norms = []
+    for k in range(levels):
+        step = cut.epsilon / 16.0 * 0.5**k
+        n = math.ceil((window + PROBE_R_OUTER + 8.0 * step) / step)
+        xi = step * np.arange(-n, n + 1)
+        kern = np.exp(-1j * np.outer(xi, g.x)) * g.dx
+        total = 0.0
+        for w, idx in zip(wts, uniq):
+            eta, col = rows[idx]
+            f = (2.0 * t * cut.chi(xi, eta) * np.exp(1j * t * xi * (eta**2 - np.abs(xi)))
+                 * np.sign(xi) * (kern @ col))
+            vals = probe_window(xi, f, 0.5, step, window)
+            total += w * float(np.sum(vals**2) * step)
+        norms.append(math.sqrt(total))
+    return norms
+
+
 class TestB1Indicator:
+    @pytest.mark.parametrize("family", ["gaussian", "dx_gaussian"])
+    def test_level_norms_match_per_slice_loop(self, grid, family):
+        phi = getattr(fields, family)(grid, amplitude=1.0)
+        rep = b1_indicator(phi, 0.5)
+        ref = per_slice_level_norms(phi, 0.5)
+        got = [l.window_norm for l in rep.levels]
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("t", [0.1, 1.0])
     def test_gaussian_obstructed(self, grid, t):
