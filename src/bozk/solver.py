@@ -296,6 +296,7 @@ def run(
     w2_table = np.empty((len(weights), g.ny, g.nx))
     for row, spec in zip(w2_table, weights):
         np.square(spec.evaluate(g.xmesh, g.ymesh), out=row)
+    xmesh = g.xmesh
     usq = np.empty((g.ny, g.nx))  # x u, then u^2
     csq, isq = np.empty((2, *g.spectral_shape))  # |u_hat|^2, (Im u_hat)^2
 
@@ -317,7 +318,7 @@ def run(
         u = inverse(SpectrumField(g, c))
         samples = u.samples
         audit(max(float(np.max(samples)), -float(np.min(samples))), t, n)
-        np.multiply(g.xmesh, samples, out=usq)
+        np.multiply(xmesh, samples, out=usq)
         moment_x = float(np.sum(usq) * area)
         np.square(samples, out=usq)
         np.square(c.real, out=csq)

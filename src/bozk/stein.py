@@ -40,6 +40,7 @@ CONVERGENCE_DELTA = 0.02   # convergent: both within delta of 1
 
 _GL_ORDER = 8
 _BAND_POINTS = 64  # evaluation points per log-band block: bounds its temporaries
+_BLOCK = 1 << 14   # samples per block of the uniformity check, outer band and tail bound
 
 # Inverse of the cubic B-spline sampling filter (1, 4, 1)/6 is
 # sqrt(3) z^|k| with z = sqrt(3) - 2; |z|^30 < 1e-17 ends the taps.
@@ -169,13 +170,18 @@ def _log_band_nodes(h: float, z1: float, nodes_per_decade: int):
 def _uniform_step(xs: np.ndarray) -> float:
     """The step of the grid xs, or ValueError unless it is uniform and
     increasing: the decision of np.allclose(steps, dx, rtol=1e-9, atol=0) on
-    every grid with finite steps, made on one buffer."""
-    steps = np.subtract(xs[1:], xs[:-1])
-    dx = float(steps[0])
-    np.subtract(steps, dx, out=steps)
-    np.abs(steps, out=steps)
-    if not (0.0 < dx < math.inf and steps.max() <= 1e-9 * dx):  # False on NaN
-        raise ValueError("sample grid must be uniform and increasing")
+    every grid with finite steps, made in blocks of _BLOCK steps."""
+    bad = "sample grid must be uniform and increasing"
+    dx = float(xs[1] - xs[0])
+    if not 0.0 < dx < math.inf:  # a NaN step fails the comparison too
+        raise ValueError(bad)
+    buf = np.empty(min(xs.size - 1, _BLOCK))
+    for a in range(0, xs.size - 1, _BLOCK):
+        steps = buf[: min(_BLOCK, xs.size - 1 - a)]
+        np.subtract(xs[a + 1 : a + 1 + steps.size], xs[a : a + steps.size], out=steps)
+        np.subtract(steps, dx, out=steps)
+        if not np.abs(steps, out=steps).max() <= 1e-9 * dx:  # so does a NaN here
+            raise ValueError(bad)
     return dx
 
 
@@ -234,12 +240,6 @@ def stein_derivative(
     zb, wb = _log_band_nodes(h, z1, cfg.nodes_per_decade)
     kernel_b = wb * zb ** (-1.0 - 2.0 * b)
 
-    ks = np.arange(k0, k1 + 1)
-    kernel_o = np.power(ks * dx, -1.0 - 2.0 * b)
-    kernel_o *= dx  # trapezoid weights: dx, halved at both ends
-    kernel_o[0] *= 0.5
-    kernel_o[-1] *= 0.5
-
     inner_scale = h ** (2.0 - 2.0 * b) / (1.0 - b)
 
     # inner patch for all rows and points at once: (rows x points)
@@ -263,30 +263,41 @@ def stein_derivative(
                 axis=1,
             )
 
-    # the outer zone, and then the oscillation bound in blocks of `width`
-    # samples, run through these buffers
-    width = max(ks.size, min(xs.size, 1 << 14))
+    # the outer zone, offsets k0 <= k <= k1 cells, and then the oscillation
+    # bound run in blocks of _BLOCK samples through these buffers
+    width = min(xs.size, _BLOCK)
     diff = np.empty(width, dtype=np.result_type(spline.coef, rows))
     sq_m = np.empty(width)
     sq_p = np.empty(width)
-    dm, dp, dd = sq_m[: ks.size], sq_p[: ks.size], diff[: ks.size]
-    values = np.empty(fx.shape)
-    for j, (x, i, node) in enumerate(zip(pts, idx, on_node)):
-        if not node:
-            far_m = spline.basis(x - ks * dx)
-            far_p = spline.basis(x + ks * dx)
-        for s, f in enumerate(rows):
-            if node:
-                fm = f[i - k1 : i - k0 + 1][::-1]
-                fp = f[i + k0 : i + k1 + 1]
-            else:
-                fm = spline.combine(far_m, spline.coef[s])
-                fp = spline.combine(far_p, spline.coef[s])
-            np.square(_abs_diff(fx[s, j], fm, dd, dm), out=dm)
-            np.square(_abs_diff(fx[s, j], fp, dd, dp), out=dp)
-            np.add(dm, dp, out=dm)
-            outer = np.sum(np.multiply(dm, kernel_o, out=dm))
-            values[s, j] = math.sqrt(max(inner[s, j] + band[s, j] + outer, 0.0))
+    kernel_o = np.empty(width)
+    outer = np.zeros(fx.shape)
+    for a in range(k0, k1 + 1, _BLOCK):
+        stop = min(a + _BLOCK, k1 + 1)
+        km, dm, dp, dd = (buf[: stop - a] for buf in (kernel_o, sq_m, sq_p, diff))
+        np.multiply(np.arange(a, stop, dtype=np.float64), dx, out=km)
+        np.power(km, -1.0 - 2.0 * b, out=km)
+        km *= dx  # trapezoid weights: dx, halved at both ends
+        if a == k0:
+            km[0] *= 0.5
+        if stop == k1 + 1:
+            km[-1] *= 0.5
+        for j, (x, i, node) in enumerate(zip(pts, idx, on_node)):
+            if not node:  # the offsets k dx, built only off the grid nodes
+                z = np.arange(a, stop, dtype=np.float64) * dx
+                far_m = spline.basis(x - z)
+                far_p = spline.basis(x + z)
+            for s, f in enumerate(rows):
+                if node:
+                    fm = f[i - stop + 1 : i - a + 1][::-1]
+                    fp = f[i + a : i + stop]
+                else:
+                    fm = spline.combine(far_m, spline.coef[s])
+                    fp = spline.combine(far_p, spline.coef[s])
+                np.square(_abs_diff(fx[s, j], fm, dd, dm), out=dm)
+                np.square(_abs_diff(fx[s, j], fp, dd, dp), out=dp)
+                np.add(dm, dp, out=dm)
+                outer[s, j] += np.sum(np.multiply(dm, km, out=dm))
+    values = np.sqrt(np.maximum(inner + band + outer, 0.0))
 
     tails = np.empty(len(rows))
     for s, (f, mean) in enumerate(zip(rows, rows.mean(axis=1))):

@@ -1,10 +1,18 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import bozk
+from bozk import cli
 from bozk.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, execute
 from bozk.grid import RealField, make_grid
 from bozk.io import read_snapshot, write_snapshot
@@ -423,6 +431,33 @@ class TestExecute:
         lines = (out / "verify.csv").read_text().splitlines()
         assert lines[0] == "suite,check,measured,reference,passed"
         assert all(line.endswith("true") for line in lines[1:])
+        suites = [line.split(",")[0] for line in lines[1:]]
+        assert suites == sorted(suites, key=["weights", "stein", "ratios"].index)
+        assert set(suites) == {"weights", "stein", "ratios"}
+
+    def test_verify_suites_run_in_order_on_one_worker(self, tmp_path, monkeypatch):
+        calls = []
+        active = []
+
+        def fake(name):
+            def suite(rows, seed):
+                active.append(name)
+                time.sleep(0.02)  # long enough for suites run at once to overlap
+                calls.append((name, threading.get_ident(), len(active)))
+                rows.append([name, "check", 1.0, 1.0, True])
+                active.remove(name)
+            return suite
+
+        for name in ("weights", "stein", "ratios"):
+            monkeypatch.setattr(cli, f"_verify_{name}", fake(name))
+        out = tmp_path / "outv"
+        assert execute(["verify", "--out", str(out), "--quiet"]) == EXIT_OK
+        assert [c[0] for c in calls] == ["weights", "stein", "ratios"]
+        assert {c[2] for c in calls} == {1}  # never two suites at once
+        threads = {c[1] for c in calls}
+        assert len(threads) == 1 and threads != {threading.get_ident()}
+        lines = (out / "verify.csv").read_text().splitlines()[1:]
+        assert [line.split(",")[0] for line in lines] == ["weights", "stein", "ratios"]
 
     def test_uc_domain_growth_output(self, tmp_path):
         text = """
@@ -454,3 +489,29 @@ uc.doublings = 1
         cfg = write_cfg(tmp_path, text + "data.width = 2\ndata.separation = 10\n")
         out = tmp_path / "outb"
         assert execute(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+
+
+# Runs `linear` on random_smooth data and then `verify` in one interpreter,
+# and reports whether numpy.random was imported after each.
+NO_NUMPY_RANDOM = """
+import sys
+from bozk.cli import execute
+
+cfg, out = sys.argv[1:]
+for argv in (["linear", "--config", cfg], ["verify"]):
+    code = execute(argv + ["--out", out + "/" + argv[0], "--quiet"])
+    print(argv[0], code, "numpy.random" in sys.modules)
+"""
+
+
+def test_random_data_and_verify_never_import_numpy_random(tmp_path):
+    cfg = write_cfg(tmp_path, SIM_CFG.replace("data.kind = gaussian", "data.kind = random_smooth"))
+    src = str(Path(bozk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", NO_NUMPY_RANDOM, cfg, str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == ["linear 0 False", "verify 0 False"]

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import bozk
+from bozk import stein
 from bozk.stein import (
+    _BLOCK,
     _GL_ORDER,
     MIXED_PHASE_CALIBRATION,
     SteinConfig,
@@ -121,6 +123,22 @@ class TestSteinDerivative:
             accepted = False
         assert accepted == expected
 
+    @pytest.mark.parametrize("where", [_BLOCK - 1, _BLOCK, _BLOCK + 50])
+    @pytest.mark.parametrize("jitter", [0.0, 3e-10, 1.1e-9, np.nan])
+    def test_uniformity_check_past_one_block(self, where, jitter):
+        # step `where` is the last of the first block, the first of the
+        # second, or inside the second
+        xs = 0.1 * np.arange(_BLOCK + 100.0)
+        xs[where + 1 :] += jitter * 0.1
+        steps = np.diff(xs)
+        expected = np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+        assert expected == (jitter in (0.0, 3e-10))
+        if expected:
+            assert _uniform_step(xs) == xs[1] - xs[0]
+        else:
+            with pytest.raises(ValueError, match="uniform"):
+                _uniform_step(xs)
+
     def test_one_row_keeps_its_return_types(self):
         xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
         res = stein_derivative(xs, np.exp(1j * xs), SteinConfig(b=0.5, r_outer=5.0), [0.0, 1.0])
@@ -141,7 +159,41 @@ class TestSteinDerivative:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * fs.nbytes
+        assert peak <= 0.6 * fs.nbytes
+
+
+class TestBlockedOuterBand:
+    """The outer band summed block by block against one unblocked sum."""
+
+    @staticmethod
+    def unblocked(monkeypatch, *args):
+        with monkeypatch.context() as m:
+            m.setattr(stein, "_BLOCK", 1 << 30)
+            return stein_derivative(*args)
+
+    def test_verify_size_call(self, monkeypatch):
+        xs = sampled_line()
+        cfg = SteinConfig(b=0.5, r_outer=400.0)
+        for c in (1.0, 4.0):
+            fs = np.exp(1j * c * xs)
+            blocked = stein_derivative(xs, fs, cfg, [0.0])
+            ref = self.unblocked(monkeypatch, xs, fs, cfg, [0.0])
+            assert np.allclose(blocked.values, ref.values, rtol=1e-14, atol=0.0)
+            assert blocked.tail_sq_bound == ref.tail_sq_bound
+
+    @pytest.mark.parametrize("block", [7, 64, 1000])
+    def test_stack_on_and_off_the_nodes(self, monkeypatch, block):
+        # blocks that split the band unevenly, on an (S, N) stack, with one
+        # point off the grid nodes
+        xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
+        fs = TestStacks.stack(xs, 3)
+        cfg = SteinConfig(b=0.4, r_outer=5.0)
+        pts = [0.0, 0.5, 1.03]
+        monkeypatch.setattr(stein, "_BLOCK", block)
+        blocked = stein_derivative(xs, fs, cfg, pts)
+        ref = self.unblocked(monkeypatch, xs, fs, cfg, pts)
+        assert np.allclose(blocked.values, ref.values, rtol=1e-14, atol=0.0)
+        assert np.array_equal(blocked.tail_sq_bound, ref.tail_sq_bound)
 
 
 class TestStacks:
