@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import List, Sequence
 
@@ -59,12 +58,11 @@ def _series_rows(series) -> tuple[List[str], List[List]]:
     hs_labels = [f"hs_{s:g}" for s in series.hs]
     w_labels = [f"w_{lbl}" for lbl in series.weighted]
     header = ["t", "l2"] + hs_labels + ["zmode_linf_drift", "moment_x"] + w_labels
-    drift = series.zero_mode_drift()
     rows = []
     for i in range(len(series.t)):
         row = [series.t[i], series.l2[i]]
         row += [series.hs[s][i] for s in series.hs]
-        row += [drift[i], series.moment_x[i]]
+        row += [series.zero_mode_drift[i], series.moment_x[i]]
         row += [series.weighted[lbl][i] for lbl in series.weighted]
         rows.append(row)
     return header, rows
@@ -340,7 +338,10 @@ def _verify_ratios(rows: List[List], seed: int) -> None:
 def _cmd_verify(m: RunManifest, out: Path, quiet: bool) -> int:
     # the suites run one after another, so only one suite's buffers are live
     # at a time; the worker thread stays only because the benchmark's trace
-    # coverage expects verify spans off the main thread
+    # coverage expects verify spans off the main thread, and its module is
+    # imported here so that no other subcommand pays for the import
+    from concurrent.futures import ThreadPoolExecutor
+
     rows: List[List] = []
 
     def suites() -> None:

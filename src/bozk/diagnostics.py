@@ -114,7 +114,7 @@ def conservation_report(ts: TimeSeries) -> ConservationReport:
         )
     base = ts.l2[0]
     l2_drift = float(np.max(np.abs(ts.l2 - base)) / base) if base > 0 else 0.0
-    zm = float(np.max(ts.zero_mode_drift()))
+    zm = float(np.max(ts.zero_mode_drift))
     scale = 0.5 * ts.t[-1] * ts.phi_l2**2
     if not ts.x_mean_vanishes:
         moment = None

@@ -233,7 +233,8 @@ class _StepKernel:
 
 @dataclass
 class TimeSeries:
-    """Per-record diagnostics of one run; rows strictly increasing in t."""
+    """Per-record diagnostics of one run; rows strictly increasing in t.
+    The arrays are views of storage that `run` allocates once per run."""
 
     mu: float
     nonlinear: bool
@@ -242,17 +243,13 @@ class TimeSeries:
     # measured only for such data (see diagnostics.conservation_report)
     x_mean_vanishes: bool
     t: np.ndarray
-    step: np.ndarray  # step index of each record
+    step: np.ndarray  # step index of each record, int64
     l2: np.ndarray
     moment_x: np.ndarray
-    zero_mode: np.ndarray  # (n_records, ny) complex
+    zero_mode_drift: np.ndarray  # max_eta |u_hat(0,eta,t) - u_hat(0,eta,0)|
     hs: Dict[float, np.ndarray]
     weighted: Dict[str, np.ndarray]
     extra: Dict[str, np.ndarray]
-
-    def zero_mode_drift(self) -> np.ndarray:
-        """max_eta |u_hat(0,eta,t) - u_hat(0,eta,0)| per record."""
-        return np.max(np.abs(self.zero_mode - self.zero_mode[0]), axis=1)
 
     def moment_rate(self) -> float:
         """dM_x/dt predicted for the mu = 0 flow: ||phi||^2 / 2 for the full
@@ -275,15 +272,17 @@ def run(
     extra: Sequence[Tuple[str, Callable[[RealField], float]]] = (),
 ) -> RunResult:
     """Evolve phi to t_final, recording diagnostics every `stride` steps and
-    at both endpoints: the L2 norm, the first x-moment, the x-mean transform
-    u_hat(0, eta), the H^s norm of each of `hs_orders`, the weighted L2 norm
-    ||w u|| of each of `weights` (keyed by label), and each (label, fn) of
-    `extra` (fn applied to the recorded field)."""
+    at both endpoints: the L2 norm, the first x-moment, the drift
+    max_eta |u_hat(0, eta, t) - u_hat(0, eta, 0)| of the x-mean transform,
+    the H^s norm of each of `hs_orders`, the weighted L2 norm ||w u|| of
+    each of `weights` (keyed by label), and each (label, fn) of `extra` (fn
+    applied to the recorded field)."""
     g = phi.grid
     kernel = _StepKernel(g, cfg)
     max_xi = float(np.max(np.abs(g.xi)))
     # final time is n_steps * dt, the closest step multiple to t_final
     n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
+    stride = cfg.stride
 
     # per-run tables: hs_table[k] weighs |u_hat|^2 for ||u||_{H^s_k}^2 (the
     # Sobolev weight times the Parseval weight), w2_table[k] weighs u^2 for
@@ -300,9 +299,13 @@ def run(
     usq = np.empty((g.ny, g.nx))  # x u, then u^2
     csq, isq = np.empty((2, *g.spectral_shape))  # |u_hat|^2, (Im u_hat)^2
 
-    # one tuple per record: t, step, l2, moment_x, zero mode, then the hs,
+    # one row per quantity, one column per record (steps 0, stride, ...,
+    # and n_steps): t, l2, moment_x, the zero-mode drift, then the hs,
     # weighted and extra values in their input order
-    rows: List[tuple] = []
+    nh, nw = len(hs_orders), len(weights)
+    n_records = n_steps // stride + 1 + (n_steps % stride != 0)
+    store = np.empty((4 + nh + nw + len(extra), n_records))
+    steps = np.empty(n_records, dtype=np.int64)
 
     def audit(m: float, t: float, n: int) -> None:
         """Stability and blow-up checks on max|u| of the state after step n."""
@@ -318,28 +321,29 @@ def run(
         u = inverse(SpectrumField(g, c))
         samples = u.samples
         audit(max(float(np.max(samples)), -float(np.min(samples))), t, n)
+        i = -(-n // stride)  # the record index of step n
+        steps[i] = n
+        col = store[:, i]
+        col[0] = t
         np.multiply(xmesh, samples, out=usq)
-        moment_x = float(np.sum(usq) * area)
+        col[2] = np.sum(usq) * area
         np.square(samples, out=usq)
+        col[1] = np.sqrt(np.sum(usq) * area)
+        col[3] = np.max(np.abs(c[:, 0] - zero0))
         np.square(c.real, out=csq)
         np.square(c.imag, out=isq)
         np.add(csq, isq, out=csq)
-        rows.append((
-            t,
-            n,
-            float(np.sqrt(np.sum(usq) * area)),
-            moment_x,
-            c[:, 0].copy(),  # u_hat(0, eta), the x-mean transform
-            *np.sqrt(np.einsum("kij,ij->k", hs_table, csq)).tolist(),
-            *np.sqrt(np.einsum("kij,ij->k", w2_table, usq) * area).tolist(),
-            *(fn(u) for _, fn in extra),
-        ))
+        col[4 : 4 + nh] = np.sqrt(np.einsum("kij,ij->k", hs_table, csq))
+        col[4 + nh : 4 + nh + nw] = np.sqrt(np.einsum("kij,ij->k", w2_table, usq) * area)
+        for k, (_, fn) in enumerate(extra, 4 + nh + nw):
+            col[k] = fn(u)
 
     # every step audits the state it starts from (stage k1's field), every
     # record the state it reads; a non-finite sample anywhere in the loop is
     # a blow-up, and for one inside a step, t is the time that step started
     # from
     c = forward(phi).coeffs
+    zero0 = c[:, 0].copy()  # u_hat(0, eta, 0), the x-mean transform of phi
     x_mean_vanishes = bool(np.max(np.abs(c[:, 0])) <= X_MEAN_TOL * np.max(np.abs(c)))
     t = 0.0
     n = 0
@@ -348,23 +352,22 @@ def run(
         for n in range(1, n_steps + 1):
             c = kernel.advance(c, functools.partial(audit, t=t, n=n - 1))
             t += cfg.dt
-            if n % cfg.stride == 0 or n == n_steps:
+            if n % stride == 0 or n == n_steps:
                 record(c, t, n)
     except NonFiniteField as exc:
         raise SolverAbort("blow_up", t, n, str(exc)) from None
 
-    t_col, step, l2, moment_x, zero_mode, *cols = map(np.array, zip(*rows))
-    nh, nw = len(hs_orders), len(weights)
+    t_col, l2, moment_x, drift, *cols = store
     series = TimeSeries(
         mu=cfg.mu,
         nonlinear=cfg.nonlinear,
-        phi_l2=rows[0][2],
+        phi_l2=float(l2[0]),
         x_mean_vanishes=x_mean_vanishes,
         t=t_col,
-        step=step,
+        step=steps,
         l2=l2,
         moment_x=moment_x,
-        zero_mode=zero_mode,
+        zero_mode_drift=drift,
         hs=dict(zip(hs_orders, cols[:nh])),
         weighted=dict(zip((spec.label() for spec in weights), cols[nh : nh + nw])),
         extra=dict(zip((lbl for lbl, _ in extra), cols[nh + nw :])),

@@ -1,3 +1,4 @@
+import tracemalloc
 import types
 
 import numpy as np
@@ -213,9 +214,13 @@ class TestStep:
         g = make_grid(32, 32, 12.0, 12.0)
         phi = fields.gaussian(g, amplitude=0.5, sigma_x=1.0, sigma_y=1.0)
         mu, dt = 0.3, 0.01
-        zm = run(phi, SolverConfig(dt=dt, t_final=dt, mu=mu, stride=1)).series.zero_mode
-        expect = zm[0] * np.exp(-mu * g.eta**2 * dt)
-        assert np.max(np.abs(zm[1] - expect)) < 1e-15
+        cfg = SolverConfig(dt=dt, t_final=dt, mu=mu, stride=1)
+        c = forward(phi).coeffs
+        new = _StepKernel(g, cfg).advance(c)
+        expect = c[:, 0] * np.exp(-mu * g.eta**2 * dt)
+        assert np.max(np.abs(new[:, 0] - expect)) < 1e-15
+        drift = run(phi, cfg).series.zero_mode_drift
+        assert drift[1] == np.max(np.abs(new[:, 0] - c[:, 0]))
 
     def test_blowup_detected(self):
         g = make_grid(16, 16, 4.0, 4.0)
@@ -246,7 +251,7 @@ class TestRun:
         res = run(phi, SolverConfig(dt=1e-3, t_final=0.1, mu=0.0, stride=20))
         s = res.series
         assert np.max(np.abs(s.l2 - s.l2[0])) / s.l2[0] < 1e-10
-        assert np.max(s.zero_mode_drift()) == 0.0
+        assert np.max(s.zero_mode_drift) == 0.0
 
     def test_dissipative_norm_monotone(self):
         g = make_grid(48, 48, 16 * np.pi, 16 * np.pi)
@@ -501,6 +506,83 @@ def test_linear_record_blow_up(monkeypatch, value, detail):
         run(fields.gaussian(g, amplitude=0.5), cfg)
     e = err.value
     assert (e.reason, e.t, e.step, e.detail) == ("blow_up", 0.003, 3, detail)
+
+
+@pytest.mark.parametrize("n_steps, stride", [(10, 3), (10, 5), (3, 10), (1, 1)])
+def test_record_storage(monkeypatch, n_steps, stride):
+    # one stored value per record in every column, each equal bit for bit
+    # to a readout of the recorded state; the hs and weighted references
+    # repeat the record's one-pass arithmetic (their agreement with the norm
+    # definitions is test_record_readout_matches_reference_norms)
+    g = make_grid(32, 24, 16 * np.pi, 12 * np.pi)
+    seen = []
+
+    def spy(F):
+        seen.append(F.coeffs.copy())
+        return inverse(F)
+
+    monkeypatch.setattr(solver, "inverse", spy)
+    spec = WeightSpec.polynomial(1.0)
+    dt = 1e-3
+    cfg = SolverConfig(dt=dt, t_final=n_steps * dt, mu=0.01, stride=stride)
+    s = run(
+        fields.random_smooth(g, 4, amplitude=0.5),
+        cfg,
+        hs_orders=(2.0,),
+        weights=(spec,),
+        extra=[("peak", lambda u: float(np.max(u.samples)))],
+    ).series
+    want = sorted({*range(0, n_steps + 1, stride), n_steps})
+    cols = [s.t, s.step, s.l2, s.moment_x, s.zero_mode_drift,
+            s.hs[2.0], s.weighted[spec.label()], s.extra["peak"]]
+    assert all(col.shape == (len(want),) for col in cols)
+    assert s.step.dtype == np.int64 and s.step.tolist() == want
+
+    hs_row = sobolev_weight(g, "J", 2.0) * g.parseval_weight
+    w2 = np.square(spec.evaluate(g.xmesh, g.ymesh))
+    area = g.cell_area
+    zero0 = seen[0][:, 0]
+    times = np.concatenate([[0.0], np.cumsum(np.full(n_steps, dt))])  # t += dt
+    ref = []
+    for n, c in zip(want, seen):
+        u = inverse(SpectrumField(g, c))
+        csq = np.square(c.real) + np.square(c.imag)
+        ref.append([
+            times[n],
+            n,
+            u.l2(),
+            np.sum(g.xmesh * u.samples) * area,
+            np.max(np.abs(c[:, 0] - zero0)),
+            np.sqrt(np.einsum("kij,ij->k", hs_row[None], csq))[0],
+            np.sqrt(np.einsum("kij,ij->k", w2[None], np.square(u.samples)) * area)[0],
+            np.max(u.samples),
+        ])
+    for col, values in zip(cols, zip(*ref)):
+        assert np.array_equal(col, values)
+
+
+def test_record_storage_grows_by_columns_only():
+    # a 64^2 linear run's traced peak, between 1001 and 2001 records, may
+    # grow only by the record storage: 8 bytes per column and per step
+    # index, with the same again as slack; a per-record copy of the zero
+    # mode alone would add ny * 16 bytes a record
+    g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
+    phi = fields.gaussian(g, amplitude=0.5)
+    norms = dict(hs_orders=(2.0,), weights=(WeightSpec.polynomial(1.0),))
+    run(phi, SolverConfig(dt=1e-4, t_final=1e-4, nonlinear=False), **norms)  # fill grid caches
+    peaks = []
+    for n_steps in (1000, 2000):
+        cfg = SolverConfig(dt=1e-4, t_final=n_steps * 1e-4, stride=1, nonlinear=False)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            res = run(phi, cfg, **norms)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+        assert len(res.series.t) == n_steps + 1
+    columns = 4 + 1 + 1 + 1  # t, l2, moment_x, drift, hs, weighted, step
+    assert peaks[1] - peaks[0] <= 2 * 8 * columns * 1000
 
 
 def test_run_keeps_the_record_closure():
