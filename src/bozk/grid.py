@@ -72,6 +72,9 @@ class Grid2D:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
+        # the 2/3 rule: when 3 divides nx the kept boundary mode nx/3 sits
+        # exactly at the alias-free limit (its self-interaction folds back
+        # onto itself); other sizes make quadratic products strictly alias-free
         keep = (np.abs(mx) <= self.nx // 3)[None, :] & (np.abs(my) <= self.ny // 3)[:, None]
         object.__setattr__(self, "dealias_mask", keep)
 
@@ -303,16 +306,6 @@ def multiplier_array(grid: Grid2D, m: Multiplier) -> np.ndarray:
 def apply_multiplier(F: SpectrumField, m: Multiplier) -> SpectrumField:
     """Pointwise multiply the spectrum by a symbol of (xi, eta)."""
     return SpectrumField(F.grid, F.coeffs * multiplier_array(F.grid, m))
-
-
-def dealias(F: SpectrumField) -> SpectrumField:
-    """Zero every coefficient with |m| > nx/3 or |n| > ny/3 (2/3 rule).
-
-    When 3 divides nx the retained boundary mode nx/3 sits exactly at the
-    alias-free limit (its self-interaction folds back onto itself); sizes
-    with 3 not dividing nx make quadratic products strictly alias-free.
-    """
-    return SpectrumField(F.grid, np.where(F.grid.dealias_mask, F.coeffs, 0.0))
 
 
 def require_same_grid(a, b) -> None:

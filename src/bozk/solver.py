@@ -375,31 +375,6 @@ def run(
     return RunResult(series=series, final=inverse(SpectrumField(g, c)))
 
 
-def _cumulative_weights(j: int, h: float) -> np.ndarray:
-    """Newton-Cotes weights for int_0^{t_j} on nodes 0..j of spacing h.
-
-    Composite Simpson for even j; for odd j >= 3 the last three panels use
-    the 3/8 rule so the order stays 4; j = 1 falls back to the trapezoid.
-    """
-    w = np.zeros(j + 1)
-    if j == 0:
-        return w
-    if j == 1:
-        w[:2] = 0.5 * h
-        return w
-    m = j if j % 2 == 0 else j - 3
-    for k in range(0, m, 2):
-        w[k] += h / 3.0
-        w[k + 1] += 4.0 * h / 3.0
-        w[k + 2] += h / 3.0
-    if j % 2 == 1:
-        w[m] += 3.0 * h / 8.0
-        w[m + 1] += 9.0 * h / 8.0
-        w[m + 2] += 9.0 * h / 8.0
-        w[j] += 3.0 * h / 8.0
-    return w
-
-
 @dataclass(frozen=True)
 class PicardResult:
     final: RealField
@@ -418,9 +393,14 @@ def picard_solve(
     """Solve the Duhamel integral equation by fixed-point iteration.
 
     The time integral uses a fixed (n_nodes)-point composite Simpson grid on
-    [0, t_final]; iterates are compared in the sup-in-t L2 norm.  The caller
-    supplies t_final; non-convergence, including an iterate that overflows,
-    raises :class:`PicardDivergence`.
+    [0, t_final] (the 3/8 rule on the last three panels up to an odd node
+    j >= 3, the trapezoid up to node 1).  On uniform nodes its sum S_j at
+    node j follows
+    from S_{j-2} or S_{j-3} with E(h), E(2h) and E(3h) alone, so a sweep
+    is one pass over the nodes, oldest first.  Iterates are compared in the
+    sup-in-t L2 norm.  The caller supplies t_final; non-convergence,
+    including an iterate that overflows or goes non-finite, raises
+    :class:`PicardDivergence`.
     """
     if mu <= 0:
         raise ValueError("picard_solve needs mu > 0 (parabolic regularisation)")
@@ -430,34 +410,43 @@ def picard_solve(
         raise ValueError("need picard max_iter >= 1 and tol > 0")
     g = phi.grid
     h = t_final / (n_nodes - 1)
-    # E_mu(k*h) for k = 0..n-1; uniform nodes make E(t_j - t_m) = table[j - m]
-    table = [propagator_array(g, k * h, mu) for k in range(n_nodes)]
     phi_hat = forward(phi).coeffs
-    free = [table[j] * phi_hat for j in range(n_nodes)]
-    weights = [_cumulative_weights(j, h) for j in range(n_nodes)]
+    free = [propagator_array(g, j * h, mu) * phi_hat for j in range(n_nodes)]
+    e1, e2, e3 = (propagator_array(g, k * h, mu) for k in (1, 2, 3))
 
-    u = [f.copy() for f in free]
+    u = list(free)
     residuals: List[float] = []
-    # an iterate that overflows is the divergence the sweeps detect
-    with np.errstate(over="ignore"):
+    # an iterate that overflows, or whose transform does, is the divergence
+    # the sweeps detect
+    with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, max_iter + 1):
-            try:
-                rhs = [nonlinear_rhs(SpectrumField(g, u[m])).coeffs for m in range(n_nodes)]
-            except NonFiniteField:
-                raise PicardDivergence(t_final, it, residuals) from None
-            new = []
+            N, S = [], []  # N_{j-3}..N_j and S_{j-2}..S_j of this sweep
+            res = 0.0
             for j in range(n_nodes):
-                acc = free[j].copy()
-                wj = weights[j]
-                for m in range(j + 1):
-                    if wj[m] != 0.0:
-                        acc += wj[m] * (table[j - m] * rhs[m])
-                new.append(acc)
-            res = max(SpectrumField(g, new[j] - u[j]).l2() for j in range(n_nodes))
-            if not math.isfinite(res):
-                raise PicardDivergence(t_final, it, residuals)
+                try:
+                    N.append(nonlinear_rhs(SpectrumField(g, u[j])).coeffs)
+                except NonFiniteField:
+                    raise PicardDivergence(t_final, it, residuals) from None
+                if j == 0:
+                    s = np.zeros_like(phi_hat)
+                elif j == 1:
+                    s = 0.5 * h * (e1 * N[-2] + N[-1])
+                elif j % 2 == 0:
+                    s = e2 * S[-2] + h / 3.0 * (e2 * N[-3] + 4.0 * (e1 * N[-2]) + N[-1])
+                else:
+                    s = e3 * S[-3] + 3.0 * h / 8.0 * (
+                        e3 * N[-4] + 3.0 * (e2 * N[-3]) + 3.0 * (e1 * N[-2]) + N[-1]
+                    )
+                S.append(s)
+                del N[:-3], S[:-3]
+                new = free[j] + s
+                r = SpectrumField(g, new - u[j]).l2()
+                # a NaN node residual must not be lost in the maximum
+                if not math.isfinite(r):
+                    raise PicardDivergence(t_final, it, residuals)
+                res = max(res, r)
+                u[j] = new
             residuals.append(res)
-            u = new
             if res < tol:
                 return PicardResult(
                     final=inverse(SpectrumField(g, u[-1])),

@@ -20,12 +20,13 @@ from bozk.diagnostics import (
     interpolation_ratio,
     trilinear_ratio,
 )
-from bozk.grid import RealField, dealias, forward, inverse, make_grid
+from bozk.grid import RealField, forward, inverse, make_grid
 from bozk.operators import propagate, smoothing_ratio
 from bozk.solver import SolverConfig, picard_solve, run
 from bozk.stein import SteinConfig, phase_bound, refine_divergence, stein_derivative
 from bozk.uc import CutoffSpec, b1_indicator, domain_growth_study, persistence_scan
 from bozk.weights import WeightSpec, a2_statistic
+from helpers import dealias
 
 L16 = 16.0 * math.pi
 

@@ -256,16 +256,22 @@ class TestExecute:
         assert not (out / "persistence.csv").exists()
 
     def test_picard_overflow_exit_three(self, tmp_path):
-        text = SIM_CFG.replace("grid.nx = 48", "grid.nx = 32").replace(
-            "grid.ny = 48", "grid.ny = 32"
-        ).replace("data.amplitude = 0.5", "data.amplitude = 200")
-        cfg = write_cfg(tmp_path, text + "picard.t_final = 5\npicard.mu = 0.01\n")
-        out = tmp_path / "outpicov"
-        assert execute(["picard", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_NUMERIC
-        abort = read_strict_json(out / "abort.json")
-        assert abort["reason"] == "picard_divergence"
-        assert abort["t"] == 5.0
-        assert abort["step"] == len(abort["residuals"]) + 1
+        # in the first case the iterates overflow after a few sweeps; in the
+        # second u^2 stays finite but its transform overflows, so sweep 1
+        # leaves every node past the first NaN
+        for amplitude, t_final in (("200", 5.0), ("1e154", 2.0)):
+            text = SIM_CFG.replace("grid.nx = 48", "grid.nx = 32").replace(
+                "grid.ny = 48", "grid.ny = 32"
+            ).replace("data.amplitude = 0.5", f"data.amplitude = {amplitude}")
+            cfg = write_cfg(tmp_path, text + f"picard.t_final = {t_final}\npicard.mu = 0.01\n")
+            out = tmp_path / f"outpicov{amplitude}"
+            assert execute(["picard", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_NUMERIC
+            abort = read_strict_json(out / "abort.json")
+            assert abort["reason"] == "picard_divergence"
+            assert abort["t"] == t_final
+            assert abort["step"] == len(abort["residuals"]) + 1
+        # the second case aborts in sweep 1
+        assert (abort["step"], abort["residuals"]) == (1, [])
 
     @pytest.mark.parametrize(
         "subcommand, line",

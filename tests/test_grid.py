@@ -5,7 +5,6 @@ from bozk.grid import (
     RealField,
     SpectrumField,
     apply_multiplier,
-    dealias,
     forward,
     inverse,
     inverse_imag_residual,
@@ -14,6 +13,7 @@ from bozk.grid import (
     xi_line,
 )
 from bozk.operators import dispersion
+from helpers import dealias
 
 TWO_PI = 2.0 * np.pi
 

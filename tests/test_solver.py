@@ -14,7 +14,7 @@ from bozk.grid import (
     inverse_imag_residual,
     make_grid,
 )
-from bozk.operators import propagate, sobolev_weight
+from bozk.operators import propagate, propagator_array, sobolev_weight
 from bozk.solver import (
     PicardDivergence,
     SolverAbort,
@@ -25,6 +25,7 @@ from bozk.solver import (
     run,
 )
 from bozk.weights import WeightSpec
+from helpers import dealias
 
 TWO_PI = 2.0 * np.pi
 
@@ -357,11 +358,71 @@ class TestPicard:
         assert all(np.isfinite(res))
 
     def test_first_sweep_overflow_raises(self):
+        # at 1e200 u^2 overflows; at 1e154 u^2 stays finite but its transform
+        # overflows, so sweep 1 leaves every node past the first NaN while
+        # node 0's residual reads 0
         g = make_grid(32, 32, 16 * np.pi, 16 * np.pi)
-        phi = fields.gaussian(g, amplitude=1e200)
-        with pytest.raises(PicardDivergence) as err:
-            picard_solve(phi, 2.0, mu=0.01)
-        assert (err.value.step, err.value.residuals) == (1, [])
+        for amplitude in (1e200, 1e154):
+            with pytest.raises(PicardDivergence) as err:
+                picard_solve(fields.gaussian(g, amplitude=amplitude), 2.0, mu=0.01)
+            assert (err.value.step, err.value.residuals) == (1, [])
+
+    @pytest.mark.parametrize("n_nodes", [5, 7, 33])
+    def test_sweep_matches_weighted_sum(self, monkeypatch, n_nodes):
+        # with nonlinear_rhs fixed to N_m, sweep 1 gives node j the value
+        # free[j] + sum_m w_j[m] E((j - m) h) N_m, which sweep 2 reads; node 1
+        # takes the trapezoid, even nodes Simpson, odd nodes >= 3 the 3/8 tail
+        g = make_grid(16, 16, 8.0, 8.0)
+        phi = fields.gaussian(g, amplitude=0.5, sigma_x=1.0, sigma_y=1.0)
+        t_final, mu = 0.5, 0.1
+        rng = np.random.default_rng(n_nodes)
+        N = rng.standard_normal((n_nodes, *g.spectral_shape)) + 1j * rng.standard_normal(
+            (n_nodes, *g.spectral_shape)
+        )
+        seen = []
+
+        def fixed(F, audit=None):
+            seen.append(F.coeffs.copy())
+            return SpectrumField(g, N[(len(seen) - 1) % n_nodes])
+
+        monkeypatch.setattr(solver, "nonlinear_rhs", fixed)
+        res = picard_solve(phi, t_final, mu, tol=1e-300, n_nodes=n_nodes)
+        # the second sweep sees the same N_m, so it reproduces the first
+        assert res.iterations == 2 and res.residuals[1] == 0.0
+        h = t_final / (n_nodes - 1)
+        phi_hat = forward(phi).coeffs
+        for j in range(n_nodes):
+            w = _cumulative_weights(j, h)
+            ref = propagator_array(g, j * h, mu) * phi_hat
+            for m in range(j + 1):
+                ref = ref + w[m] * (propagator_array(g, (j - m) * h, mu) * N[m])
+            got = seen[n_nodes + j]
+            assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref)), j
+
+
+def _cumulative_weights(j, h):
+    """Newton-Cotes weights for int_0^{t_j} on nodes 0..j of spacing h.
+
+    Composite Simpson for even j; for odd j >= 3 the last three panels use
+    the 3/8 rule so the order stays 4; j = 1 falls back to the trapezoid.
+    """
+    w = np.zeros(j + 1)
+    if j == 0:
+        return w
+    if j == 1:
+        w[:2] = 0.5 * h
+        return w
+    m = j if j % 2 == 0 else j - 3
+    for k in range(0, m, 2):
+        w[k] += h / 3.0
+        w[k + 1] += 4.0 * h / 3.0
+        w[k + 2] += h / 3.0
+    if j % 2 == 1:
+        w[m] += 3.0 * h / 8.0
+        w[m + 1] += 9.0 * h / 8.0
+        w[m + 2] += 9.0 * h / 8.0
+        w[j] += 3.0 * h / 8.0
+    return w
 
 
 
@@ -620,7 +681,7 @@ def test_semidiscrete_energy_balance():
     # linear symbols are imaginary odd and the masked product is alias-free,
     # so the quadratic triads cancel exactly.  Sizes not divisible by 3 keep
     # the retained band strictly below the alias-free limit.
-    from bozk.grid import SpectrumField, apply_multiplier, dealias
+    from bozk.grid import SpectrumField, apply_multiplier
 
     g = make_grid(64, 64, 11.0, 11.0)
     rng = np.random.default_rng(12)
