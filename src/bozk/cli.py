@@ -21,7 +21,6 @@ import numpy as np
 
 from . import fields as data_families
 from .diagnostics import (
-    NormSpec,
     algebra_ratio,
     commutator_ratio,
     conservation_report,
@@ -33,6 +32,7 @@ from .diagnostics import (
 from .grid import RealField, make_grid
 from .io import write_csv, write_json, write_snapshot
 from .manifest import RunManifest, load_manifest
+from .operators import NormSpec
 from .solver import (
     PicardDivergence,
     SolverAbort,
@@ -54,18 +54,19 @@ def _say(quiet: bool, msg: str) -> None:
         print(msg)
 
 
+def _diag_norms(m: RunManifest) -> List[NormSpec]:
+    """The norms that the manifest's diag.hs and diag.weights ask for."""
+    return [NormSpec.hs(s) for s in m.hs_orders] + [NormSpec.l2w(w) for w in m.weights]
+
+
 def _series_rows(series) -> tuple[List[str], List[List]]:
-    hs_labels = [f"hs_{s:g}" for s in series.hs]
-    w_labels = [f"w_{lbl}" for lbl in series.weighted]
-    header = ["t", "l2"] + hs_labels + ["zmode_linf_drift", "moment_x"] + w_labels
-    rows = []
-    for i in range(len(series.t)):
-        row = [series.t[i], series.l2[i]]
-        row += [series.hs[s][i] for s in series.hs]
-        row += [series.zero_mode_drift[i], series.moment_x[i]]
-        row += [series.weighted[lbl][i] for lbl in series.weighted]
-        rows.append(row)
-    return header, rows
+    hs = [spec for spec in series.norms if spec.kind == "hs"]
+    w = [spec for spec in series.norms if spec.kind == "l2w"]
+    header = (["t", "l2"] + [spec.label() for spec in hs] + ["zmode_linf_drift", "moment_x"]
+              + [f"w_{spec.weight.label()}" for spec in w])
+    cols = ([series.t, series.l2] + [series.norms[spec] for spec in hs]
+            + [series.zero_mode_drift, series.moment_x] + [series.norms[spec] for spec in w])
+    return header, [list(row) for row in zip(*cols)]
 
 
 def _cmd_simulate(m: RunManifest, out: Path, quiet: bool, linear_only: bool) -> int:
@@ -76,7 +77,7 @@ def _cmd_simulate(m: RunManifest, out: Path, quiet: bool, linear_only: bool) -> 
         from dataclasses import replace
 
         cfg = replace(cfg, nonlinear=False)
-    result = run(phi, cfg, hs_orders=m.hs_orders, weights=m.weights)
+    result = run(phi, cfg, norms=_diag_norms(m))
     header, rows = _series_rows(result.series)
     write_csv(out / "series.csv", header, rows)
     write_snapshot(out / "final.bozk", result.final)
@@ -212,15 +213,12 @@ def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> int:
 def _cmd_diagnose(m: RunManifest, out: Path, quiet: bool) -> int:
     grid = m.grid()
     u = m.initial_data(grid)
-    rows = [["l2", u.l2()]]
-    for s in m.hs_orders:
-        rows.append([NormSpec.hs(s).label(), norm(u, NormSpec.hs(s))])
-    for w in m.weights:
-        rows.append([NormSpec.l2w(w).label(), norm(u, NormSpec.l2w(w))])
+    specs = _diag_norms(m)
     for r in m.uc_r_list:
-        rows.append([NormSpec.l2r(r).label(), norm(u, NormSpec.l2r(r))])
+        specs.append(NormSpec.l2r(r))
         if m.uc_s >= 2 * r:
-            rows.append([NormSpec.zsr(m.uc_s, r).label(), norm(u, NormSpec.zsr(m.uc_s, r))])
+            specs.append(NormSpec.zsr(m.uc_s, r))
+    rows = [["l2", u.l2()]] + [[spec.label(), norm(u, spec)] for spec in specs]
     write_csv(out / "diagnose.csv", ["norm", "value"], rows)
     write_json(out / "summary.json", {"subcommand": "diagnose", "entries": len(rows)})
     _say(quiet, f"wrote {out}/diagnose.csv")

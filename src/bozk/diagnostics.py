@@ -9,85 +9,26 @@ with the test suite), never a theoretical value.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .grid import RealField, apply_multiplier, forward, inverse, require_same_grid
-from .operators import fractional_op, hilbert_x, sobolev_weight
+from .operators import NormSpec, fractional_op, hilbert_x, norm_rows, read_norms
 from .solver import TimeSeries
 from .weights import WeightSpec
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    kind: str
-    s: Optional[float] = None
-    s1: Optional[float] = None
-    s2: Optional[float] = None
-    r: Optional[float] = None
-    weight: Optional[WeightSpec] = None
-
-    @classmethod
-    def hs(cls, s: float) -> "NormSpec":
-        return cls(kind="hs", s=float(s))
-
-    @classmethod
-    def aniso(cls, s1: float, s2: float) -> "NormSpec":
-        return cls(kind="aniso", s1=float(s1), s2=float(s2))
-
-    @classmethod
-    def l2r(cls, r: float) -> "NormSpec":
-        if r < 0:
-            raise ValueError("spatial decay order r must be >= 0")
-        return cls(kind="l2r", r=float(r))
-
-    @classmethod
-    def zsr(cls, s: float, r: float) -> "NormSpec":
-        if r < 0:
-            raise ValueError("spatial decay order r must be >= 0")
-        return cls(kind="zsr", s=float(s), r=float(r))
-
-    @classmethod
-    def l2w(cls, weight: WeightSpec) -> "NormSpec":
-        return cls(kind="l2w", weight=weight)
-
-    def label(self) -> str:
-        if self.kind == "hs":
-            return f"hs_{self.s:g}"
-        if self.kind == "aniso":
-            return f"aniso_{self.s1:g}_{self.s2:g}"
-        if self.kind == "l2r":
-            return f"l2r_{self.r:g}"
-        if self.kind == "zsr":
-            return f"zsr_{self.s:g}_{self.r:g}"
-        return f"l2w_{self.weight.label()}"
-
-
 def norm(u: RealField, spec: NormSpec) -> float:
-    """Evaluate one norm.  Fourier-multiplier parts act spectrally (exact on
-    the grid); weighted parts integrate in physical space on the periodic
-    grid."""
-    g = u.grid
-    if spec.kind == "hs":
-        return forward(u).l2(sobolev_weight(g, "J", spec.s))
-    if spec.kind == "aniso":
-        F = forward(u)
-        a = F.l2()
-        b = F.l2(sobolev_weight(g, "J_x", spec.s1))
-        c = F.l2(sobolev_weight(g, "J_y", spec.s2))
-        return math.sqrt(a * a + b * b + c * c)
-    if spec.kind == "l2r":
-        return u.l2((1.0 + g.xmesh**2 + g.ymesh**2) ** spec.r)
-    if spec.kind == "zsr":
-        a = norm(u, NormSpec.hs(spec.s))
-        b = norm(u, NormSpec.l2r(spec.r))
-        return math.sqrt(a * a + b * b)
-    if spec.kind == "l2w":
-        return u.l2(spec.weight.evaluate(g.xmesh, g.ymesh) ** 2)
-    raise ValueError(f"unknown norm kind {spec.kind!r}")
+    """Evaluate one norm from its rows, as `run` reads its records: the
+    Fourier part by Parseval (exact on the grid), the spatial part as a sum
+    on the periodic grid; a part the spec lacks is not computed."""
+    rows = norm_rows(u.grid, [spec])
+    c = forward(u).coeffs if len(rows.fourier) else None
+    power = None if c is None else np.square(c.real) + np.square(c.imag)
+    square = np.square(u.samples) if len(rows.spatial) else None
+    return float(read_norms(rows, power, square)[0])
 
 
 @dataclass(frozen=True)
@@ -197,24 +138,16 @@ def algebra_ratio(u: RealField, v: RealField, s1: float, s2: float) -> float:
 
 
 def trilinear_ratio(u: RealField, s1: float, s2: float) -> float:
-    """|(u, u u_x)_{s1,s2}| / ||u||_{s1,s2}^3 for the anisotropic pairing."""
+    """|(u, u u_x)_{s1,s2}| / ||u||_{s1,s2}^3 for the anisotropic pairing,
+    summed by Parseval on the Fourier row of the H^{s1,s2} norm."""
     if not (s2 > 2.0 and s1 >= s2):
         raise ValueError("trilinear check needs s2 > 2 and s1 >= s2")
     g = u.grid
-    area = g.cell_area
-    ux = _dx_power(u, 1)
-    uux = RealField(g, u.samples * ux.samples)
-
-    def pair(fa: RealField, fb: RealField) -> float:
-        return float(np.sum(fa.samples * fb.samples) * area)
-
-    jint = pair(u, uux)
-    jx_u = fractional_op(u, "J_x", s1)
-    jx_w = fractional_op(uux, "J_x", s1)
-    jy_u = fractional_op(u, "J_y", s2)
-    jy_w = fractional_op(uux, "J_y", s2)
-    lhs = abs(jint + pair(jx_u, jx_w) + pair(jy_u, jy_w))
-    denom = norm(u, NormSpec.aniso(s1, s2)) ** 3
+    spec = NormSpec.aniso(s1, s2)
+    U = forward(u).coeffs
+    W = forward(RealField(g, u.samples * _dx_power(u, 1).samples)).coeffs
+    lhs = abs(float(np.sum(norm_rows(g, [spec]).fourier[0] * (U.conj() * W).real)))
+    denom = norm(u, spec) ** 3
     if denom == 0.0:
         raise ValueError("zero denominator in trilinear ratio")
     return lhs / denom

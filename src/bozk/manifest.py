@@ -47,19 +47,22 @@ def _parse_bool(text: str) -> bool:
 
 
 def _parse_weight(token: str) -> WeightSpec:
-    parts = token.strip().split(":")
+    kind, *v = token.strip().split(":")
+    n = {"poly": 1, "trunc": 1, "gamma": 1, "damp": 2}.get(kind)
+    if n is None:
+        raise ManifestError(f"unknown weight kind in {token!r}")
+    if len(v) != n:
+        raise ManifestError(f"bad weight spec {token!r}: {kind} takes {n} field(s)")
     try:
-        if parts[0] == "poly":
-            return WeightSpec.polynomial(_float(parts[1]))
-        if parts[0] == "trunc":
-            return WeightSpec.truncated(int(parts[1]))
-        if parts[0] == "gamma":
-            return WeightSpec.gamma_power(_float(parts[1]))
-        if parts[0] == "damp":
-            return WeightSpec.damped(_float(parts[1]), _float(parts[2]))
-    except (IndexError, ValueError) as exc:
+        if kind == "poly":
+            return WeightSpec.polynomial(_float(v[0]))
+        if kind == "trunc":
+            return WeightSpec.truncated(int(v[0]))
+        if kind == "gamma":
+            return WeightSpec.gamma_power(_float(v[0]))
+        return WeightSpec.damped(_float(v[0]), _float(v[1]))
+    except ValueError as exc:
         raise ManifestError(f"bad weight spec {token!r}: {exc}") from exc
-    raise ManifestError(f"unknown weight kind in {token!r}")
 
 
 def _floats(text: str) -> Tuple[float, ...]:
@@ -78,8 +81,9 @@ _KEYS: Dict[str, Tuple[str, Callable[[str], Any]]] = {
     **{
         f"data.{name}": ("data_params", _float)
         for name in ("amplitude", "sigma_x", "sigma_y", "center_x", "center_y",
-                     "width", "separation", "seed", "spectral_width")
+                     "width", "separation", "spectral_width")
     },
+    "data.seed": ("data_params", int),
     "data.path": ("data_path", str),
     "solver.dt": ("dt", _float),
     "solver.t_final": ("t_final", _float),
@@ -113,7 +117,7 @@ class RunManifest:
     lx: float = 16 * math.pi
     ly: float = 16 * math.pi
     data_kind: str = "gaussian"
-    data_params: Dict[str, float] = field(default_factory=dict)
+    data_params: Dict[str, float] = field(default_factory=dict)  # data.seed is an int
     data_path: Optional[str] = None
     dt: float = 1e-3
     t_final: float = 0.5
@@ -175,7 +179,7 @@ class RunManifest:
         if kind == "random_smooth":
             return data_families.random_smooth(
                 grid,
-                seed=int(p.get("seed", self.seed)),
+                seed=p.get("seed", self.seed),
                 amplitude=p.get("amplitude", 1.0),
                 spectral_width=p.get("spectral_width", 1.0),
             )

@@ -1,5 +1,6 @@
 """Linear symbols of the equation: Hilbert transform, fractional powers,
-and the exact propagators of the free and parabolically regularised flows.
+the norm rows, and the exact propagators of the free and parabolically
+regularised flows.
 
 The dispersion relation is ``omega(xi, eta) = xi*eta**2 - xi*|xi|`` (odd in
 xi, even in eta, and zero on the xi = 0 line), so the free propagator
@@ -16,6 +17,10 @@ exactly on the whole grid.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from itertools import compress
+from typing import NamedTuple, Optional, Sequence
+
 import numpy as np
 
 from .grid import (
@@ -27,6 +32,7 @@ from .grid import (
     inverse,
     multiplier_array,
 )
+from .weights import WeightSpec
 
 # squared-modulus base of each fractional kind: J^z has the symbol
 # base**(z/2), D^z has sqrt(base)**z, and base**s weighs the Sobolev norms
@@ -60,9 +66,102 @@ def hilbert_x(f: RealField) -> RealField:
 
 def sobolev_weight(grid: Grid2D, kind: str, s: float) -> np.ndarray:
     """Real Fourier weight ``base**s`` of a fractional kind, as
-    :meth:`bozk.grid.SpectrumField.l2` takes it: ``(1 + xi^2 + eta^2)^s`` for "J"."""
+    :func:`norm_rows` takes it: ``(1 + xi^2 + eta^2)^s`` for "J"."""
     base = _BASES[kind]
     return multiplier_array(grid, lambda xi, eta: base(xi, eta) ** s).real
+
+
+@dataclass(frozen=True)
+class NormSpec:
+    """One norm, whose square is a Parseval sum of |u_hat|^2 against a
+    Fourier weight plus a grid sum of u^2 against a spatial weight w^2; a
+    kind has at most one of each part (see :func:`norm_rows`)."""
+
+    kind: str
+    s: Optional[float] = None
+    s1: Optional[float] = None
+    s2: Optional[float] = None
+    r: Optional[float] = None
+    weight: Optional[WeightSpec] = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("hs", "aniso", "l2r", "zsr", "l2w"):
+            raise ValueError(f"unknown norm kind {self.kind!r}")
+        if self.r is not None and self.r < 0:
+            raise ValueError("spatial decay order r must be >= 0")
+
+    @classmethod
+    def hs(cls, s: float) -> "NormSpec":
+        return cls(kind="hs", s=float(s))
+
+    @classmethod
+    def aniso(cls, s1: float, s2: float) -> "NormSpec":
+        return cls(kind="aniso", s1=float(s1), s2=float(s2))
+
+    @classmethod
+    def l2r(cls, r: float) -> "NormSpec":
+        return cls(kind="l2r", r=float(r))
+
+    @classmethod
+    def zsr(cls, s: float, r: float) -> "NormSpec":
+        return cls(kind="zsr", s=float(s), r=float(r))
+
+    @classmethod
+    def l2w(cls, weight: WeightSpec) -> "NormSpec":
+        return cls(kind="l2w", weight=weight)
+
+    def label(self) -> str:
+        """The kind, then its parameters in field order: ``hs_2``,
+        ``aniso_3_2.5``, ``l2r_1``, ``zsr_4_1``, ``l2w_poly1``."""
+        if self.kind == "l2w":
+            return f"l2w_{self.weight.label()}"
+        values = (self.s, self.s1, self.s2, self.r)
+        return "_".join([self.kind, *(f"{v:g}" for v in values if v is not None)])
+
+
+class NormRows(NamedTuple):
+    grid: Grid2D
+    fourier: np.ndarray  # Fourier weight times Grid2D.parseval_weight
+    spatial: np.ndarray  # w^2
+    has_fourier: np.ndarray  # per spec: whether it has a row in `fourier`
+    has_spatial: np.ndarray
+
+
+def norm_rows(grid: Grid2D, specs: Sequence[NormSpec]) -> NormRows:
+    """The rows of `specs` on `grid`, at most one Fourier and one spatial
+    row per spec, each table in spec order.  The Fourier weight is
+    ``(1 + xi^2 + eta^2)^s`` for H^s and Z_{s,r}, ``1 + (1 + xi^2)^s1 +
+    (1 + eta^2)^s2`` for H^{s1,s2}; w is the spec's weight for ``l2w``
+    and ``<x,y>^r`` for L^2(<x,y>^{2r}) and Z_{s,r}."""
+    has_f = np.array([spec.kind in ("hs", "aniso", "zsr") for spec in specs], dtype=bool)
+    has_s = np.array([spec.kind in ("l2w", "l2r", "zsr") for spec in specs], dtype=bool)
+    fourier = np.empty((int(has_f.sum()), *grid.spectral_shape))
+    for row, spec in zip(fourier, compress(specs, has_f)):
+        if spec.kind == "aniso":
+            w = 1.0 + sobolev_weight(grid, "J_x", spec.s1) + sobolev_weight(grid, "J_y", spec.s2)
+        else:
+            w = sobolev_weight(grid, "J", spec.s)
+        np.multiply(w, grid.parseval_weight, out=row)
+    spatial = np.empty((int(has_s.sum()), grid.ny, grid.nx))
+    for row, spec in zip(spatial, compress(specs, has_s)):
+        w = spec.weight or WeightSpec.polynomial(spec.r)
+        np.square(w.evaluate(grid.xmesh, grid.ymesh), out=row)
+    return NormRows(grid, fourier, spatial, has_f, has_s)
+
+
+def read_norms(
+    rows: NormRows, power: Optional[np.ndarray], square: Optional[np.ndarray]
+) -> np.ndarray:
+    """``sqrt(Fourier sum + spatial sum)`` of every spec of `rows`, given
+    ``power = |u_hat|^2`` and ``square = u^2``; a part that no spec has is
+    not read, so its array may be None.  The einsum reductions use no BLAS,
+    whose summation order may vary from run to run."""
+    total = np.zeros(rows.has_fourier.size)
+    if len(rows.fourier):
+        total[rows.has_fourier] += np.einsum("kij,ij->k", rows.fourier, power)
+    if len(rows.spatial):
+        total[rows.has_spatial] += np.einsum("kij,ij->k", rows.spatial, square) * rows.grid.cell_area
+    return np.sqrt(total, out=total)
 
 
 def fractional_op(f: RealField, kind: str, z: float) -> RealField:

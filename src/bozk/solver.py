@@ -25,8 +25,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .grid import Grid2D, NonFiniteField, RealField, SpectrumField, forward, inverse
-from .operators import propagator_array, sobolev_weight
-from .weights import WeightSpec
+from .operators import NormSpec, norm_rows, propagator_array, read_norms
 
 CFL_LIMIT = 0.5
 BLOWUP_AMPLITUDE = 1e8
@@ -247,9 +246,8 @@ class TimeSeries:
     l2: np.ndarray
     moment_x: np.ndarray
     zero_mode_drift: np.ndarray  # max_eta |u_hat(0,eta,t) - u_hat(0,eta,0)|
-    hs: Dict[float, np.ndarray]
-    weighted: Dict[str, np.ndarray]
-    extra: Dict[str, np.ndarray]
+    edge_ratio: np.ndarray  # max(max|u[0, :]|, max|u[:, 0]|) / max|u|, 0 for u = 0
+    norms: Dict[NormSpec, np.ndarray]
 
     def moment_rate(self) -> float:
         """dM_x/dt predicted for the mu = 0 flow: ||phi||^2 / 2 for the full
@@ -263,20 +261,11 @@ class RunResult:
     final: RealField
 
 
-def run(
-    phi: RealField,
-    cfg: SolverConfig,
-    *,
-    hs_orders: Sequence[float] = (),
-    weights: Sequence[WeightSpec] = (),
-    extra: Sequence[Tuple[str, Callable[[RealField], float]]] = (),
-) -> RunResult:
+def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) -> RunResult:
     """Evolve phi to t_final, recording diagnostics every `stride` steps and
     at both endpoints: the L2 norm, the first x-moment, the drift
     max_eta |u_hat(0, eta, t) - u_hat(0, eta, 0)| of the x-mean transform,
-    the H^s norm of each of `hs_orders`, the weighted L2 norm ||w u|| of
-    each of `weights` (keyed by label), and each (label, fn) of `extra` (fn
-    applied to the recorded field)."""
+    the edge ratio and each of `norms` (keyed by its spec)."""
     g = phi.grid
     kernel = _StepKernel(g, cfg)
     max_xi = float(np.max(np.abs(g.xi)))
@@ -284,27 +273,18 @@ def run(
     n_steps = max(1, int(round(cfg.t_final / cfg.dt)))
     stride = cfg.stride
 
-    # per-run tables: hs_table[k] weighs |u_hat|^2 for ||u||_{H^s_k}^2 (the
-    # Sobolev weight times the Parseval weight), w2_table[k] weighs u^2 for
-    # ||w_k u||^2 / cell_area; the einsum reductions below use no BLAS, whose
-    # summation order may vary from run to run
+    norms = list(dict.fromkeys(norms))
+    rows = norm_rows(g, norms)  # built once per run, read at every record
     area = g.cell_area
-    hs_table = np.empty((len(hs_orders), *g.spectral_shape))
-    for row, s in zip(hs_table, hs_orders):
-        np.multiply(sobolev_weight(g, "J", s), g.parseval_weight, out=row)
-    w2_table = np.empty((len(weights), g.ny, g.nx))
-    for row, spec in zip(w2_table, weights):
-        np.square(spec.evaluate(g.xmesh, g.ymesh), out=row)
     xmesh = g.xmesh
     usq = np.empty((g.ny, g.nx))  # x u, then u^2
     csq, isq = np.empty((2, *g.spectral_shape))  # |u_hat|^2, (Im u_hat)^2
 
     # one row per quantity, one column per record (steps 0, stride, ...,
-    # and n_steps): t, l2, moment_x, the zero-mode drift, then the hs,
-    # weighted and extra values in their input order
-    nh, nw = len(hs_orders), len(weights)
+    # and n_steps): t, l2, moment_x, the zero-mode drift, the edge ratio,
+    # then the norms in their input order
     n_records = n_steps // stride + 1 + (n_steps % stride != 0)
-    store = np.empty((4 + nh + nw + len(extra), n_records))
+    store = np.empty((5 + len(norms), n_records))
     steps = np.empty(n_records, dtype=np.int64)
 
     def audit(m: float, t: float, n: int) -> None:
@@ -320,7 +300,8 @@ def run(
     def record(c: np.ndarray, t: float, n: int) -> None:
         u = inverse(SpectrumField(g, c))
         samples = u.samples
-        audit(max(float(np.max(samples)), -float(np.min(samples))), t, n)
+        top = max(float(np.max(samples)), -float(np.min(samples)))  # max|u|
+        audit(top, t, n)
         i = -(-n // stride)  # the record index of step n
         steps[i] = n
         col = store[:, i]
@@ -330,13 +311,13 @@ def run(
         np.square(samples, out=usq)
         col[1] = np.sqrt(np.sum(usq) * area)
         col[3] = np.max(np.abs(c[:, 0] - zero0))
-        np.square(c.real, out=csq)
-        np.square(c.imag, out=isq)
-        np.add(csq, isq, out=csq)
-        col[4 : 4 + nh] = np.sqrt(np.einsum("kij,ij->k", hs_table, csq))
-        col[4 + nh : 4 + nh + nw] = np.sqrt(np.einsum("kij,ij->k", w2_table, usq) * area)
-        for k, (_, fn) in enumerate(extra, 4 + nh + nw):
-            col[k] = fn(u)
+        edge = max(float(np.max(np.abs(samples[0]))), float(np.max(np.abs(samples[:, 0]))))
+        col[4] = edge / top if top > 0 else 0.0
+        if len(rows.fourier):
+            np.square(c.real, out=csq)
+            np.square(c.imag, out=isq)
+            np.add(csq, isq, out=csq)
+        col[5:] = read_norms(rows, csq, usq)
 
     # every step audits the state it starts from (stage k1's field), every
     # record the state it reads; a non-finite sample anywhere in the loop is
@@ -357,7 +338,7 @@ def run(
     except NonFiniteField as exc:
         raise SolverAbort("blow_up", t, n, str(exc)) from None
 
-    t_col, l2, moment_x, drift, *cols = store
+    t_col, l2, moment_x, drift, edge_ratio, *cols = store
     series = TimeSeries(
         mu=cfg.mu,
         nonlinear=cfg.nonlinear,
@@ -368,9 +349,8 @@ def run(
         l2=l2,
         moment_x=moment_x,
         zero_mode_drift=drift,
-        hs=dict(zip(hs_orders, cols[:nh])),
-        weighted=dict(zip((spec.label() for spec in weights), cols[nh : nh + nw])),
-        extra=dict(zip((lbl for lbl, _ in extra), cols[nh + nw :])),
+        edge_ratio=edge_ratio,
+        norms=dict(zip(norms, cols)),
     )
     return RunResult(series=series, final=inverse(SpectrumField(g, c)))
 

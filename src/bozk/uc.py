@@ -19,9 +19,9 @@ from typing import Callable, Dict, List, Optional, Sequence
 import numpy as np
 
 from .grid import Grid2D, RealField, forward, make_grid, xi_line
+from .operators import NormSpec
 from .solver import SolverAbort, SolverConfig, TimeSeries, run
 from .stein import RefinementReport, diverges, probe_window, refinement_ladder
-from .weights import WeightSpec
 
 OBSTRUCTION_GROWTH_THRESHOLD = 1.5   # per domain doubling; recorded calibration
 STABLE_BAND = 0.10                   # "unchanged" tolerance per doubling
@@ -209,24 +209,9 @@ def persistence_scan(
     if s < 2.0 * max(r_list):
         raise ValueError("regularity s must be at least 2*max(r)")
 
-    g = phi.grid
-
-    def boundary_ratio(u: RealField) -> float:
-        edge = max(
-            float(np.max(np.abs(u.samples[0, :]))),
-            float(np.max(np.abs(u.samples[:, 0]))),
-        )
-        peak = float(np.max(np.abs(u.samples)))
-        return edge / peak if peak > 0 else 0.0
-
-    ts = run(
-        phi,
-        cfg,
-        hs_orders=(float(s),),
-        weights=[WeightSpec.polynomial(r) for r in r_list],
-        extra=[("boundary_ratio", boundary_ratio)],
-    ).series
-    edge = ts.extra["boundary_ratio"]
+    specs = {r: NormSpec.zsr(s, r) for r in r_list}
+    ts = run(phi, cfg, norms=list(specs.values())).series
+    edge = ts.edge_ratio
     if np.any(edge > BOUNDARY_TOL):
         i = int(np.argmax(edge > BOUNDARY_TOL))
         raise SolverAbort(
@@ -236,13 +221,10 @@ def persistence_scan(
             f"solution reached the domain boundary (edge/interior amplitude "
             f"{edge[i]:.2e} > {BOUNDARY_TOL:.0e}); weighted norms untrusted",
         )
-    hs = ts.hs[float(s)]
     series: Dict[float, np.ndarray] = {}
     rows: List[PersistenceRow] = []
     for r in r_list:
-        wn = ts.weighted[WeightSpec.polynomial(r).label()]
-        z = np.sqrt(hs**2 + wn**2)
-        series[r] = z
+        z = series[r] = ts.norms[specs[r]]
         growth = float(z.max() / z[0]) if z[0] > 0 else 1.0
         rows.append(
             PersistenceRow(

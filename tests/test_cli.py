@@ -70,6 +70,19 @@ class TestManifest:
             parse_manifest_text("solver.nonlinear = maybe\n")
         with pytest.raises(ManifestError):
             parse_manifest_text("diag.weights = poly\n")
+        # a field past the kind's own count is an error, not ignored
+        for token in ("poly:1:7", "trunc:8:x", "damp:0.5:0.1:9"):
+            with pytest.raises(ManifestError, match="takes"):
+                parse_manifest_text(f"diag.weights = {token}\n")
+
+    def test_data_seed_is_an_integer(self):
+        # parsed as int like the top-level seed: no float truncation or
+        # rounding past 2^53
+        m = parse_manifest_text("data.seed = 9007199254740993\n")
+        assert type(m.data_params["seed"]) is int
+        assert m.data_params["seed"] == 9007199254740993
+        with pytest.raises(ManifestError):
+            parse_manifest_text("data.seed = 3.7\n")
 
     def test_every_key_sets_its_field(self):
         text = """
@@ -113,7 +126,7 @@ seed = 42
             "data_kind": "dx_gaussian",
             "data_params": {
                 "amplitude": 0.3, "sigma_x": 0.7, "sigma_y": 0.9, "center_x": 1.5,
-                "center_y": -2.0, "width": 3.0, "separation": 11.0, "seed": 5.0,
+                "center_y": -2.0, "width": 3.0, "separation": 11.0, "seed": 5,
                 "spectral_width": 2.5,
             },
             "data_path": "snap.bozk",
@@ -285,6 +298,7 @@ class TestExecute:
             ("simulate", "grid.ly = 1e308pi"),
             ("uc", "uc.r_list = 1,nan"),
             ("simulate", "diag.weights = damp:0.5:inf"),
+            ("simulate", "data.seed = 3.7"),
         ],
     )
     def test_bad_number_exit_two(self, tmp_path, subcommand, line):

@@ -5,7 +5,7 @@ import pytest
 
 from bozk import fields
 from bozk.diagnostics import (
-    NormSpec,
+    _dx_power,
     algebra_ratio,
     commutator_ratio,
     conservation_report,
@@ -14,7 +14,8 @@ from bozk.diagnostics import (
     norm,
     trilinear_ratio,
 )
-from bozk.grid import RealField, make_grid
+from bozk.grid import RealField, forward, make_grid
+from bozk.operators import NormSpec, fractional_op, sobolev_weight
 from bozk.solver import SolverConfig, run
 from bozk.weights import WeightSpec
 
@@ -59,6 +60,45 @@ class TestNorms:
         h = norm(u, NormSpec.hs(2.0))
         l = norm(u, NormSpec.l2r(1.0))
         assert abs(z**2 - h**2 - l**2) < 1e-10 * z**2
+
+    @pytest.mark.parametrize("spec", [
+        NormSpec.hs(2.5),
+        NormSpec.aniso(3.0, 2.5),
+        NormSpec.l2r(1.5),
+        NormSpec.zsr(4.0, 1.0),
+        NormSpec.l2w(WeightSpec.truncated(4)),
+        NormSpec.l2w(WeightSpec.damped(0.5, 0.1)),
+    ], ids=NormSpec.label)
+    def test_rows_match_definitions(self, spec):
+        # one Fourier row plus one spatial row reads each norm as its
+        # definition does: Parseval sums per Fourier weight, grid sums per w^2
+        g = make_grid(48, 32, 16 * np.pi, 8 * np.pi)
+        u = fields.random_smooth(g, 5, amplitude=0.5)
+        F = forward(u)
+        poly = lambda r: WeightSpec.polynomial(r).evaluate(g.xmesh, g.ymesh) ** 2
+        if spec.kind == "hs":
+            ref = F.l2(sobolev_weight(g, "J", spec.s))
+        elif spec.kind == "aniso":
+            parts = [F.l2(), F.l2(sobolev_weight(g, "J_x", spec.s1)),
+                     F.l2(sobolev_weight(g, "J_y", spec.s2))]
+            ref = math.sqrt(sum(p * p for p in parts))
+        elif spec.kind == "l2r":
+            ref = u.l2(poly(spec.r))
+        elif spec.kind == "zsr":
+            ref = math.hypot(F.l2(sobolev_weight(g, "J", spec.s)), u.l2(poly(spec.r)))
+        else:
+            ref = u.l2(spec.weight.evaluate(g.xmesh, g.ymesh) ** 2)
+        assert abs(norm(u, spec) - ref) <= 1e-14 * ref
+
+    def test_labels_and_kinds(self):
+        assert [spec.label() for spec in (
+            NormSpec.hs(2.0), NormSpec.aniso(3.0, 2.5), NormSpec.l2r(1.0),
+            NormSpec.zsr(4.0, 1.5), NormSpec.l2w(WeightSpec.truncated(8)),
+        )] == ["hs_2", "aniso_3_2.5", "l2r_1", "zsr_4_1.5", "l2w_trunc8"]
+        with pytest.raises(ValueError, match="unknown norm kind"):
+            NormSpec(kind="h1")
+        with pytest.raises(ValueError, match="r must be >= 0"):
+            NormSpec.zsr(2.0, -1.0)
 
     def test_l2w_matches_l2r_for_polynomial(self):
         g = make_grid(32, 32, 9.0, 9.0)
@@ -114,6 +154,20 @@ class TestRatios:
         a = algebra_ratio(u, v, 3.0, 3.0)
         b = algebra_ratio(RealField(grid, 11.0 * u.samples), v, 3.0, 3.0)
         assert abs(a - b) <= 1e-13 * a
+
+    def test_trilinear_pairing_matches_physical_space(self, grid):
+        # the Parseval pairing on the aniso row equals the physical-space sum
+        # of J_x^s1, J_y^s2 products
+        u = fields.random_smooth(grid, 8)
+        w = RealField(grid, u.samples * _dx_power(u, 1).samples)
+
+        def pair(a, b):
+            return float(np.sum(a.samples * b.samples) * grid.cell_area)
+
+        lhs = abs(pair(u, w) + pair(fractional_op(u, "J_x", 3.0), fractional_op(w, "J_x", 3.0))
+                  + pair(fractional_op(u, "J_y", 2.5), fractional_op(w, "J_y", 2.5)))
+        ref = lhs / norm(u, NormSpec.aniso(3.0, 2.5)) ** 3
+        assert abs(trilinear_ratio(u, 3.0, 2.5) - ref) <= 1e-13 * ref
 
     def test_trilinear_degree_three_homogeneous(self, grid):
         u = fields.random_smooth(grid, 10)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bozk import fields, solver
+from bozk.diagnostics import norm
 from bozk.grid import (
     NonFiniteField,
     RealField,
@@ -14,7 +15,7 @@ from bozk.grid import (
     inverse_imag_residual,
     make_grid,
 )
-from bozk.operators import propagate, propagator_array, sobolev_weight
+from bozk.operators import NormSpec, propagate, propagator_array, sobolev_weight
 from bozk.solver import (
     PicardDivergence,
     SolverAbort,
@@ -495,15 +496,35 @@ def test_every_step_is_audited():
     assert list(res.series.step) == [0, e.step - 1]
 
 
-@pytest.mark.parametrize("hs_orders, weights, with_extra", [
-    ((), (), False),
-    ((0.5, 1.0, 2.5), (WeightSpec.polynomial(2.0), WeightSpec.truncated(8)), False),
-    ((1.0,), (), True),
-    ((), (WeightSpec.gamma_power(0.5), WeightSpec.damped(0.5, 0.1)), True),
-])
-def test_record_readout_matches_reference_norms(monkeypatch, hs_orders, weights, with_extra):
-    # every recorded column against the norm of the recorded field; the grid
-    # is not square, so a table built on transposed axes fails here
+def edge_ratio(u):
+    """max(max|u[0, :]|, max|u[:, 0]|) / max|u|, or 0 for u = 0."""
+    peak = np.max(np.abs(u.samples))
+    edge = max(np.max(np.abs(u.samples[0, :])), np.max(np.abs(u.samples[:, 0])))
+    return edge / peak if peak > 0 else 0.0
+
+
+EVERY_KIND = (
+    NormSpec.hs(0.5),
+    NormSpec.hs(2.5),
+    NormSpec.aniso(3.0, 2.5),
+    NormSpec.l2r(1.5),
+    NormSpec.zsr(4.0, 1.0),
+    NormSpec.l2w(WeightSpec.polynomial(2.0)),
+    NormSpec.l2w(WeightSpec.truncated(8)),
+    NormSpec.l2w(WeightSpec.gamma_power(0.5)),
+    NormSpec.l2w(WeightSpec.damped(0.5, 0.1)),
+)
+
+
+@pytest.mark.parametrize(
+    "norms",
+    [(), *((spec,) for spec in EVERY_KIND), EVERY_KIND[::-1]],
+    ids=["none", *(spec.label() for spec in EVERY_KIND), "all"],
+)
+def test_record_readout_matches_reference_norms(monkeypatch, norms):
+    # every recorded column against the norm of the recorded field, one kind
+    # at a time and all kinds in one run; the grid is not square, so a row
+    # built on transposed axes fails here
     g = make_grid(48, 32, 16 * np.pi, 8 * np.pi)
     seen = []
 
@@ -513,10 +534,9 @@ def test_record_readout_matches_reference_norms(monkeypatch, hs_orders, weights,
         return u
 
     monkeypatch.setattr(solver, "inverse", spy)
-    extra = [("peak", lambda u: float(np.max(u.samples)))] if with_extra else []
     phi = fields.random_smooth(g, 4, amplitude=0.5)
     cfg = SolverConfig(dt=1e-3, t_final=0.01, mu=0.01, stride=4)
-    s = run(phi, cfg, hs_orders=hs_orders, weights=weights, extra=extra).series
+    s = run(phi, cfg, norms=norms).series
     seen = seen[: len(s.t)]  # the last call is the final transform
     assert list(s.step) == [0, 4, 8, 10] and len(seen) == 4
 
@@ -528,18 +548,16 @@ def test_record_readout_matches_reference_norms(monkeypatch, hs_orders, weights,
     close(s.l2, [u.l2() for _, u in seen])
     moment = [np.sum(g.xmesh * u.samples) * g.cell_area for _, u in seen]
     close(s.moment_x, moment, np.max(np.abs(moment)))
-    assert list(s.hs) == list(hs_orders)
-    for order, col in s.hs.items():
-        w = sobolev_weight(g, "J", order)
-        close(col, [SpectrumField(g, c).l2(w) for c, _ in seen])
-    assert list(s.weighted) == [spec.label() for spec in weights]
-    for spec in weights:
-        w2 = spec.evaluate(g.xmesh, g.ymesh) ** 2
-        close(s.weighted[spec.label()], [u.l2(w2) for _, u in seen])
-    if with_extra:
-        assert np.array_equal(s.extra["peak"], [np.max(u.samples) for _, u in seen])
-    else:
-        assert s.extra == {}
+    assert np.array_equal(s.edge_ratio, [edge_ratio(u) for _, u in seen])
+    assert list(s.norms) == list(norms)
+    for spec in norms:
+        close(s.norms[spec], [norm(u, spec) for _, u in seen])
+
+
+def test_edge_ratio_of_zero_field():
+    g = make_grid(32, 32, 16 * np.pi, 16 * np.pi)
+    s = run(RealField.zeros(g), SolverConfig(dt=1e-3, t_final=3e-3, stride=1)).series
+    assert s.edge_ratio.tolist() == [0.0] * 4
 
 
 # one propagator entry spiked in a linear run, which audits only at records:
@@ -573,8 +591,8 @@ def test_linear_record_blow_up(monkeypatch, value, detail):
 def test_record_storage(monkeypatch, n_steps, stride):
     # one stored value per record in every column, each equal bit for bit
     # to a readout of the recorded state; the hs and weighted references
-    # repeat the record's one-pass arithmetic (their agreement with the norm
-    # definitions is test_record_readout_matches_reference_norms)
+    # repeat the record's one-pass arithmetic (their agreement with `norm`
+    # is test_record_readout_matches_reference_norms)
     g = make_grid(32, 24, 16 * np.pi, 12 * np.pi)
     seen = []
 
@@ -584,18 +602,13 @@ def test_record_storage(monkeypatch, n_steps, stride):
 
     monkeypatch.setattr(solver, "inverse", spy)
     spec = WeightSpec.polynomial(1.0)
+    hs, weighted = NormSpec.hs(2.0), NormSpec.l2w(spec)
     dt = 1e-3
     cfg = SolverConfig(dt=dt, t_final=n_steps * dt, mu=0.01, stride=stride)
-    s = run(
-        fields.random_smooth(g, 4, amplitude=0.5),
-        cfg,
-        hs_orders=(2.0,),
-        weights=(spec,),
-        extra=[("peak", lambda u: float(np.max(u.samples)))],
-    ).series
+    s = run(fields.random_smooth(g, 4, amplitude=0.5), cfg, norms=(hs, weighted)).series
     want = sorted({*range(0, n_steps + 1, stride), n_steps})
-    cols = [s.t, s.step, s.l2, s.moment_x, s.zero_mode_drift,
-            s.hs[2.0], s.weighted[spec.label()], s.extra["peak"]]
+    cols = [s.t, s.step, s.l2, s.moment_x, s.zero_mode_drift, s.edge_ratio,
+            s.norms[hs], s.norms[weighted]]
     assert all(col.shape == (len(want),) for col in cols)
     assert s.step.dtype == np.int64 and s.step.tolist() == want
 
@@ -614,9 +627,9 @@ def test_record_storage(monkeypatch, n_steps, stride):
             u.l2(),
             np.sum(g.xmesh * u.samples) * area,
             np.max(np.abs(c[:, 0] - zero0)),
+            edge_ratio(u),
             np.sqrt(np.einsum("kij,ij->k", hs_row[None], csq))[0],
             np.sqrt(np.einsum("kij,ij->k", w2[None], np.square(u.samples)) * area)[0],
-            np.max(u.samples),
         ])
     for col, values in zip(cols, zip(*ref)):
         assert np.array_equal(col, values)
@@ -629,7 +642,7 @@ def test_record_storage_grows_by_columns_only():
     # mode alone would add ny * 16 bytes a record
     g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
     phi = fields.gaussian(g, amplitude=0.5)
-    norms = dict(hs_orders=(2.0,), weights=(WeightSpec.polynomial(1.0),))
+    norms = dict(norms=(NormSpec.hs(2.0), NormSpec.l2w(WeightSpec.polynomial(1.0))))
     run(phi, SolverConfig(dt=1e-4, t_final=1e-4, nonlinear=False), **norms)  # fill grid caches
     peaks = []
     for n_steps in (1000, 2000):
@@ -642,7 +655,7 @@ def test_record_storage_grows_by_columns_only():
         finally:
             tracemalloc.stop()
         assert len(res.series.t) == n_steps + 1
-    columns = 4 + 1 + 1 + 1  # t, l2, moment_x, drift, hs, weighted, step
+    columns = 5 + 1 + 1 + 1  # t, l2, moment_x, drift, edge_ratio, hs, weighted, step
     assert peaks[1] - peaks[0] <= 2 * 8 * columns * 1000
 
 

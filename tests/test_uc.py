@@ -3,8 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bozk import fields
-from bozk.grid import RealField, make_grid
+from bozk import fields, solver
+from bozk.diagnostics import norm
+from bozk.grid import RealField, inverse, make_grid
+from bozk.operators import NormSpec
 from bozk.solver import SolverConfig, run
 from bozk.stein import PROBE_R_OUTER, probe_window
 from bozk.uc import (
@@ -154,13 +156,21 @@ class TestB1Indicator:
 
 
 class TestPersistenceScan:
-    def test_r_zero_reduces_to_l2_series(self):
+    def test_r_zero_reduces_to_l2_series(self, monkeypatch):
         g = make_grid(64, 64, L16, L16)
         phi = fields.dx_gaussian(g, amplitude=0.4)
         cfg = SolverConfig(dt=2e-3, t_final=0.1, mu=0.0, stride=10)
+        seen = []
+
+        def spy(F):
+            seen.append(inverse(F))
+            return seen[-1]
+
+        monkeypatch.setattr(solver, "inverse", spy)
         table = persistence_scan(phi, cfg, [0.0], 2.0)
-        # the weighted component at r = 0 is the conserved L2 series
-        w0 = table.raw.weighted["poly0"]
+        # Z_{2,0}^2 is ||u||_{H^2}^2 plus the conserved ||u||^2
+        hs2 = [norm(u, NormSpec.hs(2.0)) ** 2 for u in seen[: len(table.t)]]
+        w0 = np.sqrt(table.series[0.0] ** 2 - hs2)
         assert np.max(np.abs(w0 - table.raw.l2)) < 1e-12 * table.raw.l2[0]
         assert np.max(np.abs(w0 - w0[0])) / w0[0] < 1e-10
 
