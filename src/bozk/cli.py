@@ -1,8 +1,9 @@
 """Command-line entry point: experiment orchestration and result emission.
 
-Subcommands: simulate, linear, picard, uc, verify, diagnose.  Results land
-in the output directory as CSV files (17-significant-digit floats, so byte
-reproducibility follows from seed determinism) plus a summary.json.
+Each subcommand of the `_COMMANDS` table writes its data files into the
+output directory (CSV files with 17-significant-digit floats, so byte
+reproducibility follows from seed determinism, and snapshots) and returns its
+summary body; `execute` writes that body to summary.json, last.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical abort (blow-up,
 CFL audit, contraction failure, solution at the box edge in `uc`; details
@@ -14,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+from dataclasses import asdict, replace
 from pathlib import Path
 from typing import List, Sequence
 
@@ -26,7 +28,7 @@ from .diagnostics import (
     conservation_report,
     half_derivative_commutator_ratio,
     interpolation_ratio,
-    norm,
+    norms,
     trilinear_ratio,
 )
 from .grid import RealField, make_grid
@@ -41,7 +43,7 @@ from .solver import (
 )
 from .stein import SteinConfig, phase_bound, refine_divergence, stein_derivative
 from .uc import CutoffSpec, b1_indicator, domain_growth_study, moment_drift, persistence_scan
-from .weights import WeightSpec, a2_statistic, beta, beta_audit
+from .weights import WeightSpec, a2_statistic, beta, beta_audit, short_repr
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -69,39 +71,28 @@ def _series_rows(series) -> tuple[List[str], List[List]]:
     return header, [list(row) for row in zip(*cols)]
 
 
-def _cmd_simulate(m: RunManifest, out: Path, quiet: bool, linear_only: bool) -> int:
+def _cmd_simulate(m: RunManifest, out: Path, quiet: bool) -> dict:
     grid = m.grid()
     phi = m.initial_data(grid)
     cfg = m.solver_config()
-    if linear_only:
-        from dataclasses import replace
-
-        cfg = replace(cfg, nonlinear=False)
     result = run(phi, cfg, norms=_diag_norms(m))
     header, rows = _series_rows(result.series)
     write_csv(out / "series.csv", header, rows)
     write_snapshot(out / "final.bozk", result.final)
     summary = {
-        "subcommand": "linear" if linear_only else "simulate",
-        "grid": {"nx": grid.nx, "ny": grid.ny, "lx": grid.lx, "ly": grid.ly},
+        "grid": asdict(grid),
         "mu": cfg.mu,
         "dt": cfg.dt,
         "t_final": result.series.t[-1],
         "records": len(result.series.t),
     }
     if cfg.mu == 0.0:
-        rep = conservation_report(result.series)
-        summary["conservation"] = {
-            "l2_drift": rep.l2_drift,
-            "zero_mode_drift": rep.zero_mode_drift,
-            "moment_residual": rep.moment_residual,
-        }
-    write_json(out / "summary.json", summary)
+        summary["conservation"] = asdict(conservation_report(result.series))
     _say(quiet, f"wrote {out}/series.csv ({len(rows)} records)")
-    return EXIT_OK
+    return summary
 
 
-def _cmd_picard(m: RunManifest, out: Path, quiet: bool) -> int:
+def _cmd_picard(m: RunManifest, out: Path, quiet: bool) -> dict:
     grid = m.grid()
     phi = m.initial_data(grid)
     res = picard_solve(
@@ -118,21 +109,16 @@ def _cmd_picard(m: RunManifest, out: Path, quiet: bool) -> int:
         [[i + 1, r] for i, r in enumerate(res.residuals)],
     )
     write_snapshot(out / "final.bozk", res.final)
-    write_json(
-        out / "summary.json",
-        {
-            "subcommand": "picard",
-            "iterations": res.iterations,
-            "t_final": m.picard_t_final,
-            "mu": m.picard_mu,
-            "final_residual": res.residuals[-1],
-        },
-    )
     _say(quiet, f"picard converged in {res.iterations} iterations")
-    return EXIT_OK
+    return {
+        "iterations": res.iterations,
+        "t_final": m.picard_t_final,
+        "mu": m.picard_mu,
+        "final_residual": res.residuals[-1],
+    }
 
 
-def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> int:
+def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> dict:
     # everything is computed before the first write, so a rejected manifest
     # (exit 2) leaves no partial output behind
     grid = m.grid()
@@ -146,26 +132,11 @@ def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> int:
     md = moment_drift(table.raw) if m.mu == 0.0 and table.raw.x_mean_vanishes else None
 
     summary = {
-        "subcommand": "uc",
         "b1_verdict": report.verdict,
         "b1_ratios": report.ratios,
-        "persistence": [
-            {
-                "r": row.r,
-                "initial": row.initial,
-                "peak": row.peak,
-                "growth": row.growth,
-                "flagged": row.flagged,
-            }
-            for row in table.rows
-        ],
+        "persistence": [asdict(row) for row in table.rows],
         "boundary_ratio": table.boundary_ratio,
-        "moment": None if md is None else {
-            "slope": md.slope,
-            "predicted": md.predicted,
-            "rel_error": md.rel_error,
-            "zero_crossings": md.zero_crossings,
-        },
+        "moment": None if md is None else asdict(md),
     }
 
     growth = None
@@ -190,7 +161,7 @@ def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> int:
         rows.append([i, lev.window_norm, ratio, report.verdict])
     write_csv(out / "uc_report.csv", ["level", "window_norm", "ratio", "verdict"], rows)
 
-    header = ["t"] + [f"z_{r:g}" for r in m.uc_r_list]
+    header = ["t"] + [f"z_{short_repr(r)}" for r in m.uc_r_list]
     prows = [
         [table.t[i]] + [table.series[float(r)][i] for r in m.uc_r_list]
         for i in range(len(table.t))
@@ -205,24 +176,21 @@ def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> int:
         ]
         write_csv(out / "growth.csv", gheader, grows)
 
-    write_json(out / "summary.json", summary)
     _say(quiet, f"uc verdict: {report.verdict}")
-    return EXIT_OK
+    return summary
 
 
-def _cmd_diagnose(m: RunManifest, out: Path, quiet: bool) -> int:
-    grid = m.grid()
-    u = m.initial_data(grid)
+def _cmd_diagnose(m: RunManifest, out: Path, quiet: bool) -> dict:
+    u = m.initial_data(m.grid())
     specs = _diag_norms(m)
     for r in m.uc_r_list:
         specs.append(NormSpec.l2r(r))
         if m.uc_s >= 2 * r:
             specs.append(NormSpec.zsr(m.uc_s, r))
-    rows = [["l2", u.l2()]] + [[spec.label(), norm(u, spec)] for spec in specs]
+    rows = [["l2", u.l2()]] + [[spec.label(), v] for spec, v in zip(specs, norms(u, specs))]
     write_csv(out / "diagnose.csv", ["norm", "value"], rows)
-    write_json(out / "summary.json", {"subcommand": "diagnose", "entries": len(rows)})
     _say(quiet, f"wrote {out}/diagnose.csv")
-    return EXIT_OK
+    return {"entries": len(rows)}
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +301,7 @@ def _verify_ratios(rows: List[List], seed: int) -> None:
     rows.append(["ratios", "interp_wN_uniform", max(per_n), 1.1 * per_n[1], ok])
 
 
-def _cmd_verify(m: RunManifest, out: Path, quiet: bool) -> int:
+def _cmd_verify(m: RunManifest, out: Path, quiet: bool) -> dict:
     # the suites run one after another, so only one suite's buffers are live
     # at a time; the worker thread stays only because the benchmark's trace
     # coverage expects verify spans off the main thread, and its module is
@@ -350,12 +318,20 @@ def _cmd_verify(m: RunManifest, out: Path, quiet: bool) -> int:
         pool.submit(suites).result()
     n_fail = sum(1 for r in rows if not r[-1])
     write_csv(out / "verify.csv", ["suite", "check", "measured", "reference", "passed"], rows)
-    write_json(
-        out / "summary.json",
-        {"subcommand": "verify", "checks": len(rows), "failures": n_fail},
-    )
     _say(quiet, f"verify: {len(rows) - n_fail}/{len(rows)} checks passed")
-    return EXIT_OK if n_fail == 0 else EXIT_VERIFY
+    return {"checks": len(rows), "failures": n_fail}
+
+
+# subcommand name -> command(manifest, out, quiet), which writes its data
+# files and returns its summary body
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "linear": lambda m, out, quiet: _cmd_simulate(replace(m, nonlinear=False), out, quiet),
+    "picard": _cmd_picard,
+    "uc": _cmd_uc,
+    "verify": _cmd_verify,
+    "diagnose": _cmd_diagnose,
+}
 
 
 def execute(argv: Sequence[str]) -> int:
@@ -363,10 +339,7 @@ def execute(argv: Sequence[str]) -> int:
         prog="bozk",
         description="Pseudospectral lab for a nonlocal-dispersive 2-D wave equation",
     )
-    parser.add_argument(
-        "subcommand",
-        choices=["simulate", "linear", "picard", "uc", "verify", "diagnose"],
-    )
+    parser.add_argument("subcommand", choices=list(_COMMANDS))
     parser.add_argument("--config", type=str, default=None, help="manifest path")
     parser.add_argument("--out", type=str, default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None, help="override manifest seed")
@@ -391,19 +364,9 @@ def execute(argv: Sequence[str]) -> int:
                 f"{out}: cannot create output directory ({exc.strerror})"
             ) from None
 
-        if args.subcommand == "simulate":
-            return _cmd_simulate(m, out, args.quiet, linear_only=False)
-        if args.subcommand == "linear":
-            return _cmd_simulate(m, out, args.quiet, linear_only=True)
-        if args.subcommand == "picard":
-            return _cmd_picard(m, out, args.quiet)
-        if args.subcommand == "uc":
-            return _cmd_uc(m, out, args.quiet)
-        if args.subcommand == "verify":
-            return _cmd_verify(m, out, args.quiet)
-        if args.subcommand == "diagnose":
-            return _cmd_diagnose(m, out, args.quiet)
-        return EXIT_CONFIG
+        body = _COMMANDS[args.subcommand](m, out, args.quiet)
+        write_json(out / "summary.json", {"subcommand": args.subcommand, **body})
+        return EXIT_VERIFY if body.get("failures") else EXIT_OK
     except SolverAbort as exc:
         abort = {"reason": exc.reason, "t": exc.t, "step": exc.step, "detail": exc.detail}
         if isinstance(exc, PicardDivergence):

@@ -10,7 +10,7 @@ with the test suite), never a theoretical value.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -20,15 +20,21 @@ from .solver import TimeSeries
 from .weights import WeightSpec
 
 
-def norm(u: RealField, spec: NormSpec) -> float:
-    """Evaluate one norm from its rows, as `run` reads its records: the
-    Fourier part by Parseval (exact on the grid), the spatial part as a sum
-    on the periodic grid; a part the spec lacks is not computed."""
-    rows = norm_rows(u.grid, [spec])
+def norms(u: RealField, specs: Sequence[NormSpec]) -> np.ndarray:
+    """Evaluate every spec from their rows, as `run` reads its records: the
+    Fourier parts by Parseval (exact on the grid) from at most one forward
+    transform, the spatial parts as sums on the periodic grid; a part that
+    no spec has is not computed."""
+    rows = norm_rows(u.grid, specs)
     c = forward(u).coeffs if len(rows.fourier) else None
     power = None if c is None else np.square(c.real) + np.square(c.imag)
     square = np.square(u.samples) if len(rows.spatial) else None
-    return float(read_norms(rows, power, square)[0])
+    return read_norms(rows, power, square)
+
+
+def norm(u: RealField, spec: NormSpec) -> float:
+    """One norm, read by :func:`norms`."""
+    return float(norms(u, [spec])[0])
 
 
 @dataclass(frozen=True)

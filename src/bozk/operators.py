@@ -32,7 +32,7 @@ from .grid import (
     inverse,
     multiplier_array,
 )
-from .weights import WeightSpec
+from .weights import WeightSpec, short_repr
 
 # squared-modulus base of each fractional kind: J^z has the symbol
 # base**(z/2), D^z has sqrt(base)**z, and base**s weighs the Sobolev norms
@@ -116,7 +116,7 @@ class NormSpec:
         if self.kind == "l2w":
             return f"l2w_{self.weight.label()}"
         values = (self.s, self.s1, self.s2, self.r)
-        return "_".join([self.kind, *(f"{v:g}" for v in values if v is not None)])
+        return "_".join([self.kind, *(short_repr(v) for v in values if v is not None)])
 
 
 class NormRows(NamedTuple):

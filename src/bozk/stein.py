@@ -12,8 +12,8 @@ the evaluation splits |x - y| = z into three zones:
                  |f(x) - f(y)| ~ |f'(x)| z, integrated exactly;
 * h <= z <= z1 : log-spaced Gauss-Legendre panels (z1 ~ 1), samples read
                  through the interpolating cubic spline;
-* z1 <= z <= R : trapezoid on the sample grid itself (pure index shifts when
-                 the evaluation point is a grid node);
+* z1 <= z <= R : trapezoid on the sample grid itself (pure index shifts, as
+                 every evaluation point is a grid node);
 * z > R        : not integrated; a uniform oscillation bound on this tail is
                  reported as an error bar, never added to the value.
 """
@@ -70,8 +70,6 @@ class UniformCubicSpline:
         self.dx = (float(xs[-1]) - self.x0) / (self.n - 1)
         lo = max(lo, 0)
         hi = self.n - 1 if hi is None else min(hi, self.n - 1)
-        if lo < _PAD and hi + _PAD >= self.n:
-            lo, hi = 0, self.n - 1  # both ends reached: the whole-array build
         start, stop = max(lo - _PAD, 0), min(hi + _PAD + 1, self.n)
         seg = np.asarray(fs)[..., start:stop]
         pad = (start - (lo - _PAD), hi + _PAD + 1 - stop)
@@ -199,10 +197,10 @@ def stein_derivative(
 ) -> SteinResult:
     """Evaluate Db f at the given points from uniform samples (xs, fs).
 
-    Points must sit at least r_outer inside the sampled interval.  Complex
-    samples are allowed (the integrand uses |.|^2).  The returned tail bound
-    is 2 * osc(f)^2 * R^(-2b) / b, a uniform bound on the neglected squared
-    mass beyond R.
+    Points must be sample nodes (within 1e-9 dx) and sit at least r_outer
+    inside the sampled interval.  Complex samples are allowed (the integrand
+    uses |.|^2).  The returned tail bound is 2 * osc(f)^2 * R^(-2b) / b, a
+    uniform bound on the neglected squared mass beyond R.
 
     fs may be a stack (S, N) of rows on the one grid xs; values are then
     (S, P) and the tail bound has one entry per row.  Every reduction runs
@@ -231,10 +229,10 @@ def stein_derivative(
         raise ValueError("r_outer leaves no room for the outer band at this step")
 
     idx = [int(round((x - xs[0]) / dx)) for x in pts]
-    on_node = [abs(xs[i] - x) < 1e-9 * dx for i, x in zip(idx, pts)]
-    # node points read the spline within z1, others along the whole outer band
-    reach = (k0 if all(on_node) else k1) + 2
-    lo, hi = (min(idx) - reach, max(idx) + reach) if idx else (0, 0)
+    if not all(abs(xs[i] - x) < 1e-9 * dx for i, x in zip(idx, pts)):
+        raise ValueError("evaluation points must be sample nodes")
+    # the spline is read only within z1 of a point
+    lo, hi = (min(idx) - k0 - 2, max(idx) + k0 + 2) if idx else (0, 0)
     spline = UniformCubicSpline(xs, rows, lo, hi)
 
     zb, wb = _log_band_nodes(h, z1, cfg.nodes_per_decade)
@@ -281,18 +279,10 @@ def stein_derivative(
             km[0] *= 0.5
         if stop == k1 + 1:
             km[-1] *= 0.5
-        for j, (x, i, node) in enumerate(zip(pts, idx, on_node)):
-            if not node:  # the offsets k dx, built only off the grid nodes
-                z = np.arange(a, stop, dtype=np.float64) * dx
-                far_m = spline.basis(x - z)
-                far_p = spline.basis(x + z)
+        for j, i in enumerate(idx):
             for s, f in enumerate(rows):
-                if node:
-                    fm = f[i - stop + 1 : i - a + 1][::-1]
-                    fp = f[i + a : i + stop]
-                else:
-                    fm = spline.combine(far_m, spline.coef[s])
-                    fp = spline.combine(far_p, spline.coef[s])
+                fm = f[i - stop + 1 : i - a + 1][::-1]
+                fp = f[i + a : i + stop]
                 np.square(_abs_diff(fx[s, j], fm, dd, dm), out=dm)
                 np.square(_abs_diff(fx[s, j], fp, dd, dp), out=dp)
                 np.add(dm, dp, out=dm)

@@ -119,6 +119,13 @@ def beta(n: int, x) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
+def short_repr(v: float) -> str:
+    """``f"{v:g}"`` when it reads back as v, else ``repr(v)``: a short
+    label that still tells apart two orders that differ past six digits."""
+    s = f"{v:g}"
+    return s if float(s) == v else repr(float(v))
+
+
 @dataclass(frozen=True)
 class WeightSpec:
     kind: str
@@ -165,10 +172,10 @@ class WeightSpec:
         if self.kind == "truncated":
             return f"trunc{self.n}"
         if self.kind == "polynomial":
-            return f"poly{self.r:g}"
+            return f"poly{short_repr(self.r)}"
         if self.kind == "gamma_power":
-            return f"gamma{self.gamma:g}"
-        return f"damp{self.gamma:g}_{self.lam:g}"
+            return f"gamma{short_repr(self.gamma)}"
+        return f"damp{short_repr(self.gamma)}_{short_repr(self.lam)}"
 
     def evaluate(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         rho2 = np.asarray(x) ** 2 + np.asarray(y) ** 2

@@ -13,10 +13,12 @@ import pytest
 
 import bozk
 from bozk import cli
-from bozk.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, execute
+from bozk.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, execute
+from bozk.diagnostics import norm
 from bozk.grid import RealField, make_grid
 from bozk.io import read_snapshot, write_snapshot
-from bozk.manifest import ManifestError, RunManifest, parse_manifest_text
+from bozk.manifest import ManifestError, RunManifest, load_manifest, parse_manifest_text
+from bozk.operators import NormSpec
 from bozk.weights import WeightSpec
 
 SIM_CFG = """
@@ -197,6 +199,18 @@ class TestExecute:
         assert "conservation" in summary
         assert (out / "final.bozk").exists()
 
+    @pytest.mark.parametrize(
+        "subcommand", ["simulate", "linear", "picard", "uc", "verify", "diagnose"]
+    )
+    def test_summary_names_its_subcommand(self, tmp_path, subcommand):
+        # uc's obstruction indicator needs the gaussian resolved: an 8pi box
+        text = SIM_CFG.replace("16pi", "8pi")
+        text += "picard.t_final = 0.02\npicard.mu = 0.1\nuc.r_list = 1\nuc.s = 2\n"
+        out = tmp_path / "out"
+        argv = [subcommand, "--config", write_cfg(tmp_path, text), "--out", str(out), "--quiet"]
+        assert execute(argv) == EXIT_OK
+        assert read_strict_json(out / "summary.json")["subcommand"] == subcommand
+
     def test_config_error_exit_and_no_files(self, tmp_path):
         cfg = write_cfg(tmp_path, "grid.nx = 47\n")
         out = tmp_path / "outbad"
@@ -319,6 +333,48 @@ class TestExecute:
         rows = (outd / "diagnose.csv").read_text().splitlines()
         assert rows[0] == "norm,value"
         assert any(r.startswith("l2,") for r in rows)
+
+    def test_diagnose_reads_every_norm_from_one_transform(self, tmp_path, monkeypatch):
+        calls = []
+        rfft2 = np.fft.rfft2
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rfft2(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft2", counted)
+        cfg = Path(__file__).resolve().parents[1] / "configs" / "simulate.cfg"
+        out = tmp_path / "outd"
+        assert execute(["diagnose", "--config", str(cfg), "--out", str(out), "--quiet"]) == EXIT_OK
+        assert len(calls) == 1
+        monkeypatch.setattr(np.fft, "rfft2", rfft2)
+        m = load_manifest(str(cfg))
+        u = m.initial_data(m.grid())
+        specs = [NormSpec.hs(s) for s in m.hs_orders] + [NormSpec.l2w(w) for w in m.weights]
+        specs += [NormSpec.l2r(r) for r in m.uc_r_list]
+        specs += [NormSpec.zsr(m.uc_s, r) for r in m.uc_r_list]
+        by_label = {spec.label(): spec for spec in specs}
+        rows = [line.split(",") for line in (out / "diagnose.csv").read_text().splitlines()[2:]]
+        assert len(rows) == 9
+        for label, value in rows:
+            exact = norm(u, by_label[label])
+            assert abs(float(value) - exact) <= 1e-14 * exact
+
+    def test_orders_past_six_digits_keep_distinct_labels(self, tmp_path):
+        text = SIM_CFG.replace("16pi", "8pi").replace("diag.hs = 2", "diag.hs = 1,1.0000001").replace(
+            "diag.weights = poly:1", "diag.weights = poly:1,poly:1.0000001"
+        )
+        cfg = write_cfg(tmp_path, text + "uc.r_list = 1,1.0000001\nuc.s = 3\n")
+        out = tmp_path / "out"
+        for sub in ("linear", "uc", "diagnose"):
+            assert execute([sub, "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+        header = (out / "series.csv").read_text().splitlines()[0]
+        assert header == ("t,l2,hs_1,hs_1.0000001,zmode_linf_drift,moment_x,"
+                          "w_poly1,w_poly1.0000001")
+        assert (out / "persistence.csv").read_text().splitlines()[0] == "t,z_1,z_1.0000001"
+        labels = [line.split(",")[0] for line in (out / "diagnose.csv").read_text().splitlines()]
+        assert len(set(labels)) == len(labels)
+        assert "l2r_1.0000001" in labels and "zsr_3_1.0000001" in labels
 
     def test_moment_residual_null_unless_x_mean_vanishes(self, tmp_path):
         # gaussian data has a nonzero x-mean transform, so its x-tails reach
@@ -454,6 +510,24 @@ class TestExecute:
         suites = [line.split(",")[0] for line in lines[1:]]
         assert suites == sorted(suites, key=["weights", "stein", "ratios"].index)
         assert set(suites) == {"weights", "stein", "ratios"}
+
+    def test_verify_failure_exit_four_with_its_files(self, tmp_path, monkeypatch):
+        weights = cli._verify_weights
+
+        def failing(rows, seed):
+            weights(rows, seed)
+            rows.append(["weights", "forced_failure", 1.0, 0.0, False])
+
+        monkeypatch.setattr(cli, "_verify_weights", failing)
+        out = tmp_path / "outv"
+        assert execute(["verify", "--out", str(out), "--quiet"]) == EXIT_VERIFY
+        lines = (out / "verify.csv").read_text().splitlines()
+        assert [line for line in lines if line.endswith("false")] == [
+            "weights,forced_failure,1,0,false"
+        ]
+        summary = read_strict_json(out / "summary.json")
+        assert summary["subcommand"] == "verify"
+        assert summary["failures"] == 1 and summary["checks"] == len(lines) - 1
 
     def test_verify_suites_run_in_order_on_one_worker(self, tmp_path, monkeypatch):
         calls = []

@@ -105,6 +105,12 @@ class TestSteinDerivative:
         with pytest.raises(ValueError):
             stein_derivative(xs, np.exp(1j * xs), SteinConfig(b=0.5, r_outer=5.0), [xs[-1] - 1.0])
 
+    def test_off_node_point_rejected(self):
+        xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
+        cfg = SteinConfig(b=0.5, r_outer=5.0)
+        with pytest.raises(ValueError, match="sample nodes"):
+            stein_derivative(xs, np.exp(1j * xs), cfg, [0.0, 1.03])
+
     def test_nonuniform_grid_rejected(self):
         xs = np.array([0.0, 0.1, 0.25, 0.3])
         with pytest.raises(ValueError):
@@ -182,13 +188,12 @@ class TestBlockedOuterBand:
             assert blocked.tail_sq_bound == ref.tail_sq_bound
 
     @pytest.mark.parametrize("block", [7, 64, 1000])
-    def test_stack_on_and_off_the_nodes(self, monkeypatch, block):
-        # blocks that split the band unevenly, on an (S, N) stack, with one
-        # point off the grid nodes
+    def test_stack_at_several_nodes(self, monkeypatch, block):
+        # blocks that split the band unevenly, on an (S, N) stack
         xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
         fs = TestStacks.stack(xs, 3)
         cfg = SteinConfig(b=0.4, r_outer=5.0)
-        pts = [0.0, 0.5, 1.03]
+        pts = [0.0, 0.5, 1.04]
         monkeypatch.setattr(stein, "_BLOCK", block)
         blocked = stein_derivative(xs, fs, cfg, pts)
         ref = self.unblocked(monkeypatch, xs, fs, cfg, pts)
@@ -209,7 +214,7 @@ class TestStacks:
         xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
         fs = self.stack(xs, rows)
         cfg = SteinConfig(b=0.5, r_outer=5.0)
-        pts = [0.0, 0.5, 1.03]  # 1.03 is off the grid
+        pts = [0.0, 0.5, 1.04]
         res = stein_derivative(xs, fs, cfg, pts)
         assert res.values.shape == (rows, 3)
         assert res.tail_sq_bound.shape == (rows,)
