@@ -142,7 +142,7 @@ def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> dict:
     growth = None
     if m.uc_doublings > 0:
         growth = domain_growth_study(
-            lambda g: m.initial_data(g),
+            m.initial_data,
             grid,
             m.solver_config(),
             doublings=m.uc_doublings,

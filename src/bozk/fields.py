@@ -9,19 +9,22 @@ import numpy as np
 from .grid import Grid2D, RealField, apply_multiplier, forward, inverse
 
 
+def _gaussian_profile(x, y, sigma_x, sigma_y, center_x, center_y):
+    return np.exp(
+        -((x - center_x) ** 2) / (2 * sigma_x**2) - ((y - center_y) ** 2) / (2 * sigma_y**2)
+    )
+
+
 def gaussian(
     grid: Grid2D,
     amplitude: float = 1.0,
     sigma_x: float = 1.5,
     sigma_y: float = 1.5,
-    center: tuple[float, float] = (0.0, 0.0),
+    center_x: float = 0.0,
+    center_y: float = 0.0,
 ) -> RealField:
-    cx, cy = center
-
     def f(x, y):
-        return amplitude * np.exp(
-            -((x - cx) ** 2) / (2 * sigma_x**2) - ((y - cy) ** 2) / (2 * sigma_y**2)
-        )
+        return amplitude * _gaussian_profile(x, y, sigma_x, sigma_y, center_x, center_y)
 
     return RealField.from_function(grid, f)
 
@@ -31,17 +34,15 @@ def dx_gaussian(
     amplitude: float = 1.0,
     sigma_x: float = 1.5,
     sigma_y: float = 1.5,
-    center: tuple[float, float] = (0.0, 0.0),
+    center_x: float = 0.0,
+    center_y: float = 0.0,
 ) -> RealField:
     """Exact x-derivative of the gaussian profile; its x-mean transform
     vanishes identically (the strong-decay persistence class)."""
-    cx, cy = center
 
     def f(x, y):
-        g = np.exp(
-            -((x - cx) ** 2) / (2 * sigma_x**2) - ((y - cy) ** 2) / (2 * sigma_y**2)
-        )
-        return -amplitude * (x - cx) / sigma_x**2 * g
+        g = _gaussian_profile(x, y, sigma_x, sigma_y, center_x, center_y)
+        return -amplitude * (x - center_x) / sigma_x**2 * g
 
     return RealField.from_function(grid, f)
 
@@ -81,6 +82,11 @@ def random_smooth(
     if peak > 0:
         samples = samples * (amplitude / peak)
     return RealField(grid, samples)
+
+
+# data.kind -> family.  RunManifest.initial_data passes a family only the
+# values its parameters name, so each default is written in its signature.
+FAMILIES = {f.__name__: f for f in (gaussian, dx_gaussian, two_solitary_bumps, random_smooth)}
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

@@ -245,19 +245,6 @@ def inverse(F: SpectrumField) -> RealField:
     return RealField(g, np.fft.irfft(raw, n=g.nx, axis=1))
 
 
-def inverse_imag_residual(F: SpectrumField) -> float:
-    """Max |imaginary part| discarded by :func:`inverse`; realness diagnostic.
-
-    Only the self-paired columns (0 and Nyquist) can carry it: a column's y
-    profile is ``ifft`` along y, constant in x for column 0 and alternating
-    in sign along x for the Nyquist column, and :func:`inverse` keeps the
-    real part of each."""
-    g = F.grid
-    raw = F.coeffs[:, [0, -1]] * g.inverse_scale[:, [0, -1]]
-    imag = np.fft.ifft(raw, axis=0).imag / g.nx
-    return float(np.max(np.abs(imag[:, 0]) + np.abs(imag[:, 1])))
-
-
 def xi_line(F: SpectrumField, n: int) -> Tuple[np.ndarray, np.ndarray]:
     """``(xi, u_hat(xi, eta_n))`` on the whole xi line, xi ascending from
     ``-pi*nx/Lx`` (the Nyquist column) to ``pi*(nx - 2)/Lx``.

@@ -6,6 +6,7 @@ The config format is plain text, one `key = value` per line, dotted keys,
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -14,7 +15,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 from .grid import Grid2D, RealField, make_grid
 from .solver import SolverConfig
 from .weights import WeightSpec
-from . import fields as data_families
+from .fields import FAMILIES
 from .io import read_snapshot
 
 
@@ -158,32 +159,7 @@ class RunManifest:
             raise ManifestError(str(exc)) from exc
 
     def initial_data(self, grid: Grid2D) -> RealField:
-        p = self.data_params
-        kind = self.data_kind
-        if kind == "gaussian" or kind == "dx_gaussian":
-            fn = data_families.gaussian if kind == "gaussian" else data_families.dx_gaussian
-            return fn(
-                grid,
-                amplitude=p.get("amplitude", 1.0),
-                sigma_x=p.get("sigma_x", 1.5),
-                sigma_y=p.get("sigma_y", 1.5),
-                center=(p.get("center_x", 0.0), p.get("center_y", 0.0)),
-            )
-        if kind == "two_solitary_bumps":
-            return data_families.two_solitary_bumps(
-                grid,
-                amplitude=p.get("amplitude", 1.0),
-                width=p.get("width", 2.0),
-                separation=p.get("separation", 8.0),
-            )
-        if kind == "random_smooth":
-            return data_families.random_smooth(
-                grid,
-                seed=p.get("seed", self.seed),
-                amplitude=p.get("amplitude", 1.0),
-                spectral_width=p.get("spectral_width", 1.0),
-            )
-        if kind == "file":
+        if self.data_kind == "file":
             if not self.data_path:
                 raise ManifestError("data.kind = file requires data.path")
             snap = read_snapshot(self.data_path)
@@ -192,7 +168,13 @@ class RunManifest:
                     "snapshot grid does not match the manifest grid"
                 )
             return snap
-        raise ManifestError(f"unknown data family {kind!r}")
+        family = FAMILIES.get(self.data_kind)
+        if family is None:
+            raise ManifestError(f"unknown data family {self.data_kind!r}")
+        # data.seed wins over seed; keys the family does not take are ignored
+        given = {"seed": self.seed, **self.data_params}
+        names = inspect.signature(family).parameters
+        return family(grid, **{k: v for k, v in given.items() if k in names})
 
 
 def parse_manifest_text(text: str) -> RunManifest:

@@ -195,8 +195,6 @@ def _abs_power_integral(e: float, a: float, b: float) -> float:
         return math.inf
 
     def anti(x: float) -> float:
-        if e == -1.0:
-            return math.copysign(math.log(abs(x)), x)
         return math.copysign(abs(x) ** (e + 1.0) / (e + 1.0), x)
 
     if e == -1.0:

@@ -9,3 +9,16 @@ def dealias(F: SpectrumField) -> SpectrumField:
     """F with every coefficient outside ``Grid2D.dealias_mask`` zeroed: the
     2/3 rule the stepper applies around its quadratic term."""
     return SpectrumField(F.grid, np.where(F.grid.dealias_mask, F.coeffs, 0.0))
+
+
+def inverse_imag_residual(F: SpectrumField) -> float:
+    """Max |imaginary part| discarded by :func:`inverse`; realness diagnostic.
+
+    Only the self-paired columns (0 and Nyquist) can carry it: a column's y
+    profile is ``ifft`` along y, constant in x for column 0 and alternating
+    in sign along x for the Nyquist column, and :func:`inverse` keeps the
+    real part of each."""
+    g = F.grid
+    raw = F.coeffs[:, [0, -1]] * g.inverse_scale[:, [0, -1]]
+    imag = np.fft.ifft(raw, axis=0).imag / g.nx
+    return float(np.max(np.abs(imag[:, 0]) + np.abs(imag[:, 1])))

@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import json
 import math
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import bozk
-from bozk import cli
+from bozk import cli, fields, manifest
 from bozk.cli import EXIT_CONFIG, EXIT_NUMERIC, EXIT_OK, EXIT_VERIFY, execute
 from bozk.diagnostics import norm
 from bozk.grid import RealField, make_grid
@@ -166,6 +167,30 @@ seed = 42
     def test_invalid_grid_caught_eagerly(self):
         with pytest.raises(ManifestError):
             parse_manifest_text("grid.nx = 33\n")
+
+    @pytest.mark.parametrize("kind", sorted(fields.FAMILIES))
+    def test_family_built_with_its_own_defaults(self, kind):
+        family = fields.FAMILIES[kind]
+        taken = inspect.signature(family).parameters
+        m = parse_manifest_text(f"data.kind = {kind}\nseed = 3\n")
+        grid = m.grid()
+        expected = family(grid, **({"seed": 3} if "seed" in taken else {}))
+        assert np.array_equal(m.initial_data(grid).samples, expected.samples)
+        # keys of other families are ignored, as a random_smooth manifest
+        # that also sets data.sigma_x does
+        others = [key for key in manifest._KEYS if key.startswith("data.")
+                  and key not in ("data.kind", "data.path")
+                  and key.split(".", 1)[1] not in taken]
+        assert others
+        extra = "".join(f"{key} = 7\n" for key in others)
+        m2 = parse_manifest_text(f"data.kind = {kind}\nseed = 3\n{extra}")
+        assert len(m2.data_params) == len(others)
+        assert np.array_equal(m2.initial_data(grid).samples, expected.samples)
+
+    def test_unknown_family_rejected(self):
+        m = parse_manifest_text("data.kind = sech\n")
+        with pytest.raises(ManifestError, match="unknown data family"):
+            m.initial_data(m.grid())
 
 
 class TestSnapshot:

@@ -7,13 +7,12 @@ from bozk.grid import (
     apply_multiplier,
     forward,
     inverse,
-    inverse_imag_residual,
     make_grid,
     multiplier_array,
     xi_line,
 )
 from bozk.operators import dispersion
-from helpers import dealias
+from helpers import dealias, inverse_imag_residual
 
 TWO_PI = 2.0 * np.pi
 

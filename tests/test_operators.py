@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bozk.grid import RealField, forward, inverse, inverse_imag_residual, make_grid
+from bozk.grid import RealField, forward, inverse, make_grid
 from bozk.operators import (
     dispersion,
     fractional_op,
@@ -10,7 +10,7 @@ from bozk.operators import (
     propagator_array,
     smoothing_ratio,
 )
-from helpers import dealias
+from helpers import dealias, inverse_imag_residual
 
 TWO_PI = 2.0 * np.pi
 

@@ -117,6 +117,10 @@ class TestA2Statistic:
 
     def test_alpha_one_off_origin_is_finite(self):
         assert math.isfinite(a2_statistic(1.0, (1.0, 2.0)))
+        # mean |x| times mean 1/|x| on an interval of length 5 away from 0
+        expected = 4.5 * math.log(3.5) / 5
+        for iv in ((2.0, 7.0), (-7.0, -2.0)):
+            assert a2_statistic(1.0, iv) == pytest.approx(expected, rel=1e-14, abs=0)
         assert math.isinf(a2_statistic(1.0, (-1.0, 1.0)))
 
     def test_interval_validation(self):
