@@ -20,7 +20,6 @@ the evaluation splits |x - y| = z into three zones:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
@@ -38,7 +37,20 @@ PROBE_NODES_PER_DECADE = 48
 DIVERGENCE_DELTA = 0.10    # divergent: both of the last two ratios > 1 + delta
 CONVERGENCE_DELTA = 0.02   # convergent: both within delta of 1
 
+# The _GL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only: the positive
+# half of numpy.polynomial.legendre.leggauss(8) to 17 digits, mirrored, which
+# is the same rule bit for bit (leggauss symmetrises it exactly).
 _GL_ORDER = 8
+_GL_HALF_NODES = np.array(
+    [0.18343464249564978, 0.52553240991632899, 0.79666647741362673, 0.96028985649753618]
+)
+_GL_HALF_WEIGHTS = np.array(
+    [0.36268378337836166, 0.31370664587788688, 0.22238103445337443, 0.10122853629037706]
+)
+_GL_NODES = np.concatenate((-_GL_HALF_NODES[::-1], _GL_HALF_NODES))
+_GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
+_GL_NODES.flags.writeable = False
+_GL_WEIGHTS.flags.writeable = False
 _BAND_POINTS = 64  # evaluation points per log-band block: bounds its temporaries
 _BLOCK = 1 << 14   # samples per block of the uniformity check, outer band and tail bound
 
@@ -138,29 +150,16 @@ class SteinResult:
         return np.sqrt(self.values**2 + np.asarray(self.tail_sq_bound)[..., None])
 
 
-@functools.lru_cache(maxsize=None)
-def _gauss_legendre() -> Tuple[np.ndarray, np.ndarray]:
-    """The _GL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only.
-
-    Computed on first use, not at import: leggauss loads numpy's LAPACK
-    module, which subcommands without a Stein call never need."""
-    rule = np.polynomial.legendre.leggauss(_GL_ORDER)
-    for a in rule:
-        a.flags.writeable = False
-    return rule
-
-
 def _log_band_nodes(h: float, z1: float, nodes_per_decade: int):
     """Gauss-Legendre nodes/weights for int_h^z1 g(z) dz in s = log z."""
     s0, s1 = math.log(h), math.log(z1)
     decades = max((s1 - s0) / math.log(10.0), 1e-9)
     panels = max(1, math.ceil(decades * nodes_per_decade / _GL_ORDER))
-    gx, gw = _gauss_legendre()
     edges = np.linspace(s0, s1, panels + 1)
     half = 0.5 * (edges[1:] - edges[:-1])
     mid = 0.5 * (edges[1:] + edges[:-1])
-    s = (mid[:, None] + half[:, None] * gx[None, :]).ravel()
-    w = (half[:, None] * gw[None, :]).ravel()
+    s = (mid[:, None] + half[:, None] * _GL_NODES[None, :]).ravel()
+    w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     z = np.exp(s)
     return z, w * z  # weights carry the dz = z ds Jacobian
 

@@ -37,20 +37,37 @@ def _angle_bracket(x: np.ndarray) -> np.ndarray:
     return np.sqrt(1.0 + x * x)
 
 
-def _blend_quintic(v0: float, d0: float, s0: float, w: float) -> np.polynomial.Polynomial:
-    # rows: p(0), p'(0), p''(0), p(1), p'(1), p''(1) for p = sum c_k tau^k
-    A = np.zeros((6, 6))
-    A[0, 0] = 1.0
-    A[1, 1] = 1.0
-    A[2, 2] = 2.0
-    A[3, :] = 1.0
-    A[4, :] = np.arange(6)
-    A[5, :] = np.arange(6) * (np.arange(6) - 1)
-    rhs = np.array([v0, w * d0, w * w * s0, w, 0.0, 0.0])
-    return np.polynomial.Polynomial(np.linalg.solve(A, rhs))
+def _horner(c: np.ndarray, x):
+    """sum c_k x^k by Horner's rule, lowest coefficient first; the same
+    operations, so the same bits, as numpy.polynomial's polyval."""
+    y = c[-1] + x * 0.0
+    for ck in c[-2::-1]:
+        y = ck + y * x
+    return y
 
 
-def _blend_monotone(v0: float, d0: float, s0: float, w: float) -> np.polynomial.Polynomial:
+def _deriv(c: np.ndarray) -> np.ndarray:
+    """Coefficients of the derivative of sum c_k x^k."""
+    return c[1:] * np.arange(1, len(c))
+
+
+def _blend_quintic(v0: float, d0: float, s0: float, w: float) -> np.ndarray:
+    # p(0), p'(0), p''(0) give c0..c2.  The rest, q = c3 t^3 + c4 t^4 + c5 t^5,
+    # must meet q(1) = dl, q'(1) = D and q''(1) = E so that p(1) = w and
+    # p'(1) = p''(1) = 0; that 3x3 system inverts in closed form.
+    c0, c1, c2 = v0, w * d0, 0.5 * w * w * s0
+    dl = w - (c0 + c1 + c2)
+    D = -(c1 + 2.0 * c2)
+    E = -2.0 * c2
+    return np.array([
+        c0, c1, c2,
+        10.0 * dl - 4.0 * D + 0.5 * E,
+        -15.0 * dl + 7.0 * D - E,
+        6.0 * dl - 3.0 * D + 0.5 * E,
+    ])
+
+
+def _blend_monotone(v0: float, d0: float, s0: float, w: float) -> np.ndarray:
     # Fallback used when the quintic dips: integrate the explicitly
     # nonnegative slope profile sigma(tau) = (a + b*tau + c*tau^2 + d*tau^3)
     # * (1 - tau)^2 with sigma(0), sigma'(0) and the total rise matched and
@@ -60,15 +77,14 @@ def _blend_monotone(v0: float, d0: float, s0: float, w: float) -> np.polynomial.
     rise = w - v0
     c = 60.0 * rise - 19.0 * a - 4.0 * b
     d = -a - b - c
-    cubic = np.polynomial.Polynomial([a, b, c, d])
-    sigma = cubic * np.polynomial.Polynomial([1.0, -1.0]) ** 2
-    poly = sigma.integ(1, k=[v0])
-    return poly
+    sigma = np.convolve([a, b, c, d], [1.0, -2.0, 1.0])
+    return np.concatenate(([v0], sigma / np.arange(1, len(sigma) + 1)))
 
 
 @lru_cache(maxsize=None)
-def _beta_poly(n: int) -> Tuple[np.polynomial.Polynomial, BetaAudit]:
-    """Blend on [N, 3N] in the scaled variable tau = (x - N) / (2N).
+def _beta_poly(n: int) -> Tuple[np.ndarray, BetaAudit]:
+    """Blend on [N, 3N] in the scaled variable tau = (x - N) / (2N), as its
+    coefficients in tau, lowest first.
 
     End conditions: value/slope/curvature of <x> at x = N, value 2N with zero
     slope and curvature at x = 3N.  A quintic Hermite fit is tried first; if
@@ -87,7 +103,7 @@ def _beta_poly(n: int) -> Tuple[np.polynomial.Polynomial, BetaAudit]:
     poly = None
     lo = hi = 0.0
     for candidate in (_blend_quintic(v0, d0, s0, w), _blend_monotone(v0, d0, s0, w)):
-        slope = candidate.deriv(1)(tau) / w
+        slope = _horner(_deriv(candidate), tau) / w
         lo, hi = float(slope.min()), float(slope.max())
         if lo >= -_SLOPE_TOL and hi <= 1.0 + _SLOPE_TOL:
             poly = candidate
@@ -96,7 +112,7 @@ def _beta_poly(n: int) -> Tuple[np.polynomial.Polynomial, BetaAudit]:
         raise AssertionError(
             f"beta blend audit failed for N={n}: slope range [{lo:.3e}, {hi:.3e}]"
         )
-    curv = poly.deriv(2)(tau) / (w * w)
+    curv = _horner(_deriv(_deriv(poly)), tau) / (w * w)
     x_band = n + w * tau
     ratio = float(np.max(np.abs(curv) / (1.0 + x_band**2) ** -1.5))
     return poly, BetaAudit(n=n, min_slope=lo, max_slope=hi, curvature_ratio=ratio)
@@ -115,7 +131,7 @@ def beta(n: int, x) -> np.ndarray | float:
     out = np.where(ax <= n, _angle_bracket(ax), 2.0 * n)
     band = (ax > n) & (ax < 3.0 * n)
     if np.any(band):
-        out[band] = poly((ax[band] - n) / (2.0 * n))
+        out[band] = _horner(poly, (ax[band] - n) / (2.0 * n))
     return float(out[0]) if scalar else out
 
 

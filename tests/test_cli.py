@@ -634,3 +634,49 @@ def test_random_data_and_verify_never_import_numpy_random(tmp_path):
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == ["linear 0 False", "verify 0 False"]
+
+
+# Runs every subcommand in one interpreter with numpy.linalg's solvers and
+# eigen-decompositions refused, and reports each exit code and whether
+# numpy.polynomial was imported by then.
+NO_LAPACK = """
+import sys
+import numpy as np
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("numpy.linalg called")
+
+
+for name in ("solve", "eigvalsh", "eigh", "eig", "inv", "lstsq", "svd"):
+    setattr(np.linalg, name, refuse)
+from bozk.cli import execute
+
+cfg, out = sys.argv[1:]
+for sub in ("simulate", "linear", "diagnose", "uc", "verify", "picard"):
+    code = execute([sub, "--config", cfg, "--out", out + "/" + sub, "--quiet"])
+    print(sub, code, "numpy.polynomial" in sys.modules)
+"""
+
+
+def test_no_subcommand_imports_numpy_polynomial_or_calls_linalg(tmp_path):
+    # trunc:1 runs the monotone blend, trunc:8 the quintic; an 8pi box
+    # resolves the gaussian for uc's obstruction indicator
+    text = SIM_CFG.replace("16pi", "8pi").replace(
+        "diag.weights = poly:1", "diag.weights = trunc:1,trunc:8"
+    )
+    text += "picard.t_final = 0.02\npicard.mu = 0.1\nuc.r_list = 1\nuc.s = 2\n"
+    src = str(Path(bozk.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run(
+        [sys.executable, "-c", NO_LAPACK, write_cfg(tmp_path, text), str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.splitlines() == [
+        f"{sub} {EXIT_OK} False"
+        for sub in ("simulate", "linear", "diagnose", "uc", "verify", "picard")
+    ]
+    header = (tmp_path / "out" / "linear" / "series.csv").read_text().splitlines()[0]
+    assert header.endswith("w_trunc1,w_trunc8")

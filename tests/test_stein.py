@@ -12,11 +12,12 @@ import bozk
 from bozk import stein
 from bozk.stein import (
     _BLOCK,
+    _GL_NODES,
     _GL_ORDER,
+    _GL_WEIGHTS,
     MIXED_PHASE_CALIBRATION,
     SteinConfig,
     UniformCubicSpline,
-    _gauss_legendre,
     _uniform_step,
     mixed_phase_bound,
     phase_bound,
@@ -238,12 +239,11 @@ class TestStacks:
 
 
 def test_gauss_legendre_rule_computed_once_and_read_only():
-    nodes, weights = _gauss_legendre()
-    assert _gauss_legendre()[0] is nodes
+    # the module constants are leggauss's rule, bit for bit, and read-only
     gx, gw = np.polynomial.legendre.leggauss(_GL_ORDER)
-    assert np.array_equal(nodes.view(np.uint64), gx.view(np.uint64))
-    assert np.array_equal(weights.view(np.uint64), gw.view(np.uint64))
-    for rule in (nodes, weights):
+    assert np.array_equal(_GL_NODES.view(np.uint64), gx.view(np.uint64))
+    assert np.array_equal(_GL_WEIGHTS.view(np.uint64), gw.view(np.uint64))
+    for rule in (_GL_NODES, _GL_WEIGHTS):
         with pytest.raises(ValueError):
             rule[0] = 0.0
 

@@ -4,7 +4,35 @@ import numpy as np
 import pytest
 
 from bozk.grid import make_grid
-from bozk.weights import WeightSpec, a2_statistic, beta, beta_audit
+from bozk.weights import (
+    WeightSpec,
+    _beta_poly,
+    _blend_monotone,
+    _blend_quintic,
+    _deriv,
+    _horner,
+    a2_statistic,
+    beta,
+    beta_audit,
+)
+
+
+def _knot(n):
+    """<x>, <x>', <x>'' at x = N and the blend's width 2N."""
+    v0 = math.hypot(1.0, n)
+    return v0, n / v0, (1.0 + n * n) ** -1.5, 2.0 * n
+
+
+def _solved_quintic(v0, d0, s0, w):
+    # the 6x6 Hermite system: p, p', p'' at tau = 0 and at tau = 1
+    A = np.zeros((6, 6))
+    A[0, 0] = 1.0
+    A[1, 1] = 1.0
+    A[2, 2] = 2.0
+    A[3, :] = 1.0
+    A[4, :] = np.arange(6)
+    A[5, :] = np.arange(6) * (np.arange(6) - 1)
+    return np.linalg.solve(A, np.array([v0, w * d0, w * w * s0, w, 0.0, 0.0]))
 
 
 class TestBeta:
@@ -51,6 +79,59 @@ class TestBeta:
     def test_rejects_bad_n(self):
         with pytest.raises(ValueError):
             beta(0, 1.0)
+
+
+class TestBlend:
+    @pytest.mark.parametrize(
+        "n, blend",
+        [(2, _blend_quintic), (8, _blend_quintic), (32, _blend_quintic), (1, _blend_monotone)],
+    )
+    def test_end_conditions(self, n, blend):
+        v0, d0, s0, w = _knot(n)
+        c = blend(v0, d0, s0, w)
+        d1 = _deriv(c)
+        d2 = _deriv(d1)
+        got = [_horner(p, t) for t in (0.0, 1.0) for p in (c, d1, d2)]
+        want = [v0, w * d0, w * w * s0, w, 0.0, 0.0]
+        assert np.max(np.abs(np.subtract(got, want))) < 1e-12
+
+    def test_closed_form_matches_solved_system(self):
+        for n in range(1, 65):
+            ends = _knot(n)
+            solved = _solved_quintic(*ends)
+            diff = np.max(np.abs(_blend_quintic(*ends) - solved))
+            assert diff <= 1e-14 * np.max(np.abs(solved))
+
+    def test_horner_bit_equal_to_polyval(self):
+        rng = np.random.default_rng(5)
+        for degree in range(7):
+            c = rng.standard_normal(degree + 1)
+            x = rng.uniform(-2.0, 2.0, 257)
+            ref = np.polynomial.polynomial.polyval(x, c)
+            assert np.array_equal(_horner(c, x).view(np.uint64), ref.view(np.uint64))
+            assert _horner(c, float(x[0])) == np.polynomial.polynomial.polyval(float(x[0]), c)
+
+    def test_deriv_bit_equal_to_polynomial_deriv(self):
+        c = np.random.default_rng(6).standard_normal(7)
+        P = np.polynomial.Polynomial(c)
+        assert np.array_equal(_deriv(c), P.deriv(1).coef)
+        assert np.array_equal(_deriv(_deriv(c)), P.deriv(2).coef)
+
+    def test_monotone_bit_equal_to_polynomial_construction(self):
+        for n in (1, 2, 8):
+            v0, d0, s0, w = _knot(n)
+            a = w * d0
+            b = w * w * s0 + 2.0 * a
+            c = 60.0 * (w - v0) - 19.0 * a - 4.0 * b
+            cubic = np.polynomial.Polynomial([a, b, c, -a - b - c])
+            old = (cubic * np.polynomial.Polynomial([1.0, -1.0]) ** 2).integ(1, k=[v0])
+            assert np.array_equal(_blend_monotone(v0, d0, s0, w), old.coef)
+
+    def test_monotone_chosen_only_at_one(self):
+        for n in list(range(1, 65)) + [512, 4096]:
+            chosen = _beta_poly(n)[0]
+            blend = _blend_monotone if n == 1 else _blend_quintic
+            assert np.array_equal(chosen, blend(*_knot(n)))
 
 
 class TestWeightSpecs:
