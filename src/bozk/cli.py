@@ -156,9 +156,9 @@ def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> dict:
         }
 
     rows = []
-    for i, lev in enumerate(report.levels):
+    for i, window_norm in enumerate(report.levels):
         ratio = report.ratios[i - 1] if i > 0 else ""
-        rows.append([i, lev.window_norm, ratio, report.verdict])
+        rows.append([i, window_norm, ratio, report.verdict])
     write_csv(out / "uc_report.csv", ["level", "window_norm", "ratio", "verdict"], rows)
 
     header = ["t"] + [f"z_{short_repr(r)}" for r in m.uc_r_list]

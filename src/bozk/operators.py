@@ -50,10 +50,6 @@ def dispersion(xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     return xi * eta**2 - xi * np.abs(xi)
 
 
-def damping_rate(xi: np.ndarray, eta: np.ndarray, mu: float) -> np.ndarray:
-    return mu * (xi**2 + eta**2)
-
-
 def hilbert_x(f: RealField) -> RealField:
     """Hilbert transform in x: the multiplier -i*sgn(xi), with sgn(0) = 0.
 
@@ -204,7 +200,7 @@ def propagator_array(grid: Grid2D, t: float, mu: float) -> np.ndarray:
         raise ValueError("backward diffusion: t < 0 requires mu = 0")
 
     def generator(xi, eta):
-        return 1j * t * dispersion(xi, eta) - t * damping_rate(xi, eta, mu)
+        return 1j * t * dispersion(xi, eta) - t * (mu * (xi**2 + eta**2))
 
     return np.exp(multiplier_array(grid, generator))
 

@@ -138,14 +138,10 @@ def _rhs_into(
     out *= table
 
 
-def nonlinear_rhs(
-    F: SpectrumField, audit: Optional[Callable[[float], None]] = None
-) -> SpectrumField:
+def nonlinear_rhs(F: SpectrumField) -> SpectrumField:
     """Spectrum of -1/2 d_x(u^2), with the 2/3 mask around the square (the
     mask on the output is folded into ``Grid2D.advection_symbol``).
 
-    `audit`, when given, is called with max|u| of the field that is squared
-    before the square is taken; it may raise to stop the evaluation.
     Non-finite samples, or a square that overflows, raise
     :class:`NonFiniteField`.  The step kernel runs the same code in its own
     buffers."""
@@ -153,7 +149,7 @@ def nonlinear_rhs(
     sym = g.advection_symbol
     out, u = _scratch(g)  # the transform buffer is the result
     x = _raw(g, F.coeffs, out[:, : sym.shape[1]])
-    _rhs_into(x, x, sym * g.forward_scale[:, : sym.shape[1]], out, u, audit)
+    _rhs_into(x, x, sym * g.forward_scale[:, : sym.shape[1]], out, u)
     return SpectrumField(g, out)
 
 

@@ -342,12 +342,6 @@ def probe_window(
     return stein_derivative(xs, fs, cfg, pts).values
 
 
-@dataclass(frozen=True)
-class RefinementLevel:
-    step: float
-    window_norm: float
-
-
 def refinement_ladder(
     slices: Callable[[np.ndarray], Iterable[Tuple[float, np.ndarray]]],
     b: float,
@@ -355,7 +349,7 @@ def refinement_ladder(
     *,
     h0: float,
     window: float,
-) -> Tuple[List[RefinementLevel], List[float]]:
+) -> Tuple[List[float], List[float]]:
     """Windowed L2 mass of Db on dyadically refined grids, and its ratios.
 
     Level k samples on the symmetric grid of step h0 * 2^-k reaching
@@ -367,7 +361,7 @@ def refinement_ladder(
     """
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
-    out_levels: List[RefinementLevel] = []
+    norms: List[float] = []
     for k in range(levels):
         step = h0 * 0.5**k
         n = math.ceil((window + PROBE_R_OUTER + 8.0 * step) / step)
@@ -376,12 +370,9 @@ def refinement_ladder(
         total = 0.0
         for weight, vals in zip(weights, probe_window(xs, np.stack(rows), b, step, window)):
             total += weight * float(np.sum(vals**2) * step)
-        out_levels.append(RefinementLevel(step=step, window_norm=math.sqrt(total)))
-    ratios = [
-        c.window_norm / a.window_norm if a.window_norm > 1e-300 else 1.0
-        for a, c in zip(out_levels, out_levels[1:])
-    ]
-    return out_levels, ratios
+        norms.append(math.sqrt(total))
+    ratios = [c / a if a > 1e-300 else 1.0 for a, c in zip(norms, norms[1:])]
+    return norms, ratios
 
 
 def diverges(ratios: Sequence[float]) -> bool:
@@ -392,7 +383,7 @@ def diverges(ratios: Sequence[float]) -> bool:
 
 @dataclass(frozen=True)
 class RefinementReport:
-    levels: List[RefinementLevel]
+    levels: List[float]  # window norm per level
     ratios: List[float]
     # refine_divergence: "divergent" | "convergent" | "inconclusive";
     # uc.b1_indicator: "obstructed" | "persists"

@@ -71,16 +71,11 @@ class CutoffSpec:
         return self.chi_tilde(xi) * np.exp(-np.asarray(eta) ** 2)
 
 
-def _semidiscrete_rows(phi: RealField, eta_targets: Sequence[float]):
-    """Partial transform A(x_i, eta) = sum_j phi e^(-i eta y_j) dy on the
-    nearest grid eta to each target, ready for arbitrary-xi evaluation."""
-    g = phi.grid
-    col = np.fft.fft(phi.samples, axis=0) * (g.dy * np.where(g.my % 2 == 0, 1.0, -1.0)[:, None])
-    rows = []
-    for target in eta_targets:
-        n = int(np.argmin(np.abs(g.eta - target)))
-        rows.append((float(g.eta[n]), col[n, :]))
-    return rows
+def _eta_rows(grid: Grid2D, targets: Sequence[float]) -> List[int]:
+    """The distinct grid rows whose eta is nearest one of the targets, in
+    ascending eta (a tie goes to the row that comes first in grid order)."""
+    rows = {int(np.argmin(np.abs(grid.eta - target))) for target in targets}
+    return sorted(rows, key=lambda n: grid.eta[n])
 
 
 def spectrum_tail_ratio(phi: RealField) -> float:
@@ -124,20 +119,21 @@ def b1_indicator(
         )
     cut = cut or CutoffSpec()
     eps = cut.epsilon
-    rows = _semidiscrete_rows(phi, B1_ETA_TARGETS)
-    # trapezoid weights on the sorted set of distinct grid etas
-    etas_u, uniq = np.unique([e for e, _ in rows], return_index=True)
-    if len(etas_u) > 1:
-        d = np.diff(etas_u)
-        wts = np.empty_like(etas_u)
+    g = phi.grid
+    rows = _eta_rows(g, B1_ETA_TARGETS)
+    # partial transforms A(x_i, eta) = sum_j phi e^(-i eta y_j) dy of the rows
+    sign = np.where(g.my[rows] % 2 == 0, 1.0, -1.0)
+    cols = np.fft.fft(phi.samples, axis=0)[rows] * (g.dy * sign)[:, None]
+    # trapezoid weights on the distinct grid etas
+    etas = g.eta[rows]
+    if len(etas) > 1:
+        d = np.diff(etas)
+        wts = np.empty_like(etas)
         wts[0] = d[0] / 2
         wts[-1] = d[-1] / 2
         wts[1:-1] = (d[:-1] + d[1:]) / 2
     else:
         wts = np.array([1.0])
-
-    g = phi.grid
-    cols = np.stack([rows[idx][1] for idx in uniq])
 
     def eta_slices(xi: np.ndarray):
         kern = -1j * np.outer(xi, g.x)
@@ -146,7 +142,7 @@ def b1_indicator(
         # every slice transform of the level at once; einsum without
         # optimize sums in its own loops, so no BLAS call is made
         phats = np.einsum("px,sx->sp", kern, cols)
-        for w_eta, eta_val, phat in zip(wts, etas_u, phats):
+        for w_eta, eta_val, phat in zip(wts, etas, phats):
             f = (
                 2.0
                 * t
@@ -260,7 +256,8 @@ def moment_drift(ts: TimeSeries) -> MomentDrift:
         raise ValueError("moment law applies to the mu = 0 flow")
     if len(ts.t) < 4:
         raise ValueError("need at least 4 records for a slope fit")
-    slope = float(np.polyfit(ts.t, ts.moment_x, 1)[0])
+    tc = ts.t - ts.t.mean()
+    slope = float(np.sum(tc * (ts.moment_x - ts.moment_x.mean())) / np.sum(tc * tc))
     predicted = ts.moment_rate()
     scale = 0.5 * ts.phi_l2**2
     rel = abs(slope - predicted) / scale if scale > 0 else 0.0
@@ -309,21 +306,16 @@ def obstruction_density(
     F = forward(u)
     dxi = 2.0 * np.pi / g.lx
     window = 0.5 * cut.epsilon
-    peak = 0.0
-    for target in DENSITY_ETA_TARGETS:
-        n = int(np.argmin(np.abs(g.eta - target)))
-        xi, slice_eta = xi_line(F, n)
-        q = cut.chi(xi, float(g.eta[n])) * np.sign(xi) * slice_eta
-        if b < 0.02:
-            # zeroth order needs no resolution floor; the sup converges to
-            # the conserved |u_hat(0+, eta)| as the window fills in
-            sel0 = (np.abs(xi) > 0) & (np.abs(xi) <= window)
-            val = float(np.max(np.abs(q[sel0]) ** 2)) if np.any(sel0) else 0.0
-        else:
-            vals = probe_window(xi, q, b, dxi, window)
-            val = float(np.max(vals**2)) if vals.size else 0.0
-        peak = max(peak, val)
-    return peak
+    rows = _eta_rows(g, DENSITY_ETA_TARGETS)
+    xi = xi_line(F, rows[0])[0]
+    q = np.stack([cut.chi(xi, g.eta[n]) * np.sign(xi) * xi_line(F, n)[1] for n in rows])
+    if b < 0.02:
+        # zeroth order needs no resolution floor; the sup converges to
+        # the conserved |u_hat(0+, eta)| as the window fills in
+        sel0 = (np.abs(xi) > 0) & (np.abs(xi) <= window)
+        return float(np.max(np.abs(q[:, sel0]) ** 2)) if np.any(sel0) else 0.0
+    vals = probe_window(xi, q, b, dxi, window)
+    return float(np.max(vals**2)) if vals.size else 0.0
 
 
 def domain_growth_study(

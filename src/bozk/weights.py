@@ -27,10 +27,8 @@ _SLOPE_TOL = 1e-9
 class BetaAudit:
     """Construction-time measurements of one truncated profile."""
 
-    n: int
     min_slope: float
     max_slope: float
-    curvature_ratio: float  # max |beta''| / <x>'' over the blend band
 
 
 def _angle_bracket(x: np.ndarray) -> np.ndarray:
@@ -89,8 +87,7 @@ def _beta_poly(n: int) -> Tuple[np.ndarray, BetaAudit]:
     End conditions: value/slope/curvature of <x> at x = N, value 2N with zero
     slope and curvature at x = 3N.  A quintic Hermite fit is tried first; if
     the dense audit finds its slope outside [0, 1] (which happens only for
-    N = 1) a guaranteed-monotone degree-6 profile replaces it.  The audit
-    records the curvature constant relative to <x>''.
+    N = 1) a guaranteed-monotone degree-6 profile replaces it.
     """
     if n < 1:
         raise ValueError("truncated weight needs N >= 1")
@@ -112,10 +109,7 @@ def _beta_poly(n: int) -> Tuple[np.ndarray, BetaAudit]:
         raise AssertionError(
             f"beta blend audit failed for N={n}: slope range [{lo:.3e}, {hi:.3e}]"
         )
-    curv = _horner(_deriv(_deriv(poly)), tau) / (w * w)
-    x_band = n + w * tau
-    ratio = float(np.max(np.abs(curv) / (1.0 + x_band**2) ** -1.5))
-    return poly, BetaAudit(n=n, min_slope=lo, max_slope=hi, curvature_ratio=ratio)
+    return poly, BetaAudit(min_slope=lo, max_slope=hi)
 
 
 def beta_audit(n: int) -> BetaAudit:

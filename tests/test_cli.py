@@ -637,11 +637,13 @@ def test_random_data_and_verify_never_import_numpy_random(tmp_path):
 
 
 # Runs every subcommand in one interpreter with numpy.linalg's solvers and
-# eigen-decompositions refused, and reports each exit code and whether
-# numpy.polynomial was imported by then.
+# eigen-decompositions refused, np.polyfit's own binding of lstsq among
+# them, then uc on mean-zero data, whose moment fit runs; reports each exit
+# code and whether numpy.polynomial was imported by then.
 NO_LAPACK = """
 import sys
 import numpy as np
+import numpy.lib._polynomial_impl as polynomial_impl
 
 
 def refuse(*args, **kwargs):
@@ -650,12 +652,15 @@ def refuse(*args, **kwargs):
 
 for name in ("solve", "eigvalsh", "eigh", "eig", "inv", "lstsq", "svd"):
     setattr(np.linalg, name, refuse)
+polynomial_impl.lstsq = refuse
 from bozk.cli import execute
 
-cfg, out = sys.argv[1:]
+cfg, dx_cfg, out = sys.argv[1:]
 for sub in ("simulate", "linear", "diagnose", "uc", "verify", "picard"):
     code = execute([sub, "--config", cfg, "--out", out + "/" + sub, "--quiet"])
     print(sub, code, "numpy.polynomial" in sys.modules)
+code = execute(["uc", "--config", dx_cfg, "--out", out + "/uc-dx", "--quiet"])
+print("uc-dx", code, "numpy.polynomial" in sys.modules)
 """
 
 
@@ -666,17 +671,23 @@ def test_no_subcommand_imports_numpy_polynomial_or_calls_linalg(tmp_path):
         "diag.weights = poly:1", "diag.weights = trunc:1,trunc:8"
     )
     text += "picard.t_final = 0.02\npicard.mu = 0.1\nuc.r_list = 1\nuc.s = 2\n"
+    # the moment fit needs at least four records
+    dx_text = text.replace("data.kind = gaussian", "data.kind = dx_gaussian").replace(
+        "solver.stride = 5", "solver.stride = 2"
+    )
     src = str(Path(bozk.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     res = subprocess.run(
-        [sys.executable, "-c", NO_LAPACK, write_cfg(tmp_path, text), str(tmp_path / "out")],
+        [sys.executable, "-c", NO_LAPACK, write_cfg(tmp_path, text),
+         write_cfg(tmp_path, dx_text, "dx.cfg"), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
         f"{sub} {EXIT_OK} False"
-        for sub in ("simulate", "linear", "diagnose", "uc", "verify", "picard")
+        for sub in ("simulate", "linear", "diagnose", "uc", "verify", "picard", "uc-dx")
     ]
+    assert read_strict_json(tmp_path / "out" / "uc-dx" / "summary.json")["moment"] is not None
     header = (tmp_path / "out" / "linear" / "series.csv").read_text().splitlines()[0]
     assert header.endswith("w_trunc1,w_trunc8")

@@ -677,9 +677,9 @@ def test_tracer_hooks_stay(monkeypatch):
     calls = []
     real = solver.nonlinear_rhs
 
-    def counted(F, audit=None):
+    def counted(F):
         calls.append(F)
-        return real(F, audit)
+        return real(F)
 
     monkeypatch.setattr(solver, "nonlinear_rhs", counted)
     g = make_grid(32, 32, 16 * np.pi, 16 * np.pi)

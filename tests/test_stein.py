@@ -302,7 +302,7 @@ class TestRefineDivergence:
     def test_zero_function(self):
         rep = refine_divergence(lambda x: np.zeros_like(x), 0.5, 4)
         assert rep.verdict == "convergent"
-        assert all(l.window_norm == 0.0 for l in rep.levels)
+        assert all(v == 0.0 for v in rep.levels)
 
     def test_needs_three_levels(self):
         with pytest.raises(ValueError):

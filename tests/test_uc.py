@@ -5,14 +5,15 @@ import pytest
 
 from bozk import fields, solver
 from bozk.diagnostics import norm
-from bozk.grid import RealField, inverse, make_grid
+from bozk.grid import RealField, forward, inverse, make_grid, xi_line
 from bozk.operators import NormSpec
 from bozk.solver import SolverConfig, run
 from bozk.stein import PROBE_R_OUTER, probe_window
 from bozk.uc import (
     B1_ETA_TARGETS,
+    DENSITY_ETA_TARGETS,
     CutoffSpec,
-    _semidiscrete_rows,
+    _eta_rows,
     b1_indicator,
     domain_growth_study,
     moment_drift,
@@ -49,13 +50,16 @@ def grid():
 
 def per_slice_level_norms(phi, t, levels=4):
     """b1_indicator's level norms from the per-slice loop: one kern @ col
-    transform and one probe_window call per eta slice."""
+    transform and one probe_window call per eta slice, on the partial
+    y-transform of the whole field read at the nearest grid eta of each
+    target."""
     cut = CutoffSpec()
-    rows = _semidiscrete_rows(phi, B1_ETA_TARGETS)
-    etas, uniq = np.unique([e for e, _ in rows], return_index=True)
+    g = phi.grid
+    col = np.fft.fft(phi.samples, axis=0) * (g.dy * (-1.0) ** g.my)[:, None]
+    nearest = [int(np.argmin(np.abs(g.eta - target))) for target in B1_ETA_TARGETS]
+    etas, uniq = np.unique(g.eta[nearest], return_index=True)
     d = np.diff(etas)
     wts = np.concatenate([[d[0] / 2], (d[:-1] + d[1:]) / 2, [d[-1] / 2]])
-    g = phi.grid
     window = 0.5 * cut.epsilon
     norms = []
     for k in range(levels):
@@ -64,14 +68,35 @@ def per_slice_level_norms(phi, t, levels=4):
         xi = step * np.arange(-n, n + 1)
         kern = np.exp(-1j * np.outer(xi, g.x)) * g.dx
         total = 0.0
-        for w, idx in zip(wts, uniq):
-            eta, col = rows[idx]
+        for w, eta, idx in zip(wts, etas, uniq):
             f = (2.0 * t * cut.chi(xi, eta) * np.exp(1j * t * xi * (eta**2 - np.abs(xi)))
-                 * np.sign(xi) * (kern @ col))
+                 * np.sign(xi) * (kern @ col[nearest[idx]]))
             vals = probe_window(xi, f, 0.5, step, window)
             total += w * float(np.sum(vals**2) * step)
         norms.append(math.sqrt(total))
     return norms
+
+
+def per_row_density(u, r, cut):
+    """obstruction_density from one probe_window call (or one masked max at
+    b = 0) per eta target."""
+    b = r - 2.0
+    g = u.grid
+    F = forward(u)
+    window = 0.5 * cut.epsilon
+    peak = 0.0
+    for target in DENSITY_ETA_TARGETS:
+        n = int(np.argmin(np.abs(g.eta - target)))
+        xi, line = xi_line(F, n)
+        q = cut.chi(xi, float(g.eta[n])) * np.sign(xi) * line
+        if b == 0.0:
+            sel = (np.abs(xi) > 0) & (np.abs(xi) <= window)
+            val = float(np.max(np.abs(q[sel]) ** 2))
+        else:
+            vals = probe_window(xi, q, b, 2.0 * np.pi / g.lx, window)
+            val = float(np.max(vals**2))
+        peak = max(peak, val)
+    return peak
 
 
 class TestB1Indicator:
@@ -80,8 +105,7 @@ class TestB1Indicator:
         phi = getattr(fields, family)(grid, amplitude=1.0)
         rep = b1_indicator(phi, 0.5)
         ref = per_slice_level_norms(phi, 0.5)
-        got = [l.window_norm for l in rep.levels]
-        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(rep.levels, ref, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("t", [0.1, 1.0])
     def test_gaussian_obstructed(self, grid, t):
@@ -96,7 +120,7 @@ class TestB1Indicator:
     def test_zero_field_persists(self, grid):
         rep = b1_indicator(RealField.zeros(grid), 0.5)
         assert rep.verdict == "persists"
-        assert all(l.window_norm == 0.0 for l in rep.levels)
+        assert all(v == 0.0 for v in rep.levels)
 
     def test_amplitude_invariance(self, grid):
         phi = fields.gaussian(grid, amplitude=1.0)
@@ -128,8 +152,7 @@ class TestB1Indicator:
     def test_colliding_eta_targets(self):
         # eta spacing 1: the nine targets snap onto five distinct grid etas
         g = make_grid(128, 16, L16, 2 * np.pi)
-        etas = {e for e, _ in _semidiscrete_rows(RealField.zeros(g), B1_ETA_TARGETS)}
-        assert sorted(etas) == [-2.0, -1.0, 0.0, 1.0, 2.0]
+        assert [g.eta[n] for n in _eta_rows(g, B1_ETA_TARGETS)] == [-2.0, -1.0, 0.0, 1.0, 2.0]
 
         def bump(x, y):
             return np.exp(-x**2 / 4.5) * (1 + np.cos(y) / 2)
@@ -262,3 +285,15 @@ class TestDomainGrowth:
         with pytest.raises(ValueError):
             obstruction_density(u, 3.2)
         assert obstruction_density(u, 2.0, CutoffSpec(2.0)) > 0.0
+
+    @pytest.mark.parametrize("r", [2.0, 2.5])
+    @pytest.mark.parametrize("ny, ly, distinct", [(128, L16, 3), (16, 2 * np.pi, 2)])
+    def test_obstruction_density_matches_per_row_loop(self, r, ny, ly, distinct):
+        # on the 2pi box eta steps by 1, so the targets 0 and 0.5 share a row
+        g = make_grid(128, ny, L16, ly)
+        assert len(_eta_rows(g, DENSITY_ETA_TARGETS)) == distinct
+        u = RealField.from_function(
+            g, lambda x, y: np.exp(-x**2 / 3.0) * (1.0 + 0.5 * np.cos(y)) * (1.0 + 0.3 * x)
+        )
+        cut = CutoffSpec(2.0)
+        assert obstruction_density(u, r, cut) == per_row_density(u, r, cut)
