@@ -146,7 +146,7 @@ def _cmd_uc(m: RunManifest, out: Path, quiet: bool) -> dict:
             grid,
             m.solver_config(),
             doublings=m.uc_doublings,
-            cut=CutoffSpec(max(m.uc_epsilon, 16.0 * 2.0 * math.pi / grid.lx)),
+            cut=cut,
         )
         summary["domain_growth"] = {
             "factors": {f"{r:g}": growth.factors[r] for r in growth.factors},
@@ -353,7 +353,7 @@ def execute(argv: Sequence[str]) -> int:
         if args.config is not None:
             m = load_manifest(args.config)
         else:
-            m = RunManifest(raw={})
+            m = RunManifest()
         if args.seed is not None:
             m.seed = args.seed
         out = Path(args.out)

@@ -112,7 +112,6 @@ _KEYS: Dict[str, Tuple[str, Callable[[str], Any]]] = {
 
 @dataclass
 class RunManifest:
-    raw: Dict[str, str]
     nx: int = 128
     ny: int = 128
     lx: float = 16 * math.pi
@@ -190,7 +189,7 @@ def parse_manifest_text(text: str) -> RunManifest:
             raise ManifestError(f"line {lineno}: unknown key {key!r}")
         raw[key] = value
 
-    m = RunManifest(raw=raw)
+    m = RunManifest()
     try:
         for key, (attr, parse) in _KEYS.items():
             if key in raw:

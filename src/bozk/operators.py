@@ -163,31 +163,18 @@ def read_norms(
 def fractional_op(f: RealField, kind: str, z: float) -> RealField:
     """Apply J^z, J_x^z, J_y^z, D^z or D_x^z.
 
-    The homogeneous operators D and D_x with z < 0 are singular on the zero
-    mode (respectively the whole xi = 0 line); they are only defined when the
-    field carries no content there, and the singular entries of the symbol
-    are replaced by zero once that is checked.
+    The homogeneous operators D and D_x take z >= 0 only: with z < 0 they
+    are singular on the zero mode (respectively the whole xi = 0 line).
     """
     if kind not in _BASES:
         raise ValueError(f"unknown fractional operator kind {kind!r}")
-    F = forward(f)
     base = _BASES[kind]
+    if kind.startswith("D") and z < 0:
+        raise ValueError(f"{kind}^z needs z >= 0, got {z}")
+    F = forward(f)
     if kind.startswith("J"):
         return inverse(apply_multiplier(F, lambda xi, eta: base(xi, eta) ** (z / 2.0)))
-    if z < 0:
-        singular = multiplier_array(f.grid, base).real == 0.0
-        resid = np.max(np.abs(F.coeffs[singular]))
-        if resid > 1e-13 * max(np.max(np.abs(F.coeffs)), 1.0):
-            raise ValueError(
-                f"{kind}^z with z < 0 needs a field with no mass on its "
-                f"singular modes (residual {resid:.3e})"
-            )
-
-    def symbol(xi, eta):
-        b = base(xi, eta)
-        return np.where(b == 0.0, 0.0 if z != 0 else 1.0, np.sqrt(b) ** z)
-
-    return inverse(apply_multiplier(F, symbol))
+    return inverse(apply_multiplier(F, lambda xi, eta: np.sqrt(base(xi, eta)) ** z))
 
 
 def propagator_array(grid: Grid2D, t: float, mu: float) -> np.ndarray:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -325,14 +325,19 @@ def mixed_phase_bound(b: float, t: float, x: float) -> float:
 
 
 def probe_window(
-    xs: np.ndarray, fs: np.ndarray, b: float, step: float, window: float
+    xs: np.ndarray, fs: np.ndarray, b: float, step: float, epsilon: float
 ) -> np.ndarray:
     """Db of the samples (xs, fs), of grid step `step`, under the probe
     policy: reach PROBE_R_OUTER, PROBE_NODES_PER_DECADE log-band nodes and an
     inner patch of min(2 step, 1/2), evaluated at the window points
-    4 step <= |x| <= window (a four-cell resolution floor around the
-    origin).  fs may be an (S, N) stack; the values are then (S, P)."""
+    4 step <= |x| <= epsilon/2: the plateau of a cutoff of width epsilon,
+    less a four-cell resolution floor around the origin.  ValueError if no
+    sample is left there.  fs may be an (S, N) stack; the values are then
+    (S, P)."""
+    window = 0.5 * epsilon
     pts = xs[(np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= window)]
+    if not pts.size:
+        raise ValueError(f"no sample in the probe window {4.0 * step:g} <= |x| <= {window:g}")
     cfg = SteinConfig(
         b=b,
         r_outer=PROBE_R_OUTER,
@@ -343,33 +348,33 @@ def probe_window(
 
 
 def refinement_ladder(
-    slices: Callable[[np.ndarray], Iterable[Tuple[float, np.ndarray]]],
+    slices: Callable[[np.ndarray], np.ndarray],
+    weights: Sequence[float],
     b: float,
     levels: int,
-    *,
-    h0: float,
-    window: float,
+    epsilon: float,
 ) -> Tuple[List[float], List[float]]:
     """Windowed L2 mass of Db on dyadically refined grids, and its ratios.
 
-    Level k samples on the symmetric grid of step h0 * 2^-k reaching
-    window + PROBE_R_OUTER (plus eight cells) on each side.  ``slices(xs)``
-    returns (weight, samples) pairs on that grid; the slices of a level go
-    through one :func:`probe_window` call as a stack, and the level's window
-    norm is the square root of the weighted sum of their squared masses.
-    Ratios are successive window-norm quotients (1.0 after a vanishing level).
+    Level k samples on the symmetric grid of step epsilon/16 * 2^-k reaching
+    epsilon/2 + PROBE_R_OUTER (plus eight cells) on each side.  ``slices(xs)``
+    returns the level's rows as one (S, N) stack on that grid, which goes
+    through one :func:`probe_window` call; the level's window norm is the
+    square root of the sum of the rows' squared masses, row s weighted by
+    weights[s].  Ratios are successive window-norm quotients (1.0 after a
+    vanishing level).
     """
     if levels < 3:
         raise ValueError("need at least 3 refinement levels")
     norms: List[float] = []
     for k in range(levels):
-        step = h0 * 0.5**k
-        n = math.ceil((window + PROBE_R_OUTER + 8.0 * step) / step)
+        step = epsilon / 16.0 * 0.5**k
+        n = math.ceil((0.5 * epsilon + PROBE_R_OUTER + 8.0 * step) / step)
         xs = step * np.arange(-n, n + 1)
-        weights, rows = zip(*slices(xs))
         total = 0.0
-        for weight, vals in zip(weights, probe_window(xs, np.stack(rows), b, step, window)):
-            total += weight * float(np.sum(vals**2) * step)
+        vals = probe_window(xs, slices(xs), b, step, epsilon)
+        for weight, row in zip(weights, vals, strict=True):
+            total += weight * float(np.sum(row**2) * step)
         norms.append(math.sqrt(total))
     ratios = [c / a if a > 1e-300 else 1.0 for a, c in zip(norms, norms[1:])]
     return norms, ratios
@@ -395,13 +400,13 @@ def refine_divergence(
 ) -> RefinementReport:
     """Windowed L2 mass of Db f on dyadically refined grids.
 
-    Runs :func:`refinement_ladder` on the single slice f (coarsest step
-    1/16, window [-1/2, 1/2]).  A jump at the origin makes the window norms
-    grow without bound under refinement ("divergent"); a function with
-    bounded Db stabilises ("convergent").
+    Runs :func:`refinement_ladder` on the single slice f with epsilon = 1
+    (coarsest step 1/16, window [-1/2, 1/2]).  A jump at the origin makes
+    the window norms grow without bound under refinement ("divergent"); a
+    function with bounded Db stabilises ("convergent").
     """
     out_levels, ratios = refinement_ladder(
-        lambda xs: [(1.0, np.asarray(f(xs)))], b, levels, h0=0.0625, window=0.5
+        lambda xs: np.asarray(f(xs))[None], [1.0], b, levels, 1.0
     )
     if diverges(ratios):
         verdict = "divergent"

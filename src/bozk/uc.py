@@ -14,7 +14,7 @@ domain-size dependence at fixed resolution density.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
@@ -52,15 +52,6 @@ class CutoffSpec:
     def __post_init__(self) -> None:
         if self.epsilon <= 0:
             raise ValueError("cutoff width epsilon must be positive")
-        xi = np.linspace(-2.0 * self.epsilon, 2.0 * self.epsilon, 2001)
-        v = self.chi_tilde(xi)
-        if np.any(v < -1e-15) or np.any(v > 1.0 + 1e-15):
-            raise AssertionError("cutoff profile escaped [0, 1]")
-        if np.any(v[np.abs(xi) >= self.epsilon] != 0.0):
-            raise AssertionError("cutoff support leaked past epsilon")
-        plateau = np.abs(xi) <= 0.5 * self.epsilon - 1e-12
-        if np.any(np.abs(v[plateau] - 1.0) > 1e-12):
-            raise AssertionError("cutoff plateau is not identically 1")
 
     def chi_tilde(self, xi: np.ndarray) -> np.ndarray:
         a = np.abs(np.asarray(xi, dtype=np.float64))
@@ -94,7 +85,7 @@ def spectrum_tail_ratio(phi: RealField) -> float:
 def b1_indicator(
     phi: RealField,
     t: float,
-    cut: Optional[CutoffSpec] = None,
+    cut: CutoffSpec = CutoffSpec(),
     levels: int = 4,
 ) -> RefinementReport:
     """Refinement probe of the sgn(xi) term of the linearly evolved spectrum.
@@ -104,7 +95,7 @@ def b1_indicator(
         f_eta(xi) = 2 t chi(xi, eta) e^(i t xi (eta^2 - |xi|)) sgn(xi) phi_hat(xi, eta)
 
     is sampled on xi-grids of dyadically increasing resolution; its half-order
-    Stein derivative is integrated over a fixed window near xi = 0 (minus a
+    Stein derivative is integrated over the cutoff's plateau (minus a
     four-cell resolution floor) and aggregated over eta.  Growing level norms
     mean phi_hat(0, eta) != 0 ("obstructed"); stable norms mean the x-mean
     transform vanishes ("persists").  The verdict is invariant under scaling
@@ -117,8 +108,6 @@ def b1_indicator(
         raise ValueError(
             f"spectrum not resolved: relative tail {tail:.2e} > {TAIL_TOL:.0e}"
         )
-    cut = cut or CutoffSpec()
-    eps = cut.epsilon
     g = phi.grid
     rows = _eta_rows(g, B1_ETA_TARGETS)
     # partial transforms A(x_i, eta) = sum_j phi e^(-i eta y_j) dy of the rows
@@ -135,31 +124,25 @@ def b1_indicator(
     else:
         wts = np.array([1.0])
 
-    def eta_slices(xi: np.ndarray):
+    eta = etas[:, None]
+
+    def eta_slices(xi: np.ndarray) -> np.ndarray:
         kern = -1j * np.outer(xi, g.x)
         np.exp(kern, out=kern)
         kern *= g.dx
         # every slice transform of the level at once; einsum without
         # optimize sums in its own loops, so no BLAS call is made
         phats = np.einsum("px,sx->sp", kern, cols)
-        for w_eta, eta_val, phat in zip(wts, etas, phats):
-            f = (
-                2.0
-                * t
-                * cut.chi(xi, eta_val)
-                * np.exp(1j * t * xi * (eta_val**2 - np.abs(xi)))
-                * np.sign(xi)
-                * phat
-            )
-            yield w_eta, f
+        return (
+            2.0
+            * t
+            * cut.chi(xi, eta)
+            * np.exp(1j * t * xi * (eta**2 - np.abs(xi)))
+            * np.sign(xi)
+            * phats
+        )
 
-    out_levels, ratios = refinement_ladder(
-        eta_slices,
-        0.5,
-        levels,
-        h0=eps / 16.0,
-        window=0.5 * eps,
-    )
+    out_levels, ratios = refinement_ladder(eta_slices, wts, 0.5, levels, cut.epsilon)
     return RefinementReport(
         levels=out_levels,
         ratios=ratios,
@@ -288,7 +271,7 @@ class DomainGrowthReport:
 def obstruction_density(
     u: RealField,
     r: float,
-    cut: Optional[CutoffSpec] = None,
+    cut: CutoffSpec = CutoffSpec(),
 ) -> float:
     """Peak squared D^(r-2) density of chi*sgn(xi)*u_hat near xi = 0.
 
@@ -296,26 +279,27 @@ def obstruction_density(
     xi-side functional applied at the second-derivative level: a jump of
     u_hat at xi = 0 (conserved x-mean) leaves every b = 0 quantity bounded
     but makes the b = 1/2 density blow up like 1/dxi at the resolution
-    floor, i.e. linearly in the domain length.
+    floor, i.e. linearly in the domain length.  The density is read on the
+    cutoff's plateau |xi| <= epsilon/2, less a four-cell floor for b > 0;
+    ValueError if the grid has no xi there.
     """
     b = float(r) - 2.0
     if not 0.0 <= b < 1.0:
         raise ValueError("obstruction density is defined for r in [2, 3)")
-    cut = cut or CutoffSpec()
     g = u.grid
     F = forward(u)
-    dxi = 2.0 * np.pi / g.lx
-    window = 0.5 * cut.epsilon
     rows = _eta_rows(g, DENSITY_ETA_TARGETS)
     xi = xi_line(F, rows[0])[0]
     q = np.stack([cut.chi(xi, g.eta[n]) * np.sign(xi) * xi_line(F, n)[1] for n in rows])
     if b < 0.02:
         # zeroth order needs no resolution floor; the sup converges to
         # the conserved |u_hat(0+, eta)| as the window fills in
-        sel0 = (np.abs(xi) > 0) & (np.abs(xi) <= window)
-        return float(np.max(np.abs(q[:, sel0]) ** 2)) if np.any(sel0) else 0.0
-    vals = probe_window(xi, q, b, dxi, window)
-    return float(np.max(vals**2)) if vals.size else 0.0
+        sel0 = (np.abs(xi) > 0) & (np.abs(xi) <= 0.5 * cut.epsilon)
+        if not np.any(sel0):
+            raise ValueError(f"no nonzero grid xi on the plateau |xi| <= {0.5 * cut.epsilon:g}")
+        return float(np.max(np.abs(q[:, sel0]) ** 2))
+    vals = probe_window(xi, q, b, 2.0 * np.pi / g.lx, cut.epsilon)
+    return float(np.max(vals**2))
 
 
 def domain_growth_study(
@@ -324,7 +308,7 @@ def domain_growth_study(
     cfg: SolverConfig,
     doublings: int = 2,
     *,
-    cut: Optional[CutoffSpec] = None,
+    cut: CutoffSpec = CutoffSpec(),
 ) -> DomainGrowthReport:
     """Fixed physical data on domains L, 2L, 4L at fixed resolution density;
     reports the obstruction densities at r in GROWTH_ORDERS and their
@@ -332,8 +316,11 @@ def domain_growth_study(
 
     An r whose density grows by at least OBSTRUCTION_GROWTH_THRESHOLD at
     every doubling is marked obstructed; densities staying within the stable
-    band are the persistence side of the dichotomy.
+    band are the persistence side of the dichotomy.  The cutoff is widened
+    to at least 16 cells of the base grid's dxi, so that the density's
+    window holds points on every domain.
     """
+    cut = CutoffSpec(max(cut.epsilon, 16.0 * 2.0 * np.pi / base_grid.lx))
     rows: List[DomainGrowthRow] = []
     for k in range(doublings + 1):
         f = 2**k

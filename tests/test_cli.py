@@ -147,9 +147,10 @@ seed = 42
             "seed": 42,
         }
         m = parse_manifest_text(text)
-        default = RunManifest(raw={})
-        assert set(expected) == {f.name for f in dataclasses.fields(RunManifest)} - {"raw"}
-        assert len(m.raw) == 34
+        default = RunManifest()
+        assert set(expected) == {f.name for f in dataclasses.fields(RunManifest)}
+        keys = {line.split("=")[0].strip() for line in text.splitlines() if line}
+        assert keys == set(manifest._KEYS)
         for name, value in expected.items():
             assert getattr(m, name) == value, name
             assert getattr(default, name) != value, name

@@ -232,10 +232,10 @@ class TestStacks:
         n = math.ceil((0.5 + 2.0 + 8.0 * step) / step)
         xs = step * np.arange(-n, n + 1)
         fs = self.stack(xs, rows)
-        vals = probe_window(xs, fs, 0.5, step, 0.5)
+        vals = probe_window(xs, fs, 0.5, step, 1.0)
         assert vals.shape[0] == rows
         for s in range(rows):
-            assert np.array_equal(vals[s], probe_window(xs, fs[s], 0.5, step, 0.5))
+            assert np.array_equal(vals[s], probe_window(xs, fs[s], 0.5, step, 1.0))
 
 
 def test_gauss_legendre_rule_computed_once_and_read_only():
@@ -310,21 +310,19 @@ class TestRefineDivergence:
 
 
 class TestRefinementLadder:
-    LADDER = dict(h0=0.0625, window=0.5)
-
     def test_split_slice_weights_add_exactly(self):
         def step_fn(xs):
             return (xs >= 0).astype(float)
 
-        one = refinement_ladder(lambda xs: [(1.0, step_fn(xs))], 0.5, 3, **self.LADDER)
+        one = refinement_ladder(lambda xs: step_fn(xs)[None], [1.0], 0.5, 3, 1.0)
         two = refinement_ladder(
-            lambda xs: [(0.5, step_fn(xs)), (0.5, step_fn(xs))], 0.5, 3, **self.LADDER
+            lambda xs: np.stack([step_fn(xs), step_fn(xs)]), [0.5, 0.5], 0.5, 3, 1.0
         )
         assert one == two
 
     def test_needs_three_levels(self):
         with pytest.raises(ValueError, match="3 refinement levels"):
-            refinement_ladder(lambda xs: [(1.0, np.zeros_like(xs))], 0.5, 2, **self.LADDER)
+            refinement_ladder(lambda xs: np.zeros_like(xs)[None], [1.0], 0.5, 2, 1.0)
 
 
 class TestUniformCubicSpline:

@@ -26,13 +26,15 @@ L16 = 16 * np.pi
 
 
 class TestCutoff:
-    def test_plateau_support_range(self):
-        cut = CutoffSpec(0.5)
-        xi = np.linspace(-1.0, 1.0, 4001)
-        v = cut.chi_tilde(xi)
+    # the widths that the default, configs/uc.cfg, the test manifests and
+    # domain_growth_study's floor on a 16pi box build
+    @pytest.mark.parametrize("eps", [0.5, 0.75, 1.0, 2.0])
+    def test_plateau_support_range(self, eps):
+        xi = np.linspace(-2.0 * eps, 2.0 * eps, 4001)
+        v = CutoffSpec(eps).chi_tilde(xi)
         assert np.all((0.0 <= v) & (v <= 1.0))
-        assert np.all(v[np.abs(xi) >= 0.5] == 0.0)
-        assert np.all(v[np.abs(xi) <= 0.249] == 1.0)
+        assert np.all(v[np.abs(xi) >= eps] == 0.0)
+        assert np.all(v[np.abs(xi) <= 0.5 * eps - 1e-12] == 1.0)
 
     def test_eta_factor(self):
         cut = CutoffSpec(1.0)
@@ -71,7 +73,7 @@ def per_slice_level_norms(phi, t, levels=4):
         for w, eta, idx in zip(wts, etas, uniq):
             f = (2.0 * t * cut.chi(xi, eta) * np.exp(1j * t * xi * (eta**2 - np.abs(xi)))
                  * np.sign(xi) * (kern @ col[nearest[idx]]))
-            vals = probe_window(xi, f, 0.5, step, window)
+            vals = probe_window(xi, f, 0.5, step, cut.epsilon)
             total += w * float(np.sum(vals**2) * step)
         norms.append(math.sqrt(total))
     return norms
@@ -93,7 +95,7 @@ def per_row_density(u, r, cut):
             sel = (np.abs(xi) > 0) & (np.abs(xi) <= window)
             val = float(np.max(np.abs(q[sel]) ** 2))
         else:
-            vals = probe_window(xi, q, b, 2.0 * np.pi / g.lx, window)
+            vals = probe_window(xi, q, b, 2.0 * np.pi / g.lx, cut.epsilon)
             val = float(np.max(vals**2))
         peak = max(peak, val)
     return peak
@@ -266,18 +268,36 @@ class TestMomentDrift:
 
 
 class TestDomainGrowth:
-    def test_dichotomy_small(self):
-        base = make_grid(64, 64, L16, L16)
-        cfg = SolverConfig(dt=2e-3, t_final=0.2, mu=0.0, stride=50)
-        rep = domain_growth_study(
+    @staticmethod
+    def small_study(**kwargs):
+        return domain_growth_study(
             lambda g: fields.gaussian(g, amplitude=0.75, sigma_x=1.2, sigma_y=1.2),
-            base,
-            cfg,
+            make_grid(64, 64, L16, L16),
+            SolverConfig(dt=2e-3, t_final=0.2, mu=0.0, stride=50),
             doublings=1,
-            cut=CutoffSpec(2.0),
+            **kwargs,
         )
+
+    def test_dichotomy_small(self):
+        rep = self.small_study(cut=CutoffSpec(2.0))
         assert rep.factors[2.5][0] >= 1.5
         assert abs(rep.factors[2.0][0] - 1.0) <= 0.10
+
+    def test_default_cut_floors_to_sixteen_base_cells(self):
+        # 16 dxi of the 16pi base box is 2; the default width 0.5 would leave
+        # the base box's r = 5/2 window inside its four-cell floor
+        rep = self.small_study()
+        assert rep.obstructed[2.5] and rep.stable[2.0]
+        assert rep.factors == self.small_study(cut=CutoffSpec(2.0)).factors
+
+    def test_obstruction_density_empty_window_raises(self, grid):
+        # on a 16pi box dxi = 1/8: the default plateau |xi| <= 1/4 is inside
+        # the four-cell floor 1/2, and |xi| <= 1/10 holds no nonzero xi
+        u = fields.gaussian(grid, amplitude=1.0)
+        with pytest.raises(ValueError, match="probe window"):
+            obstruction_density(u, 2.5)
+        with pytest.raises(ValueError, match="no nonzero grid xi"):
+            obstruction_density(u, 2.0, CutoffSpec(0.2))
 
     def test_obstruction_density_orders(self):
         g = make_grid(64, 64, L16, L16)
