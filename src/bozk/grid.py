@@ -238,11 +238,18 @@ def forward(f: RealField) -> SpectrumField:
     return SpectrumField(g, coeffs)
 
 
-def inverse(F: SpectrumField) -> RealField:
+def inverse(
+    F: SpectrumField, work: Optional[Tuple[np.ndarray, np.ndarray]] = None
+) -> RealField:
+    """The field of `F`.  With `work`, a complex array of coefficient shape
+    and a float array of sample shape, the raw coefficients go into
+    ``work[0]`` and the samples into ``work[1]``, which the result then
+    shares; without it, both are fresh."""
     g = F.grid
-    raw = F.coeffs * g.inverse_scale
+    raw, samples = (None, None) if work is None else work
+    raw = np.multiply(F.coeffs, g.inverse_scale, out=raw)
     np.fft.ifft(raw, axis=0, out=raw)  # irfft2 is this y pass, then irfft along x
-    return RealField(g, np.fft.irfft(raw, n=g.nx, axis=1))
+    return RealField(g, np.fft.irfft(raw, n=g.nx, axis=1, out=samples))
 
 
 def xi_line(F: SpectrumField, n: int) -> Tuple[np.ndarray, np.ndarray]:

@@ -82,8 +82,10 @@ class SolverConfig:
 
 
 def _scratch(g: Grid2D) -> Tuple[np.ndarray, np.ndarray]:
-    """Buffers of :func:`_rhs_into`: the full-width transform buffer, whose
-    columns past nx//3 are zero between calls, and the sample buffer."""
+    """The transform buffer pair of one run: the full-width spectral buffer,
+    whose columns past nx//3 are zero between calls of :func:`_rhs_into`,
+    and the sample buffer.  The stages of a step and the inverse transform
+    of each record run in it."""
     return np.zeros(g.spectral_shape, dtype=np.complex128), np.empty((g.ny, g.nx))
 
 
@@ -160,7 +162,8 @@ class _StepKernel:
     `e_half` holds only those columns, and so do the rhs table
     (``Grid2D.advection_symbol`` times dt/2 and the 1/(nx ny) of raw units)
     and the stage buffers.  The state's other columns see only `e_full`, as
-    the stage values vanish there."""
+    the stage values vanish there.  `scratch` is the run's transform buffer
+    pair, built for linear runs too, whose records read through it."""
 
     def __init__(self, grid: Grid2D, cfg: SolverConfig):
         self.grid = grid
@@ -174,13 +177,14 @@ class _StepKernel:
             )
             self.table = sym * (0.5 * cfg.dt / (grid.nx * grid.ny))
             self.a, self.k1, self.k2, self.k3 = np.empty((4, *sym.shape), dtype=np.complex128)
-            self.scratch = _scratch(grid)
+        self.scratch = _scratch(grid)
 
     def advance(
         self, c: np.ndarray, audit: Optional[Callable[[float], None]] = None
     ) -> np.ndarray:
-        """Coefficients one dt after `c`, as a new array; `audit` sees max|u|
-        of the field stage k1 squares, i.e. of `c` after the 2/3 mask.
+        """Advance the coefficients `c` by one dt in place and return `c`;
+        `audit` sees max|u| of the field stage k1 squares, i.e. of `c` after
+        the 2/3 mask.
 
         The stage values k1..k4 below are dt/2 times those of RK4, in raw
         units.  Each product with a propagator keeps one operand order on
@@ -188,7 +192,7 @@ class _StepKernel:
         FMA)."""
         cfg = self.cfg
         if not cfg.nonlinear:
-            return self.e_full * c
+            return np.multiply(self.e_full, c, out=c)
         g, eh = self.grid, self.e_half
         keep = eh.shape[1]
         ef = self.e_full[:, :keep]
@@ -221,9 +225,9 @@ class _StepKernel:
         k1 += a
         k1 *= g.nx * g.ny / 3.0
         k1 *= g.forward_scale[:, :keep]
-        new = self.e_full * c
-        new[:, :keep] += k1
-        return new
+        np.multiply(self.e_full, c, out=c)
+        c[:, :keep] += k1
+        return c
 
 
 @dataclass
@@ -261,7 +265,11 @@ def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) ->
     """Evolve phi to t_final, recording diagnostics every `stride` steps and
     at both endpoints: the L2 norm, the first x-moment, the drift
     max_eta |u_hat(0, eta, t) - u_hat(0, eta, 0)| of the x-mean transform,
-    the edge ratio and each of `norms` (keyed by its spec)."""
+    the edge ratio and each of `norms` (keyed by its spec).
+
+    The state steps in place, and every transform runs in the kernel's one
+    buffer pair, so `final` is the field of the last record, which is
+    always the last step's, and shares the pair's sample buffer."""
     g = phi.grid
     kernel = _StepKernel(g, cfg)
     max_xi = float(np.max(np.abs(g.xi)))
@@ -274,7 +282,12 @@ def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) ->
     area = g.cell_area
     xmesh = g.xmesh
     usq = np.empty((g.ny, g.nx))  # x u, then u^2
-    csq, isq = np.empty((2, *g.spectral_shape))  # |u_hat|^2, (Im u_hat)^2
+    csq = np.empty(g.spectral_shape)  # |u_hat|^2
+    # the run's transform buffer pair; once a record's inverse pass is done
+    # with the spectral buffer, its real part holds (Im u_hat)^2
+    work = kernel.scratch
+    isq = work[0].real
+    keep = g.nx // 3 + 1
 
     # one row per quantity, one column per record (steps 0, stride, ...,
     # and n_steps): t, l2, moment_x, the zero-mode drift, the edge ratio,
@@ -293,8 +306,8 @@ def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) ->
                 "cfl_audit", t, n, f"dt*max|u|*max|xi| = {cfl:.3f} > {CFL_LIMIT}"
             )
 
-    def record(c: np.ndarray, t: float, n: int) -> None:
-        u = inverse(SpectrumField(g, c))
+    def record(c: np.ndarray, t: float, n: int) -> RealField:
+        u = inverse(SpectrumField(g, c), work)
         samples = u.samples
         top = max(float(np.max(samples)), -float(np.min(samples)))  # max|u|
         audit(top, t, n)
@@ -314,6 +327,8 @@ def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) ->
             np.square(c.imag, out=isq)
             np.add(csq, isq, out=csq)
         col[5:] = read_norms(rows, csq, usq)
+        work[0][:, keep:] = 0.0  # the tail that _rhs_into reads as zero
+        return u
 
     # every step audits the state it starts from (stage k1's field), every
     # record the state it reads; a non-finite sample anywhere in the loop is
@@ -325,12 +340,12 @@ def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) ->
     t = 0.0
     n = 0
     try:
-        record(c, t, n)
+        final = record(c, t, n)
         for n in range(1, n_steps + 1):
-            c = kernel.advance(c, functools.partial(audit, t=t, n=n - 1))
+            kernel.advance(c, functools.partial(audit, t=t, n=n - 1))
             t += cfg.dt
             if n % stride == 0 or n == n_steps:
-                record(c, t, n)
+                final = record(c, t, n)
     except NonFiniteField as exc:
         raise SolverAbort("blow_up", t, n, str(exc)) from None
 
@@ -348,7 +363,7 @@ def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) ->
         edge_ratio=edge_ratio,
         norms=dict(zip(norms, cols)),
     )
-    return RunResult(series=series, final=inverse(SpectrumField(g, c)))
+    return RunResult(series=series, final=final)
 
 
 @dataclass(frozen=True)

@@ -145,10 +145,11 @@ def test_step_matches_reference_exactly(nx, ny):
     cfg = SolverConfig(dt=2e-3, t_final=1.0, mu=0.05)
     kernel = _StepKernel(g, cfg)
     keep = nx // 3 + 1
-    c = ref = forward(fields.random_smooth(g, 5, amplitude=2.0)).coeffs
+    c = forward(fields.random_smooth(g, 5, amplitude=2.0)).coeffs
+    ref = c.copy()
     for _ in range(3):
         seen, ref_seen = [], []
-        start = c
+        start = c.copy()
         c = kernel.advance(c, seen.append)
         ref = reference_step(g, ref, kernel.e_half, kernel.e_full, cfg.dt, ref_seen.append)
         assert np.array_equal(c, ref)
@@ -217,7 +218,7 @@ class TestStep:
         mu, dt = 0.3, 0.01
         cfg = SolverConfig(dt=dt, t_final=dt, mu=mu, stride=1)
         c = forward(phi).coeffs
-        new = _StepKernel(g, cfg).advance(c)
+        new = _StepKernel(g, cfg).advance(c.copy())
         expect = c[:, 0] * np.exp(-mu * g.eta**2 * dt)
         assert np.max(np.abs(new[:, 0] - expect)) < 1e-15
         drift = run(phi, cfg).series.zero_mode_drift
@@ -527,16 +528,15 @@ def test_record_readout_matches_reference_norms(monkeypatch, norms):
     g = make_grid(48, 32, 16 * np.pi, 8 * np.pi)
     seen = []
 
-    def spy(F):
-        u = inverse(F)
-        seen.append((F.coeffs.copy(), u))
-        return u
+    def spy(F, *work):
+        seen.append((F.coeffs.copy(), inverse(F)))
+        return inverse(F, *work)
 
     monkeypatch.setattr(solver, "inverse", spy)
     phi = fields.random_smooth(g, 4, amplitude=0.5)
     cfg = SolverConfig(dt=1e-3, t_final=0.01, mu=0.01, stride=4)
     s = run(phi, cfg, norms=norms).series
-    seen = seen[: len(s.t)]  # the last call is the final transform
+    assert len(seen) == len(s.t)  # one transform per record, none after
     assert list(s.step) == [0, 4, 8, 10] and len(seen) == 4
 
     def close(col, ref, scale=None):
@@ -595,9 +595,9 @@ def test_record_storage(monkeypatch, n_steps, stride):
     g = make_grid(32, 24, 16 * np.pi, 12 * np.pi)
     seen = []
 
-    def spy(F):
+    def spy(F, *work):
         seen.append(F.coeffs.copy())
-        return inverse(F)
+        return inverse(F, *work)
 
     monkeypatch.setattr(solver, "inverse", spy)
     spec = WeightSpec.polynomial(1.0)
@@ -656,6 +656,39 @@ def test_record_storage_grows_by_columns_only():
         assert len(res.series.t) == n_steps + 1
     columns = 5 + 1 + 1 + 1  # t, l2, moment_x, drift, edge_ratio, hs, weighted, step
     assert peaks[1] - peaks[0] <= 2 * 8 * columns * 1000
+
+
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
+def test_steps_and_records_allocate_no_field(monkeypatch, nonlinear):
+    # from the first step on, a 256^2 run steps its state in place and
+    # transforms every record, the last one included, in its one buffer
+    # pair, so its traced peak grows by less than one spectral array:
+    # only numpy's cast buffers and the records' small temporaries remain
+    g = make_grid(256, 256, 16 * np.pi, 16 * np.pi)
+    phi = fields.gaussian(g, amplitude=0.5)
+    cfg = SolverConfig(dt=1e-3, t_final=0.01, stride=1, nonlinear=nonlinear)
+    norms = (NormSpec.hs(2.0), NormSpec.l2w(WeightSpec.polynomial(1.0)))
+    run(phi, cfg, norms=norms)  # fill grid caches
+    real = _StepKernel.advance
+    marks, same = [], []
+
+    def spy(self, c, audit=None):
+        if not marks:
+            marks.append(tracemalloc.get_traced_memory()[0])
+            tracemalloc.reset_peak()
+        out = real(self, c, audit)
+        same.append(out is c)
+        return out
+
+    monkeypatch.setattr(_StepKernel, "advance", spy)
+    tracemalloc.start()
+    try:
+        run(phi, cfg, norms=norms)
+        growth = tracemalloc.get_traced_memory()[1] - marks[0]
+    finally:
+        tracemalloc.stop()
+    assert same == [True] * 10
+    assert growth < 16 * 256 * 129  # one spectral array, 528384 bytes
 
 
 def test_run_keeps_the_record_closure():
