@@ -47,22 +47,6 @@ def dx_gaussian(
     return RealField.from_function(grid, f)
 
 
-def two_solitary_bumps(
-    grid: Grid2D,
-    amplitude: float = 1.0,
-    width: float = 2.0,
-    separation: float = 8.0,
-) -> RealField:
-    """Two radial sech^2 humps on the x-axis, a collision-style setup."""
-
-    def f(x, y):
-        r1 = np.hypot(x - 0.5 * separation, y)
-        r2 = np.hypot(x + 0.5 * separation, y)
-        return amplitude * (1.0 / np.cosh(r1 / width) ** 2 + 1.0 / np.cosh(r2 / width) ** 2)
-
-    return RealField.from_function(grid, f)
-
-
 def random_smooth(
     grid: Grid2D,
     seed: int,
@@ -86,7 +70,7 @@ def random_smooth(
 
 # data.kind -> family.  RunManifest.initial_data passes a family only the
 # values its parameters name, so each default is written in its signature.
-FAMILIES = {f.__name__: f for f in (gaussian, dx_gaussian, two_solitary_bumps, random_smooth)}
+FAMILIES = {f.__name__: f for f in (gaussian, dx_gaussian, random_smooth)}
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:

@@ -82,7 +82,7 @@ _KEYS: Dict[str, Tuple[str, Callable[[str], Any]]] = {
     **{
         f"data.{name}": ("data_params", _float)
         for name in ("amplitude", "sigma_x", "sigma_y", "center_x", "center_y",
-                     "width", "separation", "spectral_width")
+                     "spectral_width")
     },
     "data.seed": ("data_params", int),
     "data.path": ("data_path", str),

@@ -284,9 +284,11 @@ def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) ->
     usq = np.empty((g.ny, g.nx))  # x u, then u^2
     csq = np.empty(g.spectral_shape)  # |u_hat|^2
     # the run's transform buffer pair; once a record's inverse pass is done
-    # with the spectral buffer, its real part holds (Im u_hat)^2
+    # with the spectral buffer, the first half of its memory, read as one
+    # contiguous float array, holds (Im u_hat)^2, so no pass over it is
+    # strided; the record then zeroes the tail columns again
     work = kernel.scratch
-    isq = work[0].real
+    isq = work[0].reshape(-1).view(np.float64)[: csq.size].reshape(csq.shape)
     keep = g.nx // 3 + 1
 
     # one row per quantity, one column per record (steps 0, stride, ...,

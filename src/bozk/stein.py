@@ -6,12 +6,14 @@ on sampled one-variable functions, plus the closed-form phase bounds and the
 jump/refinement divergence detector built on it.
 
 The integrand is singular at y = x and the integral runs over all of R, so
-the evaluation splits |x - y| = z into three zones:
+the evaluation splits |x - y| = z into four zones:
 
 * z < h        : analytic inner patch with the local linear model
-                 |f(x) - f(y)| ~ |f'(x)| z, integrated exactly;
+                 |f(x) - f(y)| ~ |f'(x)| z, integrated exactly, f'(x) the
+                 centred five-point difference of the samples;
 * h <= z <= z1 : log-spaced Gauss-Legendre panels (z1 ~ 1), samples read
-                 through the interpolating cubic spline;
+                 through the four-point local cubic (Lagrange) on the cell
+                 around each query, so no coefficients are built;
 * z1 <= z <= R : trapezoid on the sample grid itself (pure index shifts, as
                  every evaluation point is a grid node);
 * z > R        : not integrated; a uniform oscillation bound on this tail is
@@ -22,12 +24,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple, Union
 
 import numpy as np
-
-# Calibrated ceiling for the mixed-phase estimate; see mixed_phase_bound.
-MIXED_PHASE_CALIBRATION = 5.0
 
 # Decay-persistence probe policy: refine_divergence, uc.b1_indicator and
 # uc.obstruction_density all integrate through probe_window, with this reach
@@ -54,72 +53,27 @@ _GL_WEIGHTS.flags.writeable = False
 _BAND_POINTS = 64  # evaluation points per log-band block: bounds its temporaries
 _BLOCK = 1 << 14   # samples per block of the uniformity check, outer band and tail bound
 
-# Inverse of the cubic B-spline sampling filter (1, 4, 1)/6 is
-# sqrt(3) z^|k| with z = sqrt(3) - 2; |z|^30 < 1e-17 ends the taps.
-_PAD = 31
-_PREFILTER = math.sqrt(3.0) * (math.sqrt(3.0) - 2.0) ** np.abs(np.arange(1 - _PAD, _PAD))
+
+def cubic_basis(t: np.ndarray, n: int):
+    """The four-point local cubic at fractional sample positions t, counted
+    in cells from the first of n samples: the index of the first of the four
+    nodes i - 1 .. i + 2 around each cell i <= t < i + 1, and their Lagrange
+    weights.  A position on a node weighs that node by exactly 1 and the
+    others by 0.  ValueError unless all four nodes lie in the array; one
+    basis serves every row of a stack."""
+    t = np.asarray(t, dtype=np.float64)
+    i = np.floor(t).astype(np.intp)
+    if i.size and (i.min() < 1 or i.max() > n - 3):
+        raise ValueError("local cubic query needs four samples around it")
+    u = t - i
+    p, v, q = 1.0 + u, 1.0 - u, 2.0 - u
+    return i - 1, (-u * v * q / 6.0, p * v * q / 2.0, p * u * q / 2.0, -p * u * v / 6.0)
 
 
-class UniformCubicSpline:
-    """Interpolating cubic spline through samples fs on the uniform grid xs.
-
-    The B-spline coefficients come from an FIR prefilter (Unser, Aldroubi &
-    Eden, IEEE Trans. Signal Process. 41, 1993) over the samples extended by
-    odd reflection at both ends.  Away from the ends this is the interpolating
-    spline of any end condition: the end terms decay by |z| = 0.268 per cell.
-
-    Only the coefficients that serve the cells lo <= x_i < hi are built, from
-    the samples within _PAD cells of that window; odd reflection enters only
-    where the window reaches an end of the array.  The grid's x0 and dx and
-    its cell indices stay those of the whole array, so a window evaluates bit
-    for bit like the whole-array build, and a query outside it raises.  fs may
-    be one row (N,) or a stack (S, N) of rows on the same grid.
-    """
-
-    def __init__(self, xs: np.ndarray, fs: np.ndarray, lo: int = 0, hi: Optional[int] = None):
-        self.n = len(xs)
-        self.x0 = float(xs[0])
-        self.dx = (float(xs[-1]) - self.x0) / (self.n - 1)
-        lo = max(lo, 0)
-        hi = self.n - 1 if hi is None else min(hi, self.n - 1)
-        start, stop = max(lo - _PAD, 0), min(hi + _PAD + 1, self.n)
-        seg = np.asarray(fs)[..., start:stop]
-        pad = (start - (lo - _PAD), hi + _PAD + 1 - stop)
-        if any(pad):
-            widths = [(0, 0)] * (seg.ndim - 1) + [pad]
-            seg = np.pad(seg, widths, mode="reflect", reflect_type="odd")
-        # c_(lo-1) .. c_(hi+1)
-        self.coef = np.apply_along_axis(np.convolve, -1, seg, _PREFILTER, "valid")
-        self.lo = lo
-
-    def basis(self, x: np.ndarray, derivative: bool = False):
-        """Window-local coefficient index of each query point and its four
-        B-spline weights (of the derivative, before the 1/dx factor, if asked);
-        one basis serves every row of the stack."""
-        t = (np.asarray(x, dtype=np.float64) - self.x0) / self.dx
-        i = np.clip(np.floor(t), 0, self.n - 2).astype(np.intp)
-        u = t - i
-        v = 1.0 - u
-        j = i - self.lo
-        if j.size and (j.min() < 0 or j.max() + 3 >= self.coef.shape[-1]):
-            raise ValueError("spline query outside the coefficient window")
-        if derivative:
-            w = (-0.5 * v * v, u * (1.5 * u - 2.0), v * (2.0 - 1.5 * v), 0.5 * u * u)
-        else:
-            w = (v**3 / 6.0, 2.0 / 3.0 - u * u * (1.0 - 0.5 * u),
-                 2.0 / 3.0 - v * v * (1.0 - 0.5 * v), u**3 / 6.0)
-        return j, w
-
-    @staticmethod
-    def combine(basis, coef: np.ndarray) -> np.ndarray:
-        """Spline sum of a basis over coefficients coef (one row or a stack)."""
-        j, w = basis
-        return (w[0] * coef[..., j] + w[1] * coef[..., j + 1]
-                + w[2] * coef[..., j + 2] + w[3] * coef[..., j + 3])
-
-    def __call__(self, x: np.ndarray, derivative: bool = False) -> np.ndarray:
-        s = self.combine(self.basis(x, derivative), self.coef)
-        return s / self.dx if derivative else s
+def cubic_combine(basis, f: np.ndarray) -> np.ndarray:
+    """The local cubic of a basis through the samples f (one row or a stack)."""
+    j, w = basis
+    return w[0] * f[..., j] + w[1] * f[..., j + 1] + w[2] * f[..., j + 2] + w[3] * f[..., j + 3]
 
 
 @dataclass(frozen=True)
@@ -227,34 +181,34 @@ def stein_derivative(
     if z1 >= r_eff:
         raise ValueError("r_outer leaves no room for the outer band at this step")
 
-    idx = [int(round((x - xs[0]) / dx)) for x in pts]
+    idx = np.array([int(round((x - xs[0]) / dx)) for x in pts], dtype=np.intp)
     if not all(abs(xs[i] - x) < 1e-9 * dx for i, x in zip(idx, pts)):
         raise ValueError("evaluation points must be sample nodes")
-    # the spline is read only within z1 of a point
-    lo, hi = (min(idx) - k0 - 2, max(idx) + k0 + 2) if idx else (0, 0)
-    spline = UniformCubicSpline(xs, rows, lo, hi)
 
     zb, wb = _log_band_nodes(h, z1, cfg.nodes_per_decade)
     kernel_b = wb * zb ** (-1.0 - 2.0 * b)
+    cells = zb / dx
 
     inner_scale = h ** (2.0 - 2.0 * b) / (1.0 - b)
 
-    # inner patch for all rows and points at once: (rows x points)
-    fx = spline(pts)
-    inner = np.abs(spline(pts, derivative=True)) ** 2 * inner_scale
+    # inner patch for all rows and points at once: (rows x points), with
+    # f'(x) the centred five-point difference
+    fx = rows[:, idx]
+    slope = rows[:, idx - 2] - rows[:, idx + 2] + 8.0 * (rows[:, idx + 1] - rows[:, idx - 1])
+    inner = np.abs(slope / (12.0 * dx)) ** 2 * inner_scale
     # log band one row at a time and _BAND_POINTS points at a time, from
-    # spline weights shared by the rows
+    # local cubic weights shared by the rows
     band = np.empty(fx.shape)
     for a in range(0, pts.size, _BAND_POINTS):
         near = slice(a, a + _BAND_POINTS)
-        minus = spline.basis(pts[near, None] - zb)
-        plus = spline.basis(pts[near, None] + zb)
-        for s, coef in enumerate(spline.coef):
+        minus = cubic_basis(idx[near, None] - cells, xs.size)
+        plus = cubic_basis(idx[near, None] + cells, xs.size)
+        for s, f in enumerate(rows):
             f0 = fx[s, near, None]
             band[s, near] = np.sum(
                 (
-                    np.abs(f0 - spline.combine(minus, coef)) ** 2
-                    + np.abs(f0 - spline.combine(plus, coef)) ** 2
+                    np.abs(f0 - cubic_combine(minus, f)) ** 2
+                    + np.abs(f0 - cubic_combine(plus, f)) ** 2
                 )
                 * kernel_b,
                 axis=1,
@@ -263,7 +217,7 @@ def stein_derivative(
     # the outer zone, offsets k0 <= k <= k1 cells, and then the oscillation
     # bound run in blocks of _BLOCK samples through these buffers
     width = min(xs.size, _BLOCK)
-    diff = np.empty(width, dtype=np.result_type(spline.coef, rows))
+    diff = np.empty(width, dtype=np.result_type(rows, np.float64))
     sq_m = np.empty(width)
     sq_p = np.empty(width)
     kernel_o = np.empty(width)
@@ -309,19 +263,6 @@ def phase_bound(b: float, eta: float, t: float) -> float:
     if t < 0:
         raise ValueError("t must be >= 0")
     return math.sqrt(2.0 / (1.0 - b) + 2.0 / b) * (eta**2 * t) ** b
-
-
-def mixed_phase_bound(b: float, t: float, x: float) -> float:
-    """Calibrated estimate c0 * (t^(b/2) + t^b |x|^b) for Db of exp(-i t x|x|).
-
-    The two terms are the exact small-|x| and large-|x| scalings; c0 is a
-    recorded measurement ceiling, not a derived constant.
-    """
-    if not 0.0 < b < 1.0:
-        raise ValueError("b must lie in (0, 1)")
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    return MIXED_PHASE_CALIBRATION * (t ** (b / 2.0) + t**b * abs(x) ** b)
 
 
 def probe_window(

@@ -19,7 +19,7 @@ from typing import Callable, Dict, List, Sequence
 import numpy as np
 
 from .grid import Grid2D, RealField, forward, make_grid, xi_line
-from .operators import NormSpec
+from .operators import NormSpec, dispersion
 from .solver import SolverAbort, SolverConfig, TimeSeries, run
 from .stein import RefinementReport, diverges, probe_window, refinement_ladder
 
@@ -137,7 +137,7 @@ def b1_indicator(
             2.0
             * t
             * cut.chi(xi, eta)
-            * np.exp(1j * t * xi * (eta**2 - np.abs(xi)))
+            * np.exp(1j * t * dispersion(xi, eta))
             * np.sign(xi)
             * phats
         )

@@ -99,8 +99,6 @@ data.sigma_x = 0.7
 data.sigma_y = 0.9
 data.center_x = 1.5
 data.center_y = -2
-data.width = 3
-data.separation = 11
 data.path = snap.bozk
 data.seed = 5
 data.spectral_width = 2.5
@@ -129,7 +127,7 @@ seed = 42
             "data_kind": "dx_gaussian",
             "data_params": {
                 "amplitude": 0.3, "sigma_x": 0.7, "sigma_y": 0.9, "center_x": 1.5,
-                "center_y": -2.0, "width": 3.0, "separation": 11.0, "seed": 5,
+                "center_y": -2.0, "seed": 5,
                 "spectral_width": 2.5,
             },
             "data_path": "snap.bozk",
@@ -164,6 +162,27 @@ seed = 42
     def test_comments_and_blanks(self):
         m = parse_manifest_text("# hi\n\ngrid.nx = 16 # inline\n")
         assert m.nx == 16
+
+    def test_readme_block_names_every_key_with_its_default(self):
+        # the fenced block under "Manifest format" in README.md; a key
+        # with no default is shown commented out
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("### Manifest format", 1)[1].split("```")[1]
+        keys = {line.lstrip("# ").split("=")[0].strip()
+                for line in block.splitlines() if "=" in line}
+        assert keys == set(manifest._KEYS)
+        m = parse_manifest_text(block)
+        default = RunManifest()
+        for f in dataclasses.fields(RunManifest):
+            if f.name != "data_params":
+                assert getattr(m, f.name) == getattr(default, f.name), f.name
+        for name, value in m.data_params.items():
+            if name == "seed":
+                assert value == default.seed
+                continue
+            taken = [inspect.signature(family).parameters.get(name)
+                     for family in fields.FAMILIES.values()]
+            assert value in {p.default for p in taken if p is not None}, name
 
     def test_invalid_grid_caught_eagerly(self):
         with pytest.raises(ManifestError):
@@ -603,12 +622,6 @@ uc.doublings = 1
         assert header == "length,ind_2,ind_2.5"
         summary = json.loads((out / "summary.json").read_text())
         assert "domain_growth" in summary
-
-    def test_two_solitary_bumps_family(self, tmp_path):
-        text = SIM_CFG.replace("data.kind = gaussian", "data.kind = two_solitary_bumps")
-        cfg = write_cfg(tmp_path, text + "data.width = 2\ndata.separation = 10\n")
-        out = tmp_path / "outb"
-        assert execute(["simulate", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
 
 
 # Runs `linear` on random_smooth data and then `verify` in one interpreter,

@@ -15,11 +15,10 @@ from bozk.stein import (
     _GL_NODES,
     _GL_ORDER,
     _GL_WEIGHTS,
-    MIXED_PHASE_CALIBRATION,
     SteinConfig,
-    UniformCubicSpline,
     _uniform_step,
-    mixed_phase_bound,
+    cubic_basis,
+    cubic_combine,
     phase_bound,
     probe_window,
     refine_divergence,
@@ -254,7 +253,6 @@ class TestPhaseBounds:
 
     def test_zero_time(self):
         assert phase_bound(0.3, 5.0, 0.0) == 0.0
-        assert mixed_phase_bound(0.3, 0.0, 2.0) == 0.0
 
     def test_scaling_in_eta(self):
         # (eta^2 t)^b doubles when eta^2 quadruples at b = 1/2
@@ -264,21 +262,6 @@ class TestPhaseBounds:
         for b in (0.0, 1.0, -0.2, 1.3):
             with pytest.raises(ValueError):
                 phase_bound(b, 1.0, 1.0)
-            with pytest.raises(ValueError):
-                mixed_phase_bound(b, 1.0, 1.0)
-
-    def test_mixed_bound_monotone_in_x(self):
-        vals = [mixed_phase_bound(0.5, 2.0, x) for x in (0.0, 0.5, 1.0, 4.0)]
-        assert all(a < b for a, b in zip(vals, vals[1:]))
-
-    @pytest.mark.parametrize("b,t", [(0.25, 1.0), (0.5, 0.25), (0.75, 1.0)])
-    def test_mixed_bound_dominates_measurement(self, b, t):
-        xs = sampled_line(r_outer=100.0, dx=0.005, pad=15.0)
-        f = np.exp(-1j * t * xs * np.abs(xs))
-        res = stein_derivative(xs, f, SteinConfig(b=b, r_outer=100.0), [0.0, 1.0, 5.0])
-        for x, v in zip((0.0, 1.0, 5.0), res.values):
-            assert v <= mixed_phase_bound(b, t, x)
-        assert MIXED_PHASE_CALIBRATION == 5.0  # recorded calibration ceiling
 
 
 class TestRefineDivergence:
@@ -326,45 +309,39 @@ class TestRefinementLadder:
 
 
 class TestUniformCubicSpline:
+    """The four-point local cubic that reads the log band."""
+
+    @staticmethod
+    def local_cubic(fs, t):
+        return cubic_combine(cubic_basis(t, fs.shape[-1]), fs)
+
     def test_reproduces_cubic_in_interior(self):
         def p(x):
             return 0.1 * x**3 + x + 10.0
 
         xs = 0.1 * np.arange(-100, 101)
-        spline = UniformCubicSpline(xs, p(xs))
         # off-grid points at least 40 cells from either end
         q = np.linspace(-5.96, 5.96, 77) + 0.0123
-        np.testing.assert_allclose(spline(q), p(q), rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(
-            spline(q, derivative=True), 0.3 * q**2 + 1.0, rtol=1e-12, atol=0.0
+            self.local_cubic(p(xs), (q - xs[0]) / 0.1), p(q), rtol=1e-12, atol=0.0
         )
 
     def test_node_values_are_the_samples(self):
-        xs = 0.01 * np.arange(-300, 301)
+        n = 601
         rng = np.random.default_rng(5)
-        fs = rng.standard_normal(xs.size) + 1j * rng.standard_normal(xs.size)
-        err = np.max(np.abs(UniformCubicSpline(xs, fs)(xs) - fs))
-        assert err <= 1e-12 * np.max(np.abs(fs))
+        fs = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        # every node whose cell has all four of its nodes in the array
+        nodes = np.arange(1, n - 2)
+        vals = self.local_cubic(fs, nodes.astype(np.float64))
+        assert np.array_equal(vals.view(np.uint64), fs[nodes].view(np.uint64))
 
-    # interior, touching the left end, touching the right end
-    @pytest.mark.parametrize("lo, hi", [(200, 400), (0, 150), (10, 120), (450, 600), (500, 590)])
-    def test_window_equals_whole_array_build(self, lo, hi):
-        xs = 0.01 * np.arange(-300, 301)
-        rng = np.random.default_rng(11)
-        fs = rng.standard_normal(xs.size) + 1j * rng.standard_normal(xs.size)
-        whole = UniformCubicSpline(xs, fs)
-        window = UniformCubicSpline(xs, fs, lo, hi)
-        assert window.coef.size < whole.coef.size
-        q = xs[lo] + (xs[hi] - xs[lo]) * np.linspace(0.0, 1.0, 1001, endpoint=False)
-        for derivative in (False, True):
-            assert np.array_equal(window(q, derivative), whole(q, derivative))
-
-    def test_query_outside_the_window_raises(self):
-        xs = 0.01 * np.arange(-300, 301)
-        window = UniformCubicSpline(xs, np.sin(xs), 200, 400)
-        for x in (xs[150], xs[199] + 0.005, xs[400] + 0.005, xs[450]):
-            with pytest.raises(ValueError, match="outside the coefficient window"):
-                window(np.array([x]))
+    def test_query_near_either_end_raises(self):
+        fs = np.sin(0.01 * np.arange(601))
+        # cells 1 .. 598 have nodes 0 .. 600 around them
+        self.local_cubic(fs, np.array([1.0, 598.999]))
+        for t in (-0.5, 0.0, 0.999, 599.0, 599.5, 600.0):
+            with pytest.raises(ValueError, match="four samples"):
+                self.local_cubic(fs, np.array([300.0, t]))
 
 
 # Any top-level import outside the standard library, numpy and bozk fails.

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from bozk import fields, solver
+from bozk import fields, solver, uc
 from bozk.diagnostics import norm
 from bozk.grid import RealField, forward, inverse, make_grid, xi_line
-from bozk.operators import NormSpec
+from bozk.operators import NormSpec, dispersion
 from bozk.solver import SolverConfig, run
 from bozk.stein import PROBE_R_OUTER, probe_window
 from bozk.uc import (
@@ -108,6 +108,15 @@ class TestB1Indicator:
         rep = b1_indicator(phi, 0.5)
         ref = per_slice_level_norms(phi, 0.5)
         np.testing.assert_allclose(rep.levels, ref, rtol=1e-13, atol=0.0)
+
+    def test_phase_is_the_dispersion_relation(self, grid, monkeypatch):
+        # an off-centre gaussian has a complex transform, so a flipped
+        # dispersion sign changes the slices beyond conjugating them
+        phi = fields.gaussian(grid, amplitude=1.0, center_x=0.7)
+        ref = b1_indicator(phi, 0.5).levels
+        monkeypatch.setattr(uc, "dispersion", lambda xi, eta: -dispersion(xi, eta))
+        flipped = b1_indicator(phi, 0.5).levels
+        assert not np.allclose(flipped, ref, rtol=1e-6, atol=0.0)
 
     @pytest.mark.parametrize("t", [0.1, 1.0])
     def test_gaussian_obstructed(self, grid, t):
