@@ -109,15 +109,20 @@ class Grid2D:
     def cell_area(self) -> float:
         return self.dx * self.dy
 
-    @functools.cached_property
-    def advection_symbol(self) -> np.ndarray:
+    def advection_table(self) -> np.ndarray:
         """Grid symbol ``-i xi/2`` of -1/2 d_x times the 2/3 mask, on the
-        columns ``0..nx//3`` that the mask keeps (it is 0 on the others),
-        built once per grid for the solver's quadratic term; read-only, as
-        every caller shares it."""
+        columns ``0..nx//3`` that the mask keeps (it is 0 on the others):
+        a fresh array on every call, which leaves :attr:`advection_symbol`
+        unbuilt, so a caller that scales it in place holds the one copy."""
         keep = self.nx // 3 + 1
         sym = multiplier_array(self, lambda xi, eta: -0.5j * xi)[:, :keep]
-        table = np.where(self.dealias_mask[:, :keep], sym, 0.0)
+        return np.where(self.dealias_mask[:, :keep], sym, 0.0)
+
+    @functools.cached_property
+    def advection_symbol(self) -> np.ndarray:
+        """:meth:`advection_table`, built once per grid for ``nonlinear_rhs``
+        and the Picard sweeps; read-only, as every caller shares it."""
+        table = self.advection_table()
         table.setflags(write=False)
         return table
 

@@ -34,6 +34,9 @@ from .grid import (
 )
 from .weights import WeightSpec, short_repr
 
+# samples per block of a spatial norm row's evaluation
+_ROW_BLOCK = 8192
+
 # squared-modulus base of each fractional kind: J^z has the symbol
 # base**(z/2), D^z has sqrt(base)**z, and base**s weighs the Sobolev norms
 _BASES = {
@@ -139,9 +142,14 @@ def norm_rows(grid: Grid2D, specs: Sequence[NormSpec]) -> NormRows:
             w = sobolev_weight(grid, "J", spec.s)
         np.multiply(w, grid.parseval_weight, out=row)
     spatial = np.empty((int(has_s.sum()), grid.ny, grid.nx))
+    # w is evaluated from the 1-D axes, a block of about _ROW_BLOCK samples
+    # at a time, so no full-grid temporary is built
+    step = max(1, _ROW_BLOCK // grid.nx)
     for row, spec in zip(spatial, compress(specs, has_s)):
         w = spec.weight or WeightSpec.polynomial(spec.r)
-        np.square(w.evaluate(grid.xmesh, grid.ymesh), out=row)
+        for i in range(0, grid.ny, step):
+            block = w.evaluate(grid.x[None, :], grid.y[i : i + step, None])
+            np.square(block, out=row[i : i + step])
     return NormRows(grid, fourier, spatial, has_f, has_s)
 
 

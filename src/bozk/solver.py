@@ -89,6 +89,13 @@ def _scratch(g: Grid2D) -> Tuple[np.ndarray, np.ndarray]:
     return np.zeros(g.spectral_shape, dtype=np.complex128), np.empty((g.ny, g.nx))
 
 
+def _floats(block: np.ndarray, start: int, shape: Tuple[int, ...]) -> np.ndarray:
+    """A contiguous float64 array of `shape` over the memory of the
+    contiguous array `block`, from its float64 slot `start` on."""
+    flat = block.reshape(-1).view(np.float64)
+    return flat[start : start + math.prod(shape)].reshape(shape)
+
+
 def _raw(g: Grid2D, c: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write the columns 0..nx//3 of the coefficients `c` into `out` in raw
     transform units, the input of ``norm="forward"`` inverse passes: times
@@ -160,8 +167,9 @@ class _StepKernel:
     run.  Between the transforms, everything runs on the columns 0..nx//3
     that the 2/3 mask keeps, in raw transform units (see :func:`_raw`), so
     `e_half` holds only those columns, and so do the rhs table
-    (``Grid2D.advection_symbol`` times dt/2 and the 1/(nx ny) of raw units)
-    and the stage buffers.  The state's other columns see only `e_full`, as
+    (``Grid2D.advection_table`` times dt/2 and the 1/(nx ny) of raw units,
+    the run's one copy of the symbol) and `stages`, the one block of the
+    four stage buffers.  The state's other columns see only `e_full`, as
     the stage values vanish there.  `scratch` is the run's transform buffer
     pair, built for linear runs too, whose records read through it."""
 
@@ -170,13 +178,14 @@ class _StepKernel:
         self.cfg = cfg
         self.e_full = propagator_array(grid, cfg.dt, cfg.mu)
         if cfg.nonlinear:
-            sym = grid.advection_symbol
-            keep = sym.shape[1]
+            self.table = grid.advection_table()
+            self.table *= 0.5 * cfg.dt / (grid.nx * grid.ny)
+            keep = self.table.shape[1]
             self.e_half = np.ascontiguousarray(
                 propagator_array(grid, 0.5 * cfg.dt, cfg.mu)[:, :keep]
             )
-            self.table = sym * (0.5 * cfg.dt / (grid.nx * grid.ny))
-            self.a, self.k1, self.k2, self.k3 = np.empty((4, *sym.shape), dtype=np.complex128)
+            self.stages = np.empty((4, *self.table.shape), dtype=np.complex128)
+            self.a, self.k1, self.k2, self.k3 = self.stages
         self.scratch = _scratch(grid)
 
     def advance(
@@ -189,7 +198,9 @@ class _StepKernel:
         The stage values k1..k4 below are dt/2 times those of RK4, in raw
         units.  Each product with a propagator keeps one operand order on
         every grid (complex multiplication is not bitwise commutative under
-        FMA)."""
+        FMA).  Every stage buffer is written before it is read, so `stages`
+        holds nothing between calls: `run`'s records use its memory for
+        their readout."""
         cfg = self.cfg
         if not cfg.nonlinear:
             return np.multiply(self.e_full, c, out=c)
@@ -281,14 +292,21 @@ def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) ->
     rows = norm_rows(g, norms)  # built once per run, read at every record
     area = g.cell_area
     xmesh = g.xmesh
-    usq = np.empty((g.ny, g.nx))  # x u, then u^2
-    csq = np.empty(g.spectral_shape)  # |u_hat|^2
+    # usq holds x u, then u^2, and csq |u_hat|^2; in a nonlinear run they
+    # are contiguous float views of the kernel's stage block, which is idle
+    # outside advance (see _StepKernel.advance)
+    if cfg.nonlinear:
+        usq = _floats(kernel.stages, 0, (g.ny, g.nx))
+        csq = _floats(kernel.stages, usq.size, g.spectral_shape)
+    else:
+        usq = np.empty((g.ny, g.nx))
+        csq = np.empty(g.spectral_shape)
     # the run's transform buffer pair; once a record's inverse pass is done
     # with the spectral buffer, the first half of its memory, read as one
     # contiguous float array, holds (Im u_hat)^2, so no pass over it is
-    # strided; the record then zeroes the tail columns again
+    # strided; a nonlinear run's record then zeroes the tail columns again
     work = kernel.scratch
-    isq = work[0].reshape(-1).view(np.float64)[: csq.size].reshape(csq.shape)
+    isq = _floats(work[0], 0, g.spectral_shape)
     keep = g.nx // 3 + 1
 
     # one row per quantity, one column per record (steps 0, stride, ...,
@@ -329,7 +347,8 @@ def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) ->
             np.square(c.imag, out=isq)
             np.add(csq, isq, out=csq)
         col[5:] = read_norms(rows, csq, usq)
-        work[0][:, keep:] = 0.0  # the tail that _rhs_into reads as zero
+        if cfg.nonlinear:
+            work[0][:, keep:] = 0.0  # the tail that _rhs_into reads as zero
         return u
 
     # every step audits the state it starts from (stage k1's field), every

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from bozk.diagnostics import (
     trilinear_ratio,
 )
 from bozk.grid import RealField, forward, make_grid
-from bozk.operators import NormSpec, fractional_op, sobolev_weight
+from bozk.operators import NormSpec, fractional_op, norm_rows, sobolev_weight
 from bozk.solver import SolverConfig, run
 from bozk.weights import WeightSpec
 
@@ -89,6 +90,46 @@ class TestNorms:
         else:
             ref = u.l2(spec.weight.evaluate(g.xmesh, g.ymesh) ** 2)
         assert abs(norm(u, spec) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("weight", [
+        WeightSpec.truncated(8),
+        WeightSpec.polynomial(1.0),
+        WeightSpec.gamma_power(0.5),
+        WeightSpec.damped(0.5, 0.1),
+    ], ids=WeightSpec.label)
+    def test_spatial_rows_are_the_weights_on_the_mesh(self, weight):
+        # the rows are built a block of rows at a time from the 1-D axes;
+        # 256 x 80 splits into blocks of 32, 32 and 16 rows, and each row
+        # is bit for bit the weight evaluated on the whole mesh
+        g = make_grid(256, 80, 16 * np.pi, 8 * np.pi)
+        rows = norm_rows(g, [NormSpec.l2w(weight), NormSpec.zsr(2.0, 1.5)])
+        assert np.array_equal(rows.spatial[0], weight.evaluate(g.xmesh, g.ymesh) ** 2)
+        poly = WeightSpec.polynomial(1.5).evaluate(g.xmesh, g.ymesh) ** 2
+        assert np.array_equal(rows.spatial[1], poly)
+
+    @pytest.mark.parametrize("spec", [
+        NormSpec.l2w(WeightSpec.truncated(8)),
+        NormSpec.l2w(WeightSpec.polynomial(1.0)),
+        NormSpec.l2w(WeightSpec.gamma_power(0.5)),
+        NormSpec.l2w(WeightSpec.damped(0.5, 0.1)),
+        NormSpec.l2r(1.0),
+        NormSpec.zsr(4.0, 2.0),
+    ], ids=NormSpec.label)
+    def test_spatial_rows_build_without_full_grid_temporaries(self, spec):
+        # at 256^2 one full-grid float array is 0.52 MB; built a block of
+        # rows at a time, the rows hold less than 1.5 of them over what the
+        # call keeps
+        g = make_grid(256, 256, 16 * np.pi, 16 * np.pi)
+        norm_rows(g, [spec])  # fill grid caches
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            rows = norm_rows(g, [spec])
+            kept, peak = (m - base for m in tracemalloc.get_traced_memory())
+        finally:
+            tracemalloc.stop()
+        assert kept >= rows.spatial.nbytes + rows.fourier.nbytes
+        assert peak - kept < 1.5 * 8 * 256 * 256
 
     def test_labels_and_kinds(self):
         assert [spec.label() for spec in (

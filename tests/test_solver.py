@@ -516,15 +516,20 @@ EVERY_KIND = (
 )
 
 
+READOUT_NORMS = [(), *((spec,) for spec in EVERY_KIND), EVERY_KIND[::-1]]
+READOUT_IDS = ["none", *(spec.label() for spec in EVERY_KIND), "all"]
+
+
 @pytest.mark.parametrize(
-    "norms",
-    [(), *((spec,) for spec in EVERY_KIND), EVERY_KIND[::-1]],
-    ids=["none", *(spec.label() for spec in EVERY_KIND), "all"],
+    "norms, nonlinear",
+    [*((norms, True) for norms in READOUT_NORMS), *((norms, False) for norms in READOUT_NORMS)],
+    ids=[*READOUT_IDS, *(f"{i}-linear" for i in READOUT_IDS)],
 )
-def test_record_readout_matches_reference_norms(monkeypatch, norms):
+def test_record_readout_matches_reference_norms(monkeypatch, norms, nonlinear):
     # every recorded column against the norm of the recorded field, one kind
     # at a time and all kinds in one run; the grid is not square, so a row
-    # built on transposed axes fails here
+    # built on transposed axes fails here; a nonlinear run's readout runs in
+    # the kernel's stage block, a linear run's in buffers of its own
     g = make_grid(48, 32, 16 * np.pi, 8 * np.pi)
     seen = []
 
@@ -534,7 +539,7 @@ def test_record_readout_matches_reference_norms(monkeypatch, norms):
 
     monkeypatch.setattr(solver, "inverse", spy)
     phi = fields.random_smooth(g, 4, amplitude=0.5)
-    cfg = SolverConfig(dt=1e-3, t_final=0.01, mu=0.01, stride=4)
+    cfg = SolverConfig(dt=1e-3, t_final=0.01, mu=0.01, stride=4, nonlinear=nonlinear)
     s = run(phi, cfg, norms=norms).series
     assert len(seen) == len(s.t)  # one transform per record, none after
     assert list(s.step) == [0, 4, 8, 10] and len(seen) == 4
@@ -551,6 +556,30 @@ def test_record_readout_matches_reference_norms(monkeypatch, norms):
     assert list(s.norms) == list(norms)
     for spec in norms:
         close(s.norms[spec], [norm(u, spec) for _, u in seen])
+
+
+@pytest.mark.parametrize("mu", [0.0, 0.01])
+@pytest.mark.parametrize("nonlinear", [True, False], ids=["nonlinear", "linear"])
+def test_recording_does_not_touch_the_flow(nonlinear, mu):
+    # a nonlinear run's records read through the kernel's stage block and
+    # transform pair, which hold nothing between steps: a run that records
+    # every step steps the same state, bit for bit, as one that records
+    # only the endpoints, and the records both runs take agree bit for bit
+    g = make_grid(48, 32, 16 * np.pi, 8 * np.pi)
+    phi = fields.random_smooth(g, 4, amplitude=0.5)
+    every, ends = (
+        run(phi, SolverConfig(dt=1e-3, t_final=0.01, mu=mu, stride=stride, nonlinear=nonlinear),
+            norms=EVERY_KIND)
+        for stride in (1, 10)
+    )
+    assert np.array_equal(every.final.samples, ends.final.samples)
+    a, b = every.series, ends.series
+    assert list(a.step) == list(range(11)) and list(b.step) == [0, 10]
+    shared = [0, 10]
+    for name in ("t", "l2", "moment_x", "zero_mode_drift", "edge_ratio"):
+        assert np.array_equal(getattr(a, name)[shared], getattr(b, name)), name
+    for spec in EVERY_KIND:
+        assert np.array_equal(a.norms[spec][shared], b.norms[spec]), spec.label()
 
 
 def test_edge_ratio_of_zero_field():
@@ -689,6 +718,44 @@ def test_steps_and_records_allocate_no_field(monkeypatch, nonlinear):
         tracemalloc.stop()
     assert same == [True] * 10
     assert growth < 16 * 256 * 129  # one spectral array, 528384 bytes
+
+
+def test_nonlinear_records_read_through_the_stage_block(monkeypatch):
+    # a nonlinear run's readout buffers, u^2 and |u_hat|^2, are disjoint
+    # views of the kernel's stage block, not arrays of their own
+    kernels, reads = [], []
+    real_init, real_read = _StepKernel.__init__, solver.read_norms
+
+    def init(self, *args):
+        real_init(self, *args)
+        kernels.append(self)
+
+    def spy(rows, power, square):
+        reads.append((power, square))
+        return real_read(rows, power, square)
+
+    monkeypatch.setattr(_StepKernel, "__init__", init)
+    monkeypatch.setattr(solver, "read_norms", spy)
+    g = make_grid(48, 32, 16 * np.pi, 8 * np.pi)
+    phi = fields.random_smooth(g, 4, amplitude=0.5)
+    s = run(phi, SolverConfig(dt=1e-3, t_final=0.01, stride=4), norms=(NormSpec.zsr(2.0, 1.0),)).series
+    (kernel,) = kernels
+    assert len(reads) == len(s.t) == 4
+    for power, square in reads:
+        assert np.shares_memory(power, kernel.stages) and np.shares_memory(square, kernel.stages)
+        assert not np.shares_memory(power, square)
+
+
+def test_a_run_holds_one_copy_of_the_advection_symbol():
+    # the kernel scales a fresh advection_table in place, bit for bit the
+    # cached symbol times its factor, and leaves the grid's cached
+    # advection_symbol, which nonlinear_rhs reads, unbuilt
+    g = make_grid(48, 32, 16 * np.pi, 8 * np.pi)
+    cfg = SolverConfig(dt=1e-3, t_final=4e-3)
+    run(fields.gaussian(g, amplitude=0.5), cfg)
+    table = _StepKernel(g, cfg).table
+    assert "advection_symbol" not in vars(g)
+    assert np.array_equal(table, g.advection_symbol * (0.5 * cfg.dt / (g.nx * g.ny)))
 
 
 def test_run_keeps_the_record_closure():
