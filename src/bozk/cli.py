@@ -73,9 +73,9 @@ def _series_rows(series) -> tuple[List[str], List[List]]:
 
 def _cmd_simulate(m: RunManifest, out: Path, quiet: bool) -> dict:
     grid = m.grid()
-    phi = m.initial_data(grid)
     cfg = m.solver_config()
-    result = run(phi, cfg, norms=_diag_norms(m))
+    # a temporary, so that run can free the samples once it has their transform
+    result = run(m.initial_data(grid), cfg, norms=_diag_norms(m))
     header, rows = _series_rows(result.series)
     write_csv(out / "series.csv", header, rows)
     write_snapshot(out / "final.bozk", result.final)

@@ -18,8 +18,10 @@ Conventions fixed here and relied on everywhere else:
   for itself and its unstored mirror at -xi, so Parseval counts it twice.
 * The Nyquist lines (the last column and the row ``n = -ny/2``) have no
   partner of opposite sign, so every symbol, generators included, is
-  evaluated on the grid only by :func:`multiplier_array`, which symmetrises
-  it there (average over the two Nyquist signs).  This keeps inverse
+  evaluated on them only by :func:`multiplier_array`, which symmetrises
+  it there (average over the two Nyquist signs).  A symbol even in xi and
+  eta is its own average, and the rows and columns the 2/3 mask keeps hold
+  no Nyquist line, so the Sobolev weights and the advection row skip it.  This keeps inverse
   transforms of Hermitian data exactly real without branching; a propagator
   is the exponential of a symmetrised generator.
 """
@@ -110,13 +112,14 @@ class Grid2D:
         return self.dx * self.dy
 
     def advection_table(self) -> np.ndarray:
-        """Grid symbol ``-i xi/2`` of -1/2 d_x times the 2/3 mask, on the
-        columns ``0..nx//3`` that the mask keeps (it is 0 on the others):
-        a fresh array on every call, which leaves :attr:`advection_symbol`
-        unbuilt, so a caller that scales it in place holds the one copy."""
-        keep = self.nx // 3 + 1
-        sym = multiplier_array(self, lambda xi, eta: -0.5j * xi)[:, :keep]
-        return np.where(self.dealias_mask[:, :keep], sym, 0.0)
+        """Grid symbol ``-i xi/2`` of -1/2 d_x on the columns ``0..nx//3``
+        that the 2/3 mask keeps, as one row: the symbol depends on xi alone
+        and the mask drops the Nyquist lines, the only places where
+        :func:`multiplier_array` changes a value, so every kept row of the
+        masked table equals this row bit for bit.  A fresh array on every
+        call, which leaves :attr:`advection_symbol` unbuilt, so a caller
+        that scales it in place holds the one copy."""
+        return -0.5j * self.xi[: self.nx // 3 + 1]
 
     @functools.cached_property
     def advection_symbol(self) -> np.ndarray:

@@ -10,7 +10,8 @@ the regularised one adds the decay ``exp(-t mu (xi^2 + eta^2))``.
 The self-paired x-Nyquist column carries no continuum sign for xi, so every
 symbol, generators included, is averaged over the two Nyquist signs there,
 and only by :func:`bozk.grid.multiplier_array`; odd symbols annihilate the
-column.  A propagator is the exponential of its symmetrised generator, so its
+column.  The even, real Sobolev weights are their own average, so
+:func:`sobolev_weight` evaluates them directly.  A propagator is the exponential of its symmetrised generator, so its
 Nyquist column is ``exp(-t mu (xi^2 + eta^2))`` and composition laws hold
 exactly on the whole grid.
 """
@@ -65,9 +66,18 @@ def hilbert_x(f: RealField) -> RealField:
 
 def sobolev_weight(grid: Grid2D, kind: str, s: float) -> np.ndarray:
     """Real Fourier weight ``base**s`` of a fractional kind, as
-    :func:`norm_rows` takes it: ``(1 + xi^2 + eta^2)^s`` for "J"."""
-    base = _BASES[kind]
-    return multiplier_array(grid, lambda xi, eta: base(xi, eta) ** s).real
+    :func:`norm_rows` takes it: ``(1 + xi^2 + eta^2)^s`` for "J", a
+    read-only array of coefficient shape.  Every base is even in xi and
+    eta, so the Nyquist average of :func:`multiplier_array` is the
+    identity on it: the weight is evaluated as a real array from the 1-D
+    axes, bit for bit the real part of that average.  A non-finite value
+    raises ``ValueError``, as there."""
+    with np.errstate(all="ignore"):
+        w = _BASES[kind](grid.xi[None, :], grid.eta[:, None])
+        w **= s
+    if not np.all(np.isfinite(w)):
+        raise ValueError("multiplier is non-finite at a grid wavenumber")
+    return np.broadcast_to(w, grid.spectral_shape)
 
 
 @dataclass(frozen=True)

@@ -96,13 +96,47 @@ def _floats(block: np.ndarray, start: int, shape: Tuple[int, ...]) -> np.ndarray
     return flat[start : start + math.prod(shape)].reshape(shape)
 
 
-def _raw(g: Grid2D, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the columns 0..nx//3 of the coefficients `c` into `out` in raw
-    transform units, the input of ``norm="forward"`` inverse passes: times
-    ``Grid2D.inverse_scale``, and times the 1/(nx ny) that such passes
-    leave out."""
+def _band_shape(g: Grid2D) -> Tuple[int, int]:
+    """Shape of a band array, which holds the kept band of the 2/3 mask:
+    the rows ``n = 0..ny//3``, then ``n = -ny//3..-1``, of the columns
+    ``0..nx//3``."""
+    return 2 * (g.ny // 3) + 1, g.nx // 3 + 1
+
+
+def _band_rows(ny: int) -> Tuple[Tuple[slice, slice], Tuple[slice, slice]]:
+    """The two row blocks of the kept band, ``n = 0..ny//3`` and
+    ``n = -ny//3..-1``, each as a pair: its rows in a full-height array and
+    in a band array, which stacks the two blocks."""
+    h = ny // 3
+    return (slice(0, h + 1), slice(0, h + 1)), (slice(ny - h, ny), slice(h + 1, 2 * h + 1))
+
+
+def _scatter(x: np.ndarray, full: np.ndarray) -> None:
+    """Write the band array `x` into the kept rows of the full-height
+    `full`, and zero the rows between them, which the 2/3 mask drops."""
+    (top, xtop), (bottom, xbottom) = _band_rows(full.shape[0])
+    full[top] = x[xtop]
+    full[top.stop : bottom.start] = 0.0
+    full[bottom] = x[xbottom]
+
+
+def _gather(full: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the kept rows of the full-height `full`, on the columns of
+    the band array `out`, into `out`, and return `out`."""
     keep = out.shape[1]
-    np.multiply(c[:, :keep], g.inverse_scale[:, :keep], out=out)
+    for rows, band in _band_rows(full.shape[0]):
+        out[band] = full[rows, :keep]
+    return out
+
+
+def _raw(g: Grid2D, c: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write the kept band of the coefficients `c` into the band array
+    `out` in raw transform units, the input of ``norm="forward"`` inverse
+    passes: times ``Grid2D.inverse_scale``, and times the 1/(nx ny) that
+    such passes leave out."""
+    keep = out.shape[1]
+    for rows, band in _band_rows(g.ny):
+        np.multiply(c[rows, :keep], g.inverse_scale[rows, :keep], out=out[band])
     out *= 1.0 / (g.nx * g.ny)
     return out
 
@@ -116,22 +150,23 @@ def _rhs_into(
     audit: Optional[Callable[[float], None]] = None,
 ) -> None:
     """Write ``table`` times the raw transform of u^2 into `out`, on the
-    columns 0..nx//3 that the 2/3 mask keeps, where `x` holds u on those
-    columns in raw units (see :func:`_raw`).  `table` is
-    ``Grid2D.advection_symbol`` times the output normalisation, so `out`
-    is the spectrum of -1/2 d_x(u^2) in the table's units.
+    kept band of the 2/3 mask (see :func:`_band_shape`), where `x` holds u on
+    that band in raw units (see :func:`_raw`).  `table` is
+    ``Grid2D.advection_symbol`` times the output normalisation, one row or
+    a band array, so `out` is the spectrum of -1/2 d_x(u^2) in the table's
+    units.
 
-    `x` is read before `out` is written, so they may be one array, and
-    either may be the kept columns of `spec`; the rows of `x` that the 2/3
-    mask drops are zeroed.  `spec` and `u` come from :func:`_scratch`: the
-    inverse x pass reads all of `spec`, so it pads nothing, and the forward
-    x pass fills it, so its tail is zeroed again after.  Non-finite
-    samples, or a square that overflows, raise :class:`NonFiniteField`;
-    `audit`, when given, sees max|u| of the finite field before it is
-    squared."""
-    ny, keep = x.shape
-    x[ny // 3 + 1 : ny - ny // 3] = 0.0
-    np.fft.ifft(x, axis=0, norm="forward", out=spec[:, :keep])
+    `x` is read before `out` is written, so they may be one array.  `spec`
+    and `u` come from :func:`_scratch`: `x` is scattered into the kept
+    columns of `spec`, whose y passes run in place, the inverse x pass
+    reads all of `spec`, so it pads nothing, and the forward x pass fills
+    it, so its tail is zeroed again after.  Non-finite samples, or a
+    square that overflows, raise :class:`NonFiniteField`; `audit`, when
+    given, sees max|u| of the finite field before it is squared."""
+    keep = x.shape[1]
+    cols = spec[:, :keep]
+    _scatter(x, cols)
+    np.fft.ifft(cols, axis=0, norm="forward", out=cols)
     np.fft.irfft(spec, n=u.shape[1], axis=1, norm="forward", out=u)
     if audit is not None:
         top = max(float(np.max(u)), -float(np.min(u)))  # max|u|, NaN if any is
@@ -142,36 +177,39 @@ def _rhs_into(
     if not math.isfinite(np.max(u)):
         raise NonFiniteField("field contains non-finite samples")
     np.fft.rfft(u, axis=1, out=spec)
-    np.fft.fft(spec[:, :keep], axis=0, out=out)
+    np.fft.fft(cols, axis=0, out=cols)
+    _gather(cols, out)
     spec[:, keep:] = 0.0
     out *= table
 
 
 def nonlinear_rhs(F: SpectrumField) -> SpectrumField:
     """Spectrum of -1/2 d_x(u^2), with the 2/3 mask around the square (the
-    mask on the output is folded into ``Grid2D.advection_symbol``).
+    mask on the output is folded into the kept band).
 
     Non-finite samples, or a square that overflows, raise
     :class:`NonFiniteField`.  The step kernel runs the same code in its own
     buffers."""
     g = F.grid
-    sym = g.advection_symbol
     out, u = _scratch(g)  # the transform buffer is the result
-    x = _raw(g, F.coeffs, out[:, : sym.shape[1]])
-    _rhs_into(x, x, sym * g.forward_scale[:, : sym.shape[1]], out, u)
+    x = _raw(g, F.coeffs, np.empty(_band_shape(g), dtype=np.complex128))
+    scale = _gather(g.forward_scale, np.empty(_band_shape(g)))
+    _rhs_into(x, x, g.advection_symbol * scale, out, u)
+    _scatter(x, out[:, : x.shape[1]])
     return SpectrumField(g, out)
 
 
 class _StepKernel:
     """The IF-RK4 step on plain arrays, with the tables and buffers of one
-    run.  Between the transforms, everything runs on the columns 0..nx//3
-    that the 2/3 mask keeps, in raw transform units (see :func:`_raw`), so
-    `e_half` holds only those columns, and so do the rhs table
-    (``Grid2D.advection_table`` times dt/2 and the 1/(nx ny) of raw units,
-    the run's one copy of the symbol) and `stages`, the one block of the
-    four stage buffers.  The state's other columns see only `e_full`, as
-    the stage values vanish there.  `scratch` is the run's transform buffer
-    pair, built for linear runs too, whose records read through it."""
+    run.  Between the transforms, everything runs on the kept band of the
+    2/3 mask (see :func:`_band_shape`), in raw transform units (see
+    :func:`_raw`), so `e_half` holds only that band, and so does `stages`,
+    the one block of the four stage buffers; the rhs table is one row,
+    ``Grid2D.advection_table`` times dt/2 and the 1/(nx ny) of raw units,
+    the run's one copy of the symbol.  The state's other modes see only
+    `e_full`, as the stage values vanish there.  `scratch` is the run's
+    transform buffer pair, built for linear runs too, whose records read
+    through it."""
 
     def __init__(self, grid: Grid2D, cfg: SolverConfig):
         self.grid = grid
@@ -180,11 +218,11 @@ class _StepKernel:
         if cfg.nonlinear:
             self.table = grid.advection_table()
             self.table *= 0.5 * cfg.dt / (grid.nx * grid.ny)
-            keep = self.table.shape[1]
-            self.e_half = np.ascontiguousarray(
-                propagator_array(grid, 0.5 * cfg.dt, cfg.mu)[:, :keep]
+            self.e_half = _gather(
+                propagator_array(grid, 0.5 * cfg.dt, cfg.mu),
+                np.empty(_band_shape(grid), dtype=np.complex128),
             )
-            self.stages = np.empty((4, *self.table.shape), dtype=np.complex128)
+            self.stages = np.empty((4, *_band_shape(grid)), dtype=np.complex128)
             self.a, self.k1, self.k2, self.k3 = self.stages
         self.scratch = _scratch(grid)
 
@@ -198,15 +236,16 @@ class _StepKernel:
         The stage values k1..k4 below are dt/2 times those of RK4, in raw
         units.  Each product with a propagator keeps one operand order on
         every grid (complex multiplication is not bitwise commutative under
-        FMA).  Every stage buffer is written before it is read, so `stages`
-        holds nothing between calls: `run`'s records use its memory for
-        their readout."""
+        FMA); those with `e_full` run on its two row blocks of the band.
+        Every stage buffer is written before it is read, so `stages` holds
+        nothing between calls: `run`'s records use its memory for their
+        readout."""
         cfg = self.cfg
         if not cfg.nonlinear:
             return np.multiply(self.e_full, c, out=c)
-        g, eh = self.grid, self.e_half
+        g, eh, ef = self.grid, self.e_half, self.e_full
         keep = eh.shape[1]
-        ef = self.e_full[:, :keep]
+        blocks = _band_rows(g.ny)
         a, k1, k2, k3 = self.a, self.k1, self.k2, self.k3
 
         def rhs(x: np.ndarray, out: np.ndarray, audit=None) -> None:
@@ -225,19 +264,22 @@ class _StepKernel:
         k2 += k3
         np.multiply(eh, k3, out=k3)
         k3 *= 2.0
-        np.multiply(ef, a, out=a)
+        for rows, band in blocks:
+            np.multiply(ef[rows, :keep], a[band], out=a[band])
         a += k3
         rhs(a, a)
         # ef c + (ef k1 + 2 eh (k2 + k3) + k4) / 3, back in coefficients
         np.multiply(eh, k2, out=k2)
         k2 *= 2.0
-        np.multiply(ef, k1, out=k1)
+        for rows, band in blocks:
+            np.multiply(ef[rows, :keep], k1[band], out=k1[band])
         k1 += k2
         k1 += a
         k1 *= g.nx * g.ny / 3.0
-        k1 *= g.forward_scale[:, :keep]
-        np.multiply(self.e_full, c, out=c)
-        c[:, :keep] += k1
+        np.multiply(ef, c, out=c)
+        for rows, band in blocks:
+            k1[band] *= g.forward_scale[rows, :keep]
+            c[rows, :keep] += k1[band]
         return c
 
 
@@ -282,6 +324,13 @@ def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) ->
     buffer pair, so `final` is the field of the last record, which is
     always the last step's, and shares the pair's sample buffer."""
     g = phi.grid
+    # a caller that passes phi as a temporary leaves this frame its only
+    # holder (CPython >= 3.11 moves call arguments into the callee's
+    # frame), so its samples are freed before the run's tables are built
+    c = forward(phi).coeffs
+    del phi
+    zero0 = c[:, 0].copy()  # u_hat(0, eta, 0), the x-mean transform of phi
+    x_mean_vanishes = bool(np.max(np.abs(c[:, 0])) <= X_MEAN_TOL * np.max(np.abs(c)))
     kernel = _StepKernel(g, cfg)
     max_xi = float(np.max(np.abs(g.xi)))
     # final time is n_steps * dt, the closest step multiple to t_final
@@ -355,9 +404,6 @@ def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) ->
     # record the state it reads; a non-finite sample anywhere in the loop is
     # a blow-up, and for one inside a step, t is the time that step started
     # from
-    c = forward(phi).coeffs
-    zero0 = c[:, 0].copy()  # u_hat(0, eta, 0), the x-mean transform of phi
-    x_mean_vanishes = bool(np.max(np.abs(c[:, 0])) <= X_MEAN_TOL * np.max(np.abs(c)))
     t = 0.0
     n = 0
     try:

@@ -5,6 +5,12 @@ import numpy as np
 from bozk.grid import SpectrumField
 
 
+def bits(a: np.ndarray) -> np.ndarray:
+    """The raw bit patterns of the float64 or complex128 array `a`, so that
+    ``np.array_equal`` tells -0.0 from 0.0."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
 def dealias(F: SpectrumField) -> SpectrumField:
     """F with every coefficient outside ``Grid2D.dealias_mask`` zeroed: the
     2/3 rule the stepper applies around its quadratic term."""

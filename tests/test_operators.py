@@ -1,16 +1,18 @@
 import numpy as np
 import pytest
 
-from bozk.grid import RealField, forward, inverse, make_grid
+from bozk.grid import RealField, forward, inverse, make_grid, multiplier_array
 from bozk.operators import (
+    _BASES,
     dispersion,
     fractional_op,
     hilbert_x,
     propagate,
     propagator_array,
     smoothing_ratio,
+    sobolev_weight,
 )
-from helpers import dealias, inverse_imag_residual
+from helpers import bits, dealias, inverse_imag_residual
 
 TWO_PI = 2.0 * np.pi
 
@@ -29,6 +31,33 @@ def test_dispersion_is_odd_and_vanishes_on_axis():
     eta = np.linspace(-3, 3, 41)
     assert np.allclose(dispersion(-xi, -eta), -dispersion(xi, eta))
     assert np.all(dispersion(np.zeros(7), np.arange(7.0)) == 0.0)
+
+
+@pytest.mark.parametrize("nx, ny, lx, ly", [
+    (8, 8, 1.0, 1.0),
+    (96, 72, 16 * np.pi, 8 * np.pi),
+    (64, 256, 3.0, 40.0),
+    (256, 8, 50.0, 0.5),
+])
+def test_sobolev_weight_is_the_symmetrised_multiplier_bit_for_bit(nx, ny, lx, ly):
+    # every base is even in xi and eta, so the Nyquist average is the
+    # identity and the real evaluation is the multiplier's real part, bit
+    # for bit; a weight that is non-finite at xi = eta = 0 raises as there
+    g = make_grid(nx, ny, lx, ly)
+    raised = 0
+    for kind, base in _BASES.items():
+        for s in (-1.5, -0.5, 0.0, 0.5, 1.0, 2.0, 3.7):
+            try:
+                ref = multiplier_array(g, lambda xi, eta: base(xi, eta) ** s).real
+            except ValueError:
+                with pytest.raises(ValueError, match="non-finite"):
+                    sobolev_weight(g, kind, s)
+                raised += 1
+                continue
+            w = sobolev_weight(g, kind, s)
+            assert w.shape == g.spectral_shape
+            assert np.array_equal(bits(w), bits(ref))
+    assert raised == 4  # D and D_x at the two negative orders
 
 
 class TestHilbert:

@@ -1,5 +1,7 @@
+import sys
 import tracemalloc
 import types
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from bozk.grid import (
     forward,
     inverse,
     make_grid,
+    multiplier_array,
 )
 from bozk.operators import NormSpec, propagate, propagator_array, sobolev_weight
 from bozk.solver import (
@@ -25,7 +28,7 @@ from bozk.solver import (
     run,
 )
 from bozk.weights import WeightSpec
-from helpers import dealias, inverse_imag_residual
+from helpers import bits, dealias, inverse_imag_residual
 
 TWO_PI = 2.0 * np.pi
 
@@ -95,21 +98,25 @@ def test_undealiased_steps_keep_the_spectrum_hermitian():
     assert abs(F.l2() - u.l2()) <= 1e-14 * u.l2()
 
 
-def reference_step(g, c, eh, ef, dt, audit):
+def reference_step(g, c, dt, mu, audit):
     """One IF-RK4 step in the kernel's arithmetic: full-plane transforms of
     each masked stage input, then the stage arithmetic on contiguous copies
-    of the kept columns 0..nx//3 in raw transform units, every product
-    spelled out as np.multiply(a, b) in the kernel's operand order
+    of the full-height columns 0..nx//3 in raw transform units, every
+    product spelled out as np.multiply(a, b) in the kernel's operand order
     (operators would let numpy's temporary elision swap them on arrays of
-    256 KiB or more).  `eh` is the kernel's half-step table, which holds
-    only the kept columns."""
+    256 KiB or more).  Its tables are its own: the propagators of dt/2 and
+    dt from propagator_array, and the masked advection symbol from
+    multiplier_array, all full height."""
     keep = g.nx // 3 + 1
     n = g.nx * g.ny
 
     def cols(a):
         return np.ascontiguousarray(a[:, :keep])
 
-    table = np.multiply(g.advection_symbol, 0.5 * dt / n)
+    symbol = np.where(g.dealias_mask, multiplier_array(g, lambda xi, eta: -0.5j * xi), 0.0)
+    table = np.multiply(cols(symbol), 0.5 * dt / n)
+    eh = cols(propagator_array(g, 0.5 * dt, mu))
+    ef = propagator_array(g, dt, mu)
 
     def rhs(x, audit=None):
         full = np.zeros(g.spectral_shape, dtype=np.complex128)
@@ -138,8 +145,8 @@ def reference_step(g, c, eh, ef, dt, audit):
 def test_step_matches_reference_exactly(nx, ny):
     # one grid below numpy's elision size, one above, and one where 3
     # divides nx, so the kept band ends exactly at the alias-free limit;
-    # the pruned transforms skip only columns that are zero on the way in
-    # or masked on the way out, and the columns past the band see only the
+    # the pruned transforms skip only modes that are zero on the way in
+    # or masked on the way out, and the modes past the band see only the
     # full-step propagator
     g = make_grid(nx, ny, 16 * np.pi, 8 * np.pi)
     cfg = SolverConfig(dt=2e-3, t_final=1.0, mu=0.05)
@@ -151,7 +158,7 @@ def test_step_matches_reference_exactly(nx, ny):
         seen, ref_seen = [], []
         start = c.copy()
         c = kernel.advance(c, seen.append)
-        ref = reference_step(g, ref, kernel.e_half, kernel.e_full, cfg.dt, ref_seen.append)
+        ref = reference_step(g, ref, cfg.dt, cfg.mu, ref_seen.append)
         assert np.array_equal(c, ref)
         assert seen == ref_seen
         assert np.array_equal(c[:, keep:], np.multiply(kernel.e_full, start)[:, keep:])
@@ -747,15 +754,71 @@ def test_nonlinear_records_read_through_the_stage_block(monkeypatch):
 
 
 def test_a_run_holds_one_copy_of_the_advection_symbol():
-    # the kernel scales a fresh advection_table in place, bit for bit the
-    # cached symbol times its factor, and leaves the grid's cached
-    # advection_symbol, which nonlinear_rhs reads, unbuilt
+    # the kernel's rhs table is one row, a fresh advection_table scaled in
+    # place, and the grid's cached advection_symbol, which nonlinear_rhs
+    # reads, stays unbuilt; as the symbol depends on xi alone and the mask
+    # drops the Nyquist row, the row is bit for bit every kept row of the
+    # masked symbol table times the same factor
     g = make_grid(48, 32, 16 * np.pi, 8 * np.pi)
     cfg = SolverConfig(dt=1e-3, t_final=4e-3)
     run(fields.gaussian(g, amplitude=0.5), cfg)
     table = _StepKernel(g, cfg).table
     assert "advection_symbol" not in vars(g)
-    assert np.array_equal(table, g.advection_symbol * (0.5 * cfg.dt / (g.nx * g.ny)))
+    scale = 0.5 * cfg.dt / (g.nx * g.ny)
+    masked = np.where(g.dealias_mask, multiplier_array(g, lambda xi, eta: -0.5j * xi), 0.0)
+    kept = (masked * scale)[g.dealias_mask[:, 0], : table.size]
+    assert kept.shape == solver._band_shape(g)
+    assert np.array_equal(bits(kept), bits(np.broadcast_to(table, kept.shape)))
+    assert np.array_equal(bits(table), bits(g.advection_symbol * scale))
+
+
+@pytest.mark.parametrize("nx, ny", [(96, 72), (8, 256), (256, 8), (256, 256)])
+def test_kernel_holds_only_the_kept_band(nx, ny):
+    # between the transforms the kernel holds only the modes |m| <= nx/3,
+    # |n| <= ny/3: its stage block and half-step table on that band, rows
+    # n = 0..ny/3 then n = -ny/3..-1, and its rhs table as one row; a
+    # nonlinear record's u^2 and |u_hat|^2 views still fit the block
+    g = make_grid(nx, ny, 16 * np.pi, 8 * np.pi)
+    cfg = SolverConfig(dt=1e-3, t_final=2e-3, stride=1)
+    kernel = _StepKernel(g, cfg)
+    band = (2 * (ny // 3) + 1, nx // 3 + 1)
+    assert solver._band_shape(g) == band
+    assert kernel.stages.shape == (4, *band)
+    assert kernel.e_half.shape == band
+    assert kernel.table.shape == (band[1],)
+    half = propagator_array(g, 0.5 * cfg.dt, cfg.mu)[:, : band[1]]
+    assert np.array_equal(kernel.e_half, np.concatenate((half[: ny // 3 + 1], half[ny - ny // 3 :])))
+    usq = solver._floats(kernel.stages, 0, (ny, nx))
+    csq = solver._floats(kernel.stages, usq.size, g.spectral_shape)
+    assert csq.shape == g.spectral_shape and not np.shares_memory(usq, csq)
+    s = run(fields.gaussian(g, amplitude=0.5), cfg, norms=(NormSpec.hs(1.0),)).series
+    assert np.all(np.isfinite(s.norms[NormSpec.hs(1.0)]))
+
+
+@pytest.mark.skipif(
+    sys.version_info < (3, 11), reason="older CPython keeps call arguments in the caller's frame"
+)
+def test_run_frees_a_temporary_initial_field_before_stepping(monkeypatch):
+    # a caller that passes phi as a temporary leaves run its only holder,
+    # and run drops it once it has the transform, so its samples are gone
+    # before the first step
+    g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
+    refs, alive = [], []
+    real = _StepKernel.advance
+
+    def spy(self, c, audit=None):
+        if not alive:
+            alive.append(refs[0]() is not None)
+        return real(self, c, audit)
+
+    def temporary():
+        phi = fields.gaussian(g, amplitude=0.5)
+        refs.append(weakref.ref(phi.samples))
+        return phi
+
+    monkeypatch.setattr(_StepKernel, "advance", spy)
+    run(temporary(), SolverConfig(dt=1e-3, t_final=2e-3))
+    assert alive == [False]
 
 
 def test_run_keeps_the_record_closure():
