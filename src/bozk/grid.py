@@ -74,13 +74,7 @@ class Grid2D:
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
 
-        # the 2/3 rule: when 3 divides nx the kept boundary mode nx/3 sits
-        # exactly at the alias-free limit (its self-interaction folds back
-        # onto itself); other sizes make quadratic products strictly alias-free
-        keep = (np.abs(mx) <= self.nx // 3)[None, :] & (np.abs(my) <= self.ny // 3)[:, None]
-        object.__setattr__(self, "dealias_mask", keep)
-
-        for arr in (mx, my, x, y, keep):
+        for arr in (mx, my, x, y):
             arr.setflags(write=False)
 
     # broadcastable 2-D views -------------------------------------------------
@@ -117,17 +111,8 @@ class Grid2D:
         and the mask drops the Nyquist lines, the only places where
         :func:`multiplier_array` changes a value, so every kept row of the
         masked table equals this row bit for bit.  A fresh array on every
-        call, which leaves :attr:`advection_symbol` unbuilt, so a caller
-        that scales it in place holds the one copy."""
+        call, so a caller that scales it in place holds the one copy."""
         return -0.5j * self.xi[: self.nx // 3 + 1]
-
-    @functools.cached_property
-    def advection_symbol(self) -> np.ndarray:
-        """:meth:`advection_table`, built once per grid for ``nonlinear_rhs``
-        and the Picard sweeps; read-only, as every caller shares it."""
-        table = self.advection_table()
-        table.setflags(write=False)
-        return table
 
     @functools.cached_property
     def forward_scale(self) -> np.ndarray:

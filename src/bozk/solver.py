@@ -85,7 +85,7 @@ def _scratch(g: Grid2D) -> Tuple[np.ndarray, np.ndarray]:
     """The transform buffer pair of one run: the full-width spectral buffer,
     whose columns past nx//3 are zero between calls of :func:`_rhs_into`,
     and the sample buffer.  The stages of a step and the inverse transform
-    of each record run in it."""
+    and spectral readout of each record run in it."""
     return np.zeros(g.spectral_shape, dtype=np.complex128), np.empty((g.ny, g.nx))
 
 
@@ -129,18 +129,6 @@ def _gather(full: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _raw(g: Grid2D, c: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Write the kept band of the coefficients `c` into the band array
-    `out` in raw transform units, the input of ``norm="forward"`` inverse
-    passes: times ``Grid2D.inverse_scale``, and times the 1/(nx ny) that
-    such passes leave out."""
-    keep = out.shape[1]
-    for rows, band in _band_rows(g.ny):
-        np.multiply(c[rows, :keep], g.inverse_scale[rows, :keep], out=out[band])
-    out *= 1.0 / (g.nx * g.ny)
-    return out
-
-
 def _rhs_into(
     x: np.ndarray,
     out: np.ndarray,
@@ -149,12 +137,17 @@ def _rhs_into(
     u: np.ndarray,
     audit: Optional[Callable[[float], None]] = None,
 ) -> None:
-    """Write ``table`` times the raw transform of u^2 into `out`, on the
-    kept band of the 2/3 mask (see :func:`_band_shape`), where `x` holds u on
-    that band in raw units (see :func:`_raw`).  `table` is
-    ``Grid2D.advection_symbol`` times the output normalisation, one row or
-    a band array, so `out` is the spectrum of -1/2 d_x(u^2) in the table's
-    units.
+    """Write ``table`` times the transform of u^2 into `out`, on the kept
+    band of the 2/3 mask (see :func:`_band_shape`), where `x` holds the
+    coefficients of u divided by ``lx ly`` on that band.  `table` is one row,
+    ``Grid2D.advection_table`` times the output normalisation, so `out` is
+    the spectrum of -1/2 d_x(u^2) in the table's units.
+
+    No centring phase is applied on either side: without it the inverse
+    passes give the samples of u shifted by half the box, and as u -> u^2
+    commutes with that shift, the forward passes return the coefficients
+    of u^2 without the phase too.  The samples keep their magnitude, so
+    the audit and an overflowing square see the field itself.
 
     `x` is read before `out` is written, so they may be one array.  `spec`
     and `u` come from :func:`_scratch`: `x` is scattered into the kept
@@ -192,9 +185,9 @@ def nonlinear_rhs(F: SpectrumField) -> SpectrumField:
     buffers."""
     g = F.grid
     out, u = _scratch(g)  # the transform buffer is the result
-    x = _raw(g, F.coeffs, np.empty(_band_shape(g), dtype=np.complex128))
-    scale = _gather(g.forward_scale, np.empty(_band_shape(g)))
-    _rhs_into(x, x, g.advection_symbol * scale, out, u)
+    x = _gather(F.coeffs, np.empty(_band_shape(g), dtype=np.complex128))
+    x *= 1.0 / (g.lx * g.ly)
+    _rhs_into(x, x, g.advection_table() * g.cell_area, out, u)
     _scatter(x, out[:, : x.shape[1]])
     return SpectrumField(g, out)
 
@@ -202,14 +195,14 @@ def nonlinear_rhs(F: SpectrumField) -> SpectrumField:
 class _StepKernel:
     """The IF-RK4 step on plain arrays, with the tables and buffers of one
     run.  Between the transforms, everything runs on the kept band of the
-    2/3 mask (see :func:`_band_shape`), in raw transform units (see
-    :func:`_raw`), so `e_half` holds only that band, and so does `stages`,
-    the one block of the four stage buffers; the rhs table is one row,
-    ``Grid2D.advection_table`` times dt/2 and the 1/(nx ny) of raw units,
-    the run's one copy of the symbol.  The state's other modes see only
-    `e_full`, as the stage values vanish there.  `scratch` is the run's
-    transform buffer pair, built for linear runs too, whose records read
-    through it."""
+    2/3 mask (see :func:`_band_shape`), on the coefficients divided by
+    ``lx ly`` (see :func:`_rhs_into`), so `e_half` holds only that band, and so does
+    `stages`, the one block of the four stage buffers; the rhs table is one
+    row, ``Grid2D.advection_table`` times dt/2 and the 1/(nx ny) that takes
+    the unnormalised forward passes back to those units, the run's one copy
+    of the symbol.  The state's other modes see only `e_full`, as the stage
+    values vanish there.  `scratch` is the run's transform buffer pair,
+    built for linear runs too, whose records read through it."""
 
     def __init__(self, grid: Grid2D, cfg: SolverConfig):
         self.grid = grid
@@ -233,13 +226,13 @@ class _StepKernel:
         `audit` sees max|u| of the field stage k1 squares, i.e. of `c` after
         the 2/3 mask.
 
-        The stage values k1..k4 below are dt/2 times those of RK4, in raw
-        units.  Each product with a propagator keeps one operand order on
-        every grid (complex multiplication is not bitwise commutative under
-        FMA); those with `e_full` run on its two row blocks of the band.
-        Every stage buffer is written before it is read, so `stages` holds
-        nothing between calls: `run`'s records use its memory for their
-        readout."""
+        The stage values k1..k4 below are dt/2 times those of RK4, divided
+        by ``lx ly``.  Each product with a propagator keeps one operand order
+        on every grid (complex multiplication is not bitwise commutative
+        under FMA); those with `e_full` run on its two row blocks of the
+        band.  Every stage buffer is written before it is read, so `stages`
+        holds nothing between calls: `run`'s records use its memory for
+        their readout."""
         cfg = self.cfg
         if not cfg.nonlinear:
             return np.multiply(self.e_full, c, out=c)
@@ -251,7 +244,9 @@ class _StepKernel:
         def rhs(x: np.ndarray, out: np.ndarray, audit=None) -> None:
             _rhs_into(x, out, self.table, *self.scratch, audit)
 
-        rhs(_raw(g, c, a), k1, audit)
+        _gather(c, a)
+        a *= 1.0 / (g.lx * g.ly)
+        rhs(a, k1, audit)
         # k2 = rhs(eh (a + k1))
         np.add(a, k1, out=k2)
         np.multiply(eh, k2, out=k2)
@@ -275,10 +270,9 @@ class _StepKernel:
             np.multiply(ef[rows, :keep], k1[band], out=k1[band])
         k1 += k2
         k1 += a
-        k1 *= g.nx * g.ny / 3.0
+        k1 *= g.lx * g.ly / 3.0
         np.multiply(ef, c, out=c)
         for rows, band in blocks:
-            k1[band] *= g.forward_scale[rows, :keep]
             c[rows, :keep] += k1[band]
         return c
 
@@ -341,21 +335,20 @@ def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) ->
     rows = norm_rows(g, norms)  # built once per run, read at every record
     area = g.cell_area
     xmesh = g.xmesh
-    # usq holds x u, then u^2, and csq |u_hat|^2; in a nonlinear run they
-    # are contiguous float views of the kernel's stage block, which is idle
-    # outside advance (see _StepKernel.advance)
-    if cfg.nonlinear:
-        usq = _floats(kernel.stages, 0, (g.ny, g.nx))
-        csq = _floats(kernel.stages, usq.size, g.spectral_shape)
-    else:
-        usq = np.empty((g.ny, g.nx))
-        csq = np.empty(g.spectral_shape)
     # the run's transform buffer pair; once a record's inverse pass is done
-    # with the spectral buffer, the first half of its memory, read as one
-    # contiguous float array, holds (Im u_hat)^2, so no pass over it is
+    # with the spectral buffer, its memory, read as two contiguous float
+    # arrays, holds (Im u_hat)^2 and |u_hat|^2, so no pass over it is
     # strided; a nonlinear run's record then zeroes the tail columns again
     work = kernel.scratch
     isq = _floats(work[0], 0, g.spectral_shape)
+    csq = _floats(work[0], isq.size, g.spectral_shape)
+    # usq holds x u, then u^2; in a nonlinear run it is a float view of the
+    # kernel's stage block, which is idle outside advance (see
+    # _StepKernel.advance)
+    if cfg.nonlinear:
+        usq = _floats(kernel.stages, 0, (g.ny, g.nx))
+    else:
+        usq = np.empty((g.ny, g.nx))
     keep = g.nx // 3 + 1
 
     # one row per quantity, one column per record (steps 0, stride, ...,

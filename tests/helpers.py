@@ -11,10 +11,19 @@ def bits(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a).view(np.uint64)
 
 
+def dealias_mask(g) -> np.ndarray:
+    """The 2/3 rule on the coefficient array of the grid `g`: True on the
+    modes ``|m| <= nx//3``, ``|n| <= ny//3`` that the stepper keeps around
+    its quadratic term.  When 3 divides nx the kept boundary mode nx/3 sits
+    exactly at the alias-free limit (its self-interaction folds back onto
+    itself); other sizes make quadratic products strictly alias-free."""
+    return (np.abs(g.mx) <= g.nx // 3)[None, :] & (np.abs(g.my) <= g.ny // 3)[:, None]
+
+
 def dealias(F: SpectrumField) -> SpectrumField:
-    """F with every coefficient outside ``Grid2D.dealias_mask`` zeroed: the
+    """F with every coefficient outside :func:`dealias_mask` zeroed: the
     2/3 rule the stepper applies around its quadratic term."""
-    return SpectrumField(F.grid, np.where(F.grid.dealias_mask, F.coeffs, 0.0))
+    return SpectrumField(F.grid, np.where(dealias_mask(F.grid), F.coeffs, 0.0))
 
 
 def inverse_imag_residual(F: SpectrumField) -> float:

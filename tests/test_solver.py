@@ -28,7 +28,7 @@ from bozk.solver import (
     run,
 )
 from bozk.weights import WeightSpec
-from helpers import bits, dealias, inverse_imag_residual
+from helpers import bits, dealias, dealias_mask, inverse_imag_residual
 
 TWO_PI = 2.0 * np.pi
 
@@ -75,10 +75,26 @@ class TestNonlinearRHS:
         # the 2/3 mask on the output lives in the advection symbol
         g = make_grid(64, 64, 16 * np.pi, 16 * np.pi)
         F = forward(fields.random_smooth(g, 3, spectral_width=8.0))
-        assert np.max(np.abs(F.coeffs[~g.dealias_mask])) > 1e-3
+        mask = dealias_mask(g)
+        assert np.max(np.abs(F.coeffs[~mask])) > 1e-3
         out = nonlinear_rhs(F)
-        assert np.all(out.coeffs[~g.dealias_mask] == 0.0)
-        assert np.max(np.abs(out.coeffs[g.dealias_mask])) > 1e-3
+        assert np.all(out.coeffs[~mask] == 0.0)
+        assert np.max(np.abs(out.coeffs[mask])) > 1e-3
+
+    @pytest.mark.parametrize("nx, ny", [(100, 70), (256, 256)])
+    def test_matches_the_phase_carrying_formula(self, nx, ny):
+        # nonlinear_rhs leaves the centring phase out around the square; the
+        # formula here keeps it, through grid.inverse and grid.forward
+        g = make_grid(nx, ny, 16 * np.pi, 8 * np.pi)
+        F = forward(fields.random_smooth(g, 5, amplitude=2.0))
+        mask = dealias_mask(g)
+        u = inverse(SpectrumField(g, np.where(mask, F.coeffs, 0.0)))
+        square = forward(RealField(g, np.square(u.samples))).coeffs
+        symbol = multiplier_array(g, lambda xi, eta: -0.5j * xi)
+        ref = np.where(mask, symbol * square, 0.0)
+        out = nonlinear_rhs(F).coeffs
+        assert np.max(np.abs(ref)) > 1e-3
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 def test_undealiased_steps_keep_the_spectrum_hermitian():
@@ -98,22 +114,27 @@ def test_undealiased_steps_keep_the_spectrum_hermitian():
     assert abs(F.l2() - u.l2()) <= 1e-14 * u.l2()
 
 
-def reference_step(g, c, dt, mu, audit):
+def reference_step(g, c, dt, mu, audit, phased=False):
     """One IF-RK4 step in the kernel's arithmetic: full-plane transforms of
     each masked stage input, then the stage arithmetic on contiguous copies
-    of the full-height columns 0..nx//3 in raw transform units, every
-    product spelled out as np.multiply(a, b) in the kernel's operand order
-    (operators would let numpy's temporary elision swap them on arrays of
-    256 KiB or more).  Its tables are its own: the propagators of dt/2 and
-    dt from propagator_array, and the masked advection symbol from
-    multiplier_array, all full height."""
+    of the full-height columns 0..nx//3 of the coefficients divided by lx ly,
+    every product spelled out as np.multiply(a, b) in the kernel's operand
+    order (operators would let numpy's temporary elision swap them on
+    arrays of 256 KiB or more).  Its tables are its own: the propagators of
+    dt/2 and dt from propagator_array, and the masked advection symbol from
+    multiplier_array, all full height.
+
+    With `phased`, the stages carry the centring phase: they are taken in
+    and out through the grid's inverse_scale and forward_scale tables, in
+    raw transform units, which gives the same step up to roundoff."""
     keep = g.nx // 3 + 1
     n = g.nx * g.ny
+    mask = dealias_mask(g)
 
     def cols(a):
         return np.ascontiguousarray(a[:, :keep])
 
-    symbol = np.where(g.dealias_mask, multiplier_array(g, lambda xi, eta: -0.5j * xi), 0.0)
+    symbol = np.where(mask, multiplier_array(g, lambda xi, eta: -0.5j * xi), 0.0)
     table = np.multiply(cols(symbol), 0.5 * dt / n)
     eh = cols(propagator_array(g, 0.5 * dt, mu))
     ef = propagator_array(g, dt, mu)
@@ -121,13 +142,16 @@ def reference_step(g, c, dt, mu, audit):
     def rhs(x, audit=None):
         full = np.zeros(g.spectral_shape, dtype=np.complex128)
         full[:, :keep] = x
-        raw = np.fft.ifft(np.where(g.dealias_mask, full, 0.0), axis=0, norm="forward")
+        raw = np.fft.ifft(np.where(mask, full, 0.0), axis=0, norm="forward")
         u = np.fft.irfft(raw, n=g.nx, axis=1, norm="forward")
         if audit is not None:
             audit(float(np.max(np.abs(u))))
         return np.multiply(cols(np.fft.rfft2(np.multiply(u, u))), table)
 
-    a = np.multiply(np.multiply(cols(c), cols(g.inverse_scale)), 1.0 / n)
+    if phased:
+        a = np.multiply(np.multiply(cols(c), cols(g.inverse_scale)), 1.0 / n)
+    else:
+        a = np.multiply(cols(c), 1.0 / (g.lx * g.ly))
     efk = cols(ef)
     k1 = rhs(a, audit)
     k2 = rhs(np.multiply(eh, np.add(a, k1)))
@@ -135,7 +159,10 @@ def reference_step(g, c, dt, mu, audit):
     k4 = rhs(np.add(np.multiply(efk, a), np.multiply(np.multiply(eh, k3), 2.0)))
     twice = np.multiply(np.multiply(eh, np.add(k2, k3)), 2.0)
     inc = np.add(np.add(np.multiply(efk, k1), twice), k4)
-    inc = np.multiply(np.multiply(inc, n / 3.0), cols(g.forward_scale))
+    if phased:
+        inc = np.multiply(np.multiply(inc, n / 3.0), cols(g.forward_scale))
+    else:
+        inc = np.multiply(inc, g.lx * g.ly / 3.0)
     new = np.multiply(ef, c)
     new[:, :keep] = np.add(new[:, :keep], inc)
     return new
@@ -147,20 +174,24 @@ def test_step_matches_reference_exactly(nx, ny):
     # divides nx, so the kept band ends exactly at the alias-free limit;
     # the pruned transforms skip only modes that are zero on the way in
     # or masked on the way out, and the modes past the band see only the
-    # full-step propagator
+    # full-step propagator; the step that carries the centring phase
+    # differs from it by roundoff alone
     g = make_grid(nx, ny, 16 * np.pi, 8 * np.pi)
     cfg = SolverConfig(dt=2e-3, t_final=1.0, mu=0.05)
     kernel = _StepKernel(g, cfg)
     keep = nx // 3 + 1
     c = forward(fields.random_smooth(g, 5, amplitude=2.0)).coeffs
-    ref = c.copy()
+    ref, phased = c.copy(), c.copy()
     for _ in range(3):
-        seen, ref_seen = [], []
+        seen, ref_seen, phased_seen = [], [], []
         start = c.copy()
         c = kernel.advance(c, seen.append)
         ref = reference_step(g, ref, cfg.dt, cfg.mu, ref_seen.append)
+        phased = reference_step(g, phased, cfg.dt, cfg.mu, phased_seen.append, phased=True)
         assert np.array_equal(c, ref)
         assert seen == ref_seen
+        assert np.max(np.abs(c - phased)) <= 1e-14 * np.max(np.abs(c))
+        assert seen == pytest.approx(phased_seen, rel=1e-14, abs=0.0)
         assert np.array_equal(c[:, keep:], np.multiply(kernel.e_full, start)[:, keep:])
     assert np.max(np.abs(c[:, 1:])) > 0
     assert np.max(np.abs(c[:, keep:])) > 0
@@ -536,7 +567,8 @@ def test_record_readout_matches_reference_norms(monkeypatch, norms, nonlinear):
     # every recorded column against the norm of the recorded field, one kind
     # at a time and all kinds in one run; the grid is not square, so a row
     # built on transposed axes fails here; a nonlinear run's readout runs in
-    # the kernel's stage block, a linear run's in buffers of its own
+    # the kernel's stage block and transform buffer, a linear run's in that
+    # buffer and a sample array of its own
     g = make_grid(48, 32, 16 * np.pi, 8 * np.pi)
     seen = []
 
@@ -728,8 +760,9 @@ def test_steps_and_records_allocate_no_field(monkeypatch, nonlinear):
 
 
 def test_nonlinear_records_read_through_the_stage_block(monkeypatch):
-    # a nonlinear run's readout buffers, u^2 and |u_hat|^2, are disjoint
-    # views of the kernel's stage block, not arrays of their own
+    # every run reads |u_hat|^2 in its spectral buffer, which the record's
+    # inverse pass has freed; a nonlinear run's u^2 is a view of the
+    # kernel's stage block, not an array of its own
     kernels, reads = [], []
     real_init, real_read = _StepKernel.__init__, solver.read_norms
 
@@ -745,31 +778,40 @@ def test_nonlinear_records_read_through_the_stage_block(monkeypatch):
     monkeypatch.setattr(solver, "read_norms", spy)
     g = make_grid(48, 32, 16 * np.pi, 8 * np.pi)
     phi = fields.random_smooth(g, 4, amplitude=0.5)
-    s = run(phi, SolverConfig(dt=1e-3, t_final=0.01, stride=4), norms=(NormSpec.zsr(2.0, 1.0),)).series
-    (kernel,) = kernels
-    assert len(reads) == len(s.t) == 4
-    for power, square in reads:
-        assert np.shares_memory(power, kernel.stages) and np.shares_memory(square, kernel.stages)
-        assert not np.shares_memory(power, square)
+    for nonlinear in (True, False):
+        cfg = SolverConfig(dt=1e-3, t_final=0.01, stride=4, nonlinear=nonlinear)
+        s = run(phi, cfg, norms=(NormSpec.zsr(2.0, 1.0),)).series
+        kernel = kernels.pop()
+        assert len(reads) == len(s.t) == 4
+        for power, square in reads:
+            assert power.shape == g.spectral_shape and power.flags.c_contiguous
+            assert np.shares_memory(power, kernel.scratch[0])
+            if nonlinear:
+                assert np.shares_memory(square, kernel.stages)
+            assert not np.shares_memory(square, kernel.scratch[0])
+        reads.clear()
 
 
 def test_a_run_holds_one_copy_of_the_advection_symbol():
     # the kernel's rhs table is one row, a fresh advection_table scaled in
-    # place, and the grid's cached advection_symbol, which nonlinear_rhs
-    # reads, stays unbuilt; as the symbol depends on xi alone and the mask
-    # drops the Nyquist row, the row is bit for bit every kept row of the
-    # masked symbol table times the same factor
+    # place, and the grid caches no symbol, after a run or a nonlinear_rhs;
+    # as the symbol depends on xi alone and the mask drops the Nyquist row,
+    # the row is bit for bit every kept row of the masked symbol table times
+    # the same factor
     g = make_grid(48, 32, 16 * np.pi, 8 * np.pi)
     cfg = SolverConfig(dt=1e-3, t_final=4e-3)
-    run(fields.gaussian(g, amplitude=0.5), cfg)
+    phi = fields.gaussian(g, amplitude=0.5)
+    run(phi, cfg)
+    nonlinear_rhs(forward(phi))
     table = _StepKernel(g, cfg).table
-    assert "advection_symbol" not in vars(g)
+    assert all(np.asarray(v).dtype.kind != "c" for v in vars(g).values())
     scale = 0.5 * cfg.dt / (g.nx * g.ny)
-    masked = np.where(g.dealias_mask, multiplier_array(g, lambda xi, eta: -0.5j * xi), 0.0)
-    kept = (masked * scale)[g.dealias_mask[:, 0], : table.size]
+    mask = dealias_mask(g)
+    masked = np.where(mask, multiplier_array(g, lambda xi, eta: -0.5j * xi), 0.0)
+    kept = (masked * scale)[mask[:, 0], : table.size]
     assert kept.shape == solver._band_shape(g)
     assert np.array_equal(bits(kept), bits(np.broadcast_to(table, kept.shape)))
-    assert np.array_equal(bits(table), bits(g.advection_symbol * scale))
+    assert np.array_equal(bits(table), bits(g.advection_table() * scale))
 
 
 @pytest.mark.parametrize("nx, ny", [(96, 72), (8, 256), (256, 8), (256, 256)])
@@ -777,7 +819,7 @@ def test_kernel_holds_only_the_kept_band(nx, ny):
     # between the transforms the kernel holds only the modes |m| <= nx/3,
     # |n| <= ny/3: its stage block and half-step table on that band, rows
     # n = 0..ny/3 then n = -ny/3..-1, and its rhs table as one row; a
-    # nonlinear record's u^2 and |u_hat|^2 views still fit the block
+    # nonlinear record's u^2 view still fits the block
     g = make_grid(nx, ny, 16 * np.pi, 8 * np.pi)
     cfg = SolverConfig(dt=1e-3, t_final=2e-3, stride=1)
     kernel = _StepKernel(g, cfg)
@@ -788,9 +830,7 @@ def test_kernel_holds_only_the_kept_band(nx, ny):
     assert kernel.table.shape == (band[1],)
     half = propagator_array(g, 0.5 * cfg.dt, cfg.mu)[:, : band[1]]
     assert np.array_equal(kernel.e_half, np.concatenate((half[: ny // 3 + 1], half[ny - ny // 3 :])))
-    usq = solver._floats(kernel.stages, 0, (ny, nx))
-    csq = solver._floats(kernel.stages, usq.size, g.spectral_shape)
-    assert csq.shape == g.spectral_shape and not np.shares_memory(usq, csq)
+    assert solver._floats(kernel.stages, 0, (ny, nx)).shape == (ny, nx)
     s = run(fields.gaussian(g, amplitude=0.5), cfg, norms=(NormSpec.hs(1.0),)).series
     assert np.all(np.isfinite(s.norms[NormSpec.hs(1.0)]))
 
