@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import math
 import sys
+import threading
 from dataclasses import asdict, replace
 from pathlib import Path
 from typing import List, Sequence
@@ -49,6 +50,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
+
+_PHASE_BLOCK = 1 << 14  # samples per block of a verify phase's x
 
 
 def _say(quiet: bool, msg: str) -> None:
@@ -242,17 +245,25 @@ def _verify_stein(rows: List[List], seed: int) -> None:
     r_out = 400.0
     dx = 0.005
     n = math.ceil((r_out + 20.0) / dx)
-    xs = dx * np.arange(-n, n + 1)
-    samples = np.zeros(xs.shape, dtype=np.complex128)
+    # the grid dx * (-n .. n): its first node, the step between its first two
+    # nodes, and the node of x = 0 at index n
+    x0 = -n * dx
+    step = dx * (1 - n) - dx * (-n)
+    centre = [x0 + n * step]
+    samples = np.zeros(2 * n + 1, dtype=np.complex128)
 
     def phase(c: float) -> np.ndarray:
-        """exp(i c xs), built in place in the one samples buffer."""
+        """exp(i c x) at x = dx * (k - n), built in place in the one samples
+        buffer, its x a block at a time."""
         samples.real = 0.0
-        np.multiply(xs, c, out=samples.imag)
+        for a in range(0, samples.size, _PHASE_BLOCK):
+            x = samples.imag[a : a + _PHASE_BLOCK]
+            np.multiply(np.arange(a - n, a - n + x.size), dx, out=x)
+            x *= c
         return np.exp(samples, out=samples)
 
     for c in (1.0, 2.0, 4.0):
-        res = stein_derivative(xs, phase(c), SteinConfig(b=0.5, r_outer=r_out), [0.0])
+        res = stein_derivative(phase(c), x0, step, SteinConfig(b=0.5, r_outer=r_out), centre)
         exact = math.sqrt(2.0 * math.pi * c)
         rel = abs(res.values[0] - exact) / exact
         rows.append(["stein", f"pure_phase_c{c:g}", res.values[0], exact, rel < 1e-3])
@@ -260,7 +271,8 @@ def _verify_stein(rows: List[List], seed: int) -> None:
         cst = _exact_phase_constant(b)
         for eta, t in ((1.0, 1.0), (2.0, 1.0), (1.0, 0.5)):
             ceff = t * eta * eta
-            res = stein_derivative(xs, phase(ceff), SteinConfig(b=b, r_outer=r_out), [0.0])
+            cfg = SteinConfig(b=b, r_outer=r_out)
+            res = stein_derivative(phase(ceff), x0, step, cfg, centre)
             meas, up = res.values[0], res.upper()[0]
             bound = phase_bound(b, eta, t)
             exact = cst * ceff**b
@@ -302,20 +314,25 @@ def _verify_ratios(rows: List[List], seed: int) -> None:
 
 
 def _cmd_verify(m: RunManifest, out: Path, quiet: bool) -> dict:
-    # the suites run one after another, so only one suite's buffers are live
-    # at a time; the worker thread stays only because the benchmark's trace
-    # coverage expects verify spans off the main thread, and its module is
-    # imported here so that no other subcommand pays for the import
-    from concurrent.futures import ThreadPoolExecutor
-
+    # the suites run one after another on one plain worker thread, so only
+    # one suite's buffers are live at a time; the thread stays only because
+    # the benchmark's trace coverage expects verify spans off the main
+    # thread, and a suite's exception is re-raised here, before any write
     rows: List[List] = []
+    raised: List[BaseException] = []
 
     def suites() -> None:
-        for suite in (_verify_weights, _verify_stein, _verify_ratios):
-            suite(rows, m.seed)
+        try:
+            for suite in (_verify_weights, _verify_stein, _verify_ratios):
+                suite(rows, m.seed)
+        except BaseException as exc:
+            raised.append(exc)
 
-    with ThreadPoolExecutor(max_workers=1) as pool:
-        pool.submit(suites).result()
+    worker = threading.Thread(target=suites, name="bozk-verify")
+    worker.start()
+    worker.join()
+    if raised:
+        raise raised[0]
     n_fail = sum(1 for r in rows if not r[-1])
     write_csv(out / "verify.csv", ["suite", "check", "measured", "reference", "passed"], rows)
     _say(quiet, f"verify: {len(rows) - n_fail}/{len(rows)} checks passed")

@@ -51,7 +51,7 @@ _GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 _GL_NODES.flags.writeable = False
 _GL_WEIGHTS.flags.writeable = False
 _BAND_POINTS = 64  # evaluation points per log-band block: bounds its temporaries
-_BLOCK = 1 << 14   # samples per block of the uniformity check, outer band and tail bound
+_BLOCK = 1 << 14   # samples per block of the outer band and tail bound
 
 
 def cubic_basis(t: np.ndarray, n: int):
@@ -118,24 +118,6 @@ def _log_band_nodes(h: float, z1: float, nodes_per_decade: int):
     return z, w * z  # weights carry the dz = z ds Jacobian
 
 
-def _uniform_step(xs: np.ndarray) -> float:
-    """The step of the grid xs, or ValueError unless it is uniform and
-    increasing: the decision of np.allclose(steps, dx, rtol=1e-9, atol=0) on
-    every grid with finite steps, made in blocks of _BLOCK steps."""
-    bad = "sample grid must be uniform and increasing"
-    dx = float(xs[1] - xs[0])
-    if not 0.0 < dx < math.inf:  # a NaN step fails the comparison too
-        raise ValueError(bad)
-    buf = np.empty(min(xs.size - 1, _BLOCK))
-    for a in range(0, xs.size - 1, _BLOCK):
-        steps = buf[: min(_BLOCK, xs.size - 1 - a)]
-        np.subtract(xs[a + 1 : a + 1 + steps.size], xs[a : a + steps.size], out=steps)
-        np.subtract(steps, dx, out=steps)
-        if not np.abs(steps, out=steps).max() <= 1e-9 * dx:  # so does a NaN here
-            raise ValueError(bad)
-    return dx
-
-
 def _abs_diff(a, b, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
     """|a - b| into the real buffer out, through the buffer diff."""
     np.subtract(a, b, out=diff)
@@ -143,34 +125,38 @@ def _abs_diff(a, b, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 
 def stein_derivative(
-    xs: np.ndarray,
     fs: np.ndarray,
+    x0: float,
+    dx: float,
     cfg: SteinConfig,
     points: Sequence[float],
 ) -> SteinResult:
-    """Evaluate Db f at the given points from uniform samples (xs, fs).
+    """Evaluate Db f at the given points from the samples fs at x0 + k dx.
 
     Points must be sample nodes (within 1e-9 dx) and sit at least r_outer
-    inside the sampled interval.  Complex samples are allowed (the integrand
-    uses |.|^2).  The returned tail bound is 2 * osc(f)^2 * R^(-2b) / b, a
-    uniform bound on the neglected squared mass beyond R.
+    inside the sampled interval; ValueError unless dx is positive and finite
+    and x0 finite.  Complex samples are allowed (the integrand uses |.|^2).
+    The returned tail bound is 2 * osc(f)^2 * R^(-2b) / b, a uniform bound
+    on the neglected squared mass beyond R.
 
-    fs may be a stack (S, N) of rows on the one grid xs; values are then
+    fs may be a stack (S, N) of rows on the one grid; values are then
     (S, P) and the tail bound has one entry per row.  Every reduction runs
     per row, so a row's results do not depend on the rest of the stack.
     """
-    xs = np.asarray(xs, dtype=np.float64)
     fs = np.asarray(fs)
-    if xs.ndim != 1 or fs.ndim not in (1, 2) or fs.shape[-1] != xs.size:
-        raise ValueError("xs must be 1-D and fs a matching 1-D array or (S, N) stack")
-    dx = _uniform_step(xs)
+    if fs.ndim not in (1, 2):
+        raise ValueError("fs must be a 1-D array or an (S, N) stack")
+    x0, dx = float(x0), float(dx)
+    if not (math.isfinite(x0) and 0.0 < dx < math.inf):  # a NaN dx fails too
+        raise ValueError("sample grid needs a finite x0 and a positive, finite step dx")
     if not np.isfinite(fs).all():
         raise ValueError("samples contain non-finite values")
-    rows = fs.reshape(-1, xs.size)
+    n = fs.shape[-1]
+    rows = fs.reshape(-1, n)
 
     pts = np.atleast_1d(np.asarray(points, dtype=np.float64))
     b, h, big_r = cfg.b, cfg.h_inner, cfg.r_outer
-    if np.any(pts - big_r < xs[0] - 1e-12) or np.any(pts + big_r > xs[-1] + 1e-12):
+    if np.any(pts - big_r < x0 - 1e-12) or np.any(pts + big_r > x0 + (n - 1) * dx + 1e-12):
         raise ValueError("evaluation points too close to the sample boundary")
 
     # outer band starts on a grid multiple at ~1 so trapezoid nodes are shifts
@@ -181,9 +167,11 @@ def stein_derivative(
     if z1 >= r_eff:
         raise ValueError("r_outer leaves no room for the outer band at this step")
 
-    idx = np.array([int(round((x - xs[0]) / dx)) for x in pts], dtype=np.intp)
-    if not all(abs(xs[i] - x) < 1e-9 * dx for i, x in zip(idx, pts)):
+    cell = (pts - x0) / dx
+    node = np.rint(cell)
+    if not np.all(np.abs(cell - node) < 1e-9):  # a NaN point fails here too
         raise ValueError("evaluation points must be sample nodes")
+    idx = node.astype(np.intp)
 
     zb, wb = _log_band_nodes(h, z1, cfg.nodes_per_decade)
     kernel_b = wb * zb ** (-1.0 - 2.0 * b)
@@ -201,8 +189,8 @@ def stein_derivative(
     band = np.empty(fx.shape)
     for a in range(0, pts.size, _BAND_POINTS):
         near = slice(a, a + _BAND_POINTS)
-        minus = cubic_basis(idx[near, None] - cells, xs.size)
-        plus = cubic_basis(idx[near, None] + cells, xs.size)
+        minus = cubic_basis(idx[near, None] - cells, n)
+        plus = cubic_basis(idx[near, None] + cells, n)
         for s, f in enumerate(rows):
             f0 = fx[s, near, None]
             band[s, near] = np.sum(
@@ -216,7 +204,7 @@ def stein_derivative(
 
     # the outer zone, offsets k0 <= k <= k1 cells, and then the oscillation
     # bound run in blocks of _BLOCK samples through these buffers
-    width = min(xs.size, _BLOCK)
+    width = min(n, _BLOCK)
     diff = np.empty(width, dtype=np.result_type(rows, np.float64))
     sq_m = np.empty(width)
     sq_p = np.empty(width)
@@ -268,9 +256,10 @@ def phase_bound(b: float, eta: float, t: float) -> float:
 def probe_window(
     xs: np.ndarray, fs: np.ndarray, b: float, step: float, epsilon: float
 ) -> np.ndarray:
-    """Db of the samples (xs, fs), of grid step `step`, under the probe
-    policy: reach PROBE_R_OUTER, PROBE_NODES_PER_DECADE log-band nodes and an
-    inner patch of min(2 step, 1/2), evaluated at the window points
+    """Db of the samples (xs, fs) on the uniform grid xs, of step `step`
+    (the quadrature reads the grid as xs[0] and xs[1] - xs[0]), under the
+    probe policy: reach PROBE_R_OUTER, PROBE_NODES_PER_DECADE log-band nodes
+    and an inner patch of min(2 step, 1/2), evaluated at the window points
     4 step <= |x| <= epsilon/2: the plateau of a cutoff of width epsilon,
     less a four-cell resolution floor around the origin.  ValueError if no
     sample is left there.  fs may be an (S, N) stack; the values are then
@@ -285,7 +274,7 @@ def probe_window(
         h_inner=min(2.0 * step, 0.5),
         nodes_per_decade=PROBE_NODES_PER_DECADE,
     )
-    return stein_derivative(xs, fs, cfg, pts).values
+    return stein_derivative(fs, xs[0], xs[1] - xs[0], cfg, pts).values
 
 
 def refinement_ladder(

@@ -31,6 +31,7 @@ DENSITY_ETA_TARGETS = (0.0, 0.5, 1.0) # obstruction_density's eta rows
 TAIL_TOL = 1e-8                      # largest relative spectral tail probed
 GROWTH_LIMIT = 2.0                   # persistence flag: max Z / initial Z
 BOUNDARY_TOL = 1e-3                  # edge/interior amplitude abort level
+_SLICE_POINTS = 256                  # xi points per block of b1_indicator's slices
 
 
 def _smoothstep(t: np.ndarray) -> np.ndarray:
@@ -127,20 +128,26 @@ def b1_indicator(
     eta = etas[:, None]
 
     def eta_slices(xi: np.ndarray) -> np.ndarray:
-        kern = -1j * np.outer(xi, g.x)
-        np.exp(kern, out=kern)
-        kern *= g.dx
-        # every slice transform of the level at once; einsum without
-        # optimize sums in its own loops, so no BLAS call is made
-        phats = np.einsum("px,sx->sp", kern, cols)
-        return (
-            2.0
-            * t
-            * cut.chi(xi, eta)
-            * np.exp(1j * t * dispersion(xi, eta))
-            * np.sign(xi)
-            * phats
-        )
+        # _SLICE_POINTS xi points at a time, so the level holds its (S, P)
+        # stack and one block's temporaries, never a (P, nx) kernel
+        out = np.empty((len(rows), xi.size), dtype=np.complex128)
+        for a in range(0, xi.size, _SLICE_POINTS):
+            x = xi[a : a + _SLICE_POINTS]
+            kern = -1j * np.outer(x, g.x)
+            np.exp(kern, out=kern)
+            kern *= g.dx
+            # the block's slice transforms at once; einsum without optimize
+            # sums in its own loops, so no BLAS call is made
+            phats = np.einsum("px,sx->sp", kern, cols)
+            out[:, a : a + x.size] = (
+                2.0
+                * t
+                * cut.chi(x, eta)
+                * np.exp(1j * t * dispersion(x, eta))
+                * np.sign(x)
+                * phats
+            )
+        return out
 
     out_levels, ratios = refinement_ladder(eta_slices, wts, 0.5, levels, cut.epsilon)
     return RefinementReport(

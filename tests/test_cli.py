@@ -598,6 +598,22 @@ class TestExecute:
         lines = (out / "verify.csv").read_text().splitlines()[1:]
         assert [line.split(",")[0] for line in lines] == ["weights", "stein", "ratios"]
 
+    def test_verify_suite_error_on_the_worker_exit_two_without_files(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        where = []
+
+        def broken(rows, seed):
+            where.append(threading.get_ident())
+            raise ValueError("suite cannot run")
+
+        monkeypatch.setattr(cli, "_verify_stein", broken)
+        out = tmp_path / "outv"
+        assert execute(["verify", "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert where and where[0] != threading.get_ident()
+        assert "suite cannot run" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_uc_domain_growth_output(self, tmp_path):
         text = """
 grid.nx = 128
@@ -625,7 +641,8 @@ uc.doublings = 1
 
 
 # Runs `linear` on random_smooth data and then `verify` in one interpreter,
-# and reports whether numpy.random was imported after each.
+# and reports whether numpy.random and concurrent.futures were imported
+# after each.
 NO_NUMPY_RANDOM = """
 import sys
 from bozk.cli import execute
@@ -633,7 +650,7 @@ from bozk.cli import execute
 cfg, out = sys.argv[1:]
 for argv in (["linear", "--config", cfg], ["verify"]):
     code = execute(argv + ["--out", out + "/" + argv[0], "--quiet"])
-    print(argv[0], code, "numpy.random" in sys.modules)
+    print(argv[0], code, "numpy.random" in sys.modules, "concurrent.futures" in sys.modules)
 """
 
 
@@ -647,7 +664,7 @@ def test_random_data_and_verify_never_import_numpy_random(tmp_path):
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert res.returncode == 0, res.stderr
-    assert res.stdout.splitlines() == ["linear 0 False", "verify 0 False"]
+    assert res.stdout.splitlines() == ["linear 0 False False", "verify 0 False False"]
 
 
 # Runs every subcommand in one interpreter with numpy.linalg's solvers and

@@ -11,12 +11,10 @@ import pytest
 import bozk
 from bozk import stein
 from bozk.stein import (
-    _BLOCK,
     _GL_NODES,
     _GL_ORDER,
     _GL_WEIGHTS,
     SteinConfig,
-    _uniform_step,
     cubic_basis,
     cubic_combine,
     phase_bound,
@@ -42,10 +40,15 @@ def sampled_line(r_outer=400.0, dx=0.005, pad=20.0):
     return dx * np.arange(-n, n + 1)
 
 
+def on_line(xs, fs, cfg, points):
+    """stein_derivative of fs on the uniform grid xs, read as xs[0] and its mean step."""
+    return stein_derivative(fs, xs[0], (xs[-1] - xs[0]) / (xs.size - 1), cfg, points)
+
+
 class TestSteinDerivative:
     def test_constant_gives_zero(self):
         xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
-        res = stein_derivative(
+        res = on_line(
             xs, np.full_like(xs, 2.7), SteinConfig(b=0.5, r_outer=5.0), [0.0, 1.0]
         )
         assert np.max(res.values) < 1e-12
@@ -53,7 +56,7 @@ class TestSteinDerivative:
     @pytest.mark.parametrize("c", [1.0, 2.0, 4.0])
     def test_pure_phase_oracle_half_order(self, c):
         xs = sampled_line()
-        res = stein_derivative(
+        res = on_line(
             xs, np.exp(1j * c * xs), SteinConfig(b=0.5, r_outer=400.0), [0.0]
         )
         exact = math.sqrt(2.0 * math.pi * c)
@@ -61,7 +64,7 @@ class TestSteinDerivative:
 
     def test_pure_phase_independent_of_point(self):
         xs = sampled_line(r_outer=100.0)
-        res = stein_derivative(
+        res = on_line(
             xs, np.exp(2j * xs), SteinConfig(b=0.5, r_outer=100.0), [-3.0, 0.0, 1.7, 8.0]
         )
         spread = np.max(res.values) - np.min(res.values)
@@ -73,7 +76,7 @@ class TestSteinDerivative:
         cfg = SteinConfig(b=b, r_outer=400.0)
         for eta, t in ((1.0, 1.0), (2.0, 1.0), (1.0, 0.5)):
             c = t * eta * eta
-            res = stein_derivative(xs, np.exp(1j * c * xs), cfg, [0.0])
+            res = on_line(xs, np.exp(1j * c * xs), cfg, [0.0])
             meas = res.values[0]
             upper = res.upper()[0]
             exact = math.sqrt(PHASE_CONSTANT_SQ[b]) * c**b
@@ -87,8 +90,8 @@ class TestSteinDerivative:
         xs = sampled_line(r_outer=20.0, dx=0.01, pad=3.0)
         f = np.exp(-(xs**2)) * (1 + 0.3 * np.sin(xs))
         cfg = SteinConfig(b=0.4, r_outer=20.0)
-        a = stein_derivative(xs, f, cfg, [0.0, 0.5]).values
-        b_ = stein_derivative(xs, -2.5 * f, cfg, [0.0, 0.5]).values
+        a = on_line(xs, f, cfg, [0.0, 0.5]).values
+        b_ = on_line(xs, -2.5 * f, cfg, [0.0, 0.5]).values
         assert np.max(np.abs(b_ - 2.5 * a)) < 1e-12 * np.max(b_)
 
     def test_translation_invariance(self):
@@ -96,58 +99,49 @@ class TestSteinDerivative:
         cfg = SteinConfig(b=0.5, r_outer=20.0)
         f = np.exp(-(xs**2))
         g = np.exp(-((xs - 1.5) ** 2))
-        a = stein_derivative(xs, f, cfg, [0.25]).values[0]
-        b_ = stein_derivative(xs, g, cfg, [1.75]).values[0]
+        a = on_line(xs, f, cfg, [0.25]).values[0]
+        b_ = on_line(xs, g, cfg, [1.75]).values[0]
         assert abs(a - b_) / a < 1e-6
 
     def test_boundary_margin_enforced(self):
         xs = sampled_line(r_outer=5.0, dx=0.02, pad=1.0)
         with pytest.raises(ValueError):
-            stein_derivative(xs, np.exp(1j * xs), SteinConfig(b=0.5, r_outer=5.0), [xs[-1] - 1.0])
+            on_line(xs, np.exp(1j * xs), SteinConfig(b=0.5, r_outer=5.0), [xs[-1] - 1.0])
 
     def test_off_node_point_rejected(self):
         xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
         cfg = SteinConfig(b=0.5, r_outer=5.0)
         with pytest.raises(ValueError, match="sample nodes"):
-            stein_derivative(xs, np.exp(1j * xs), cfg, [0.0, 1.03])
+            on_line(xs, np.exp(1j * xs), cfg, [0.0, 1.03])
 
-    def test_nonuniform_grid_rejected(self):
-        xs = np.array([0.0, 0.1, 0.25, 0.3])
-        with pytest.raises(ValueError):
-            stein_derivative(xs, np.ones(4), SteinConfig(b=0.5, r_outer=2.0), [0.0])
-
-    @pytest.mark.parametrize("jitter", [0.0, 3e-10, 9e-10, 1.1e-9, 1e-6, np.nan, -0.5])
-    def test_uniformity_check_keeps_allclose_decision(self, jitter):
-        xs = 0.1 * np.arange(50.0)
-        xs[31] += jitter * 0.1
-        steps = np.diff(xs)
-        expected = steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-        try:
-            _uniform_step(xs)
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == expected
-
-    @pytest.mark.parametrize("where", [_BLOCK - 1, _BLOCK, _BLOCK + 50])
-    @pytest.mark.parametrize("jitter", [0.0, 3e-10, 1.1e-9, np.nan])
-    def test_uniformity_check_past_one_block(self, where, jitter):
-        # step `where` is the last of the first block, the first of the
-        # second, or inside the second
-        xs = 0.1 * np.arange(_BLOCK + 100.0)
-        xs[where + 1 :] += jitter * 0.1
-        steps = np.diff(xs)
-        expected = np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-        assert expected == (jitter in (0.0, 3e-10))
-        if expected:
-            assert _uniform_step(xs) == xs[1] - xs[0]
+    @pytest.mark.parametrize("jitter", [0.0, 3e-10, 9e-10, 1.1e-9, 1e-6, -0.5, np.nan])
+    def test_node_tolerance_far_from_the_first_node(self, jitter):
+        # a point jitter * dx off the node 8000 cells in is a node below 1e-9
+        xs = sampled_line(r_outer=5.0, dx=0.001, pad=2.0)
+        fs = np.exp(1j * xs)
+        cfg = SteinConfig(b=0.5, r_outer=5.0)
+        point = xs[0] + (8000 + jitter) * 0.001
+        if abs(jitter) < 1e-9:
+            assert on_line(xs, fs, cfg, [point]).values == on_line(xs, fs, cfg, [xs[8000]]).values
         else:
-            with pytest.raises(ValueError, match="uniform"):
-                _uniform_step(xs)
+            with pytest.raises(ValueError, match="sample nodes"):
+                on_line(xs, fs, cfg, [point])
+
+    def test_nonpositive_or_nonfinite_step_rejected(self):
+        cfg = SteinConfig(b=0.5, r_outer=2.0)
+        for dx in (0.0, -0.1, np.nan, np.inf):
+            with pytest.raises(ValueError, match="positive, finite step"):
+                stein_derivative(np.ones(101), -5.0, dx, cfg, [0.0])
+
+    def test_nonfinite_first_node_rejected(self):
+        cfg = SteinConfig(b=0.5, r_outer=2.0)
+        for x0 in (np.nan, -np.inf):
+            with pytest.raises(ValueError, match="finite x0"):
+                stein_derivative(np.ones(101), x0, 0.1, cfg, [0.0])
 
     def test_one_row_keeps_its_return_types(self):
         xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
-        res = stein_derivative(xs, np.exp(1j * xs), SteinConfig(b=0.5, r_outer=5.0), [0.0, 1.0])
+        res = on_line(xs, np.exp(1j * xs), SteinConfig(b=0.5, r_outer=5.0), [0.0, 1.0])
         assert res.values.shape == (2,)
         assert type(res.tail_sq_bound) is float
         assert res.upper().shape == (2,)
@@ -161,7 +155,7 @@ class TestSteinDerivative:
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
-            stein_derivative(xs, fs, cfg, [0.0])
+            on_line(xs, fs, cfg, [0.0])
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
@@ -175,14 +169,14 @@ class TestBlockedOuterBand:
     def unblocked(monkeypatch, *args):
         with monkeypatch.context() as m:
             m.setattr(stein, "_BLOCK", 1 << 30)
-            return stein_derivative(*args)
+            return on_line(*args)
 
     def test_verify_size_call(self, monkeypatch):
         xs = sampled_line()
         cfg = SteinConfig(b=0.5, r_outer=400.0)
         for c in (1.0, 4.0):
             fs = np.exp(1j * c * xs)
-            blocked = stein_derivative(xs, fs, cfg, [0.0])
+            blocked = on_line(xs, fs, cfg, [0.0])
             ref = self.unblocked(monkeypatch, xs, fs, cfg, [0.0])
             assert np.allclose(blocked.values, ref.values, rtol=1e-14, atol=0.0)
             assert blocked.tail_sq_bound == ref.tail_sq_bound
@@ -195,7 +189,7 @@ class TestBlockedOuterBand:
         cfg = SteinConfig(b=0.4, r_outer=5.0)
         pts = [0.0, 0.5, 1.04]
         monkeypatch.setattr(stein, "_BLOCK", block)
-        blocked = stein_derivative(xs, fs, cfg, pts)
+        blocked = on_line(xs, fs, cfg, pts)
         ref = self.unblocked(monkeypatch, xs, fs, cfg, pts)
         assert np.allclose(blocked.values, ref.values, rtol=1e-14, atol=0.0)
         assert np.array_equal(blocked.tail_sq_bound, ref.tail_sq_bound)
@@ -215,12 +209,12 @@ class TestStacks:
         fs = self.stack(xs, rows)
         cfg = SteinConfig(b=0.5, r_outer=5.0)
         pts = [0.0, 0.5, 1.04]
-        res = stein_derivative(xs, fs, cfg, pts)
+        res = on_line(xs, fs, cfg, pts)
         assert res.values.shape == (rows, 3)
         assert res.tail_sq_bound.shape == (rows,)
         upper = res.upper()
         for s in range(rows):
-            one = stein_derivative(xs, fs[s], cfg, pts)
+            one = on_line(xs, fs[s], cfg, pts)
             assert np.array_equal(res.values[s], one.values)
             assert res.tail_sq_bound[s] == one.tail_sq_bound
             assert np.array_equal(upper[s], one.upper())

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,47 @@ class TestB1Indicator:
             b1_indicator(phi, 0.0)
         with pytest.raises(ValueError):
             b1_indicator(phi, 0.5, levels=2)
+
+
+def finest_level_points(levels, epsilon=0.5):
+    """The xi points of refinement_ladder's finest level."""
+    step = epsilon / 16.0 * 0.5 ** (levels - 1)
+    return 2 * math.ceil((0.5 * epsilon + PROBE_R_OUTER + 8.0 * step) / step) + 1
+
+
+class TestBlockedSlices:
+    """b1_indicator's slices, built _SLICE_POINTS xi points at a time."""
+
+    @pytest.mark.parametrize("block", [7, None, 1000])
+    def test_ratios_equal_one_block_bit_for_bit(self, grid, monkeypatch, block):
+        # at 5 levels the finest level's 2321 xi points span ten default
+        # blocks; an off-centre gaussian has a complex transform
+        assert finest_level_points(5) > 8 * uc._SLICE_POINTS
+        phi = fields.gaussian(grid, amplitude=1.0, center_x=0.7)
+        if block is not None:
+            monkeypatch.setattr(uc, "_SLICE_POINTS", block)
+        blocked = b1_indicator(phi, 0.5, levels=5)
+        monkeypatch.setattr(uc, "_SLICE_POINTS", finest_level_points(5) + 1)
+        whole = b1_indicator(phi, 0.5, levels=5)
+        assert blocked.levels == whole.levels
+        assert blocked.ratios == whole.ratios
+
+    def test_peak_above_the_finest_stack_stays_bounded(self, grid):
+        # the level's (S, P) stack grows with P; the rest is a block's
+        # temporaries and the quadrature's, under 2.5 MB from 4 to 6 levels
+        # (a (P, nx) kernel alone is 2.4 MB at 4 levels and 9.5 MB at 6)
+        phi = fields.gaussian(grid, amplitude=1.0)
+        rows = len(uc._eta_rows(grid, B1_ETA_TARGETS))
+        for levels in (4, 5, 6):
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                b1_indicator(phi, 0.5, levels=levels)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            stack = rows * finest_level_points(levels) * 16
+            assert peak - stack < 2.5 * 2**20, (levels, peak, stack)
 
 
 class TestPersistenceScan:
