@@ -51,7 +51,7 @@ _GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 _GL_NODES.flags.writeable = False
 _GL_WEIGHTS.flags.writeable = False
 _BAND_POINTS = 64  # evaluation points per log-band block: bounds its temporaries
-_BLOCK = 1 << 14   # samples per block of the outer band and tail bound
+_BLOCK = 1 << 14   # samples per block of the uniformity check, outer band and tail bound
 
 
 def cubic_basis(t: np.ndarray, n: int):
@@ -116,6 +116,24 @@ def _log_band_nodes(h: float, z1: float, nodes_per_decade: int):
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     z = np.exp(s)
     return z, w * z  # weights carry the dz = z ds Jacobian
+
+
+def _uniform_step(xs: np.ndarray) -> float:
+    """The step of the grid xs, or ValueError unless it is uniform and
+    increasing: the decision of np.allclose(steps, dx, rtol=1e-9, atol=0) on
+    every grid with finite steps, made in blocks of _BLOCK steps."""
+    bad = "sample grid must be uniform and increasing"
+    dx = float(xs[1] - xs[0])
+    if not 0.0 < dx < math.inf:  # a NaN step fails the comparison too
+        raise ValueError(bad)
+    buf = np.empty(min(xs.size - 1, _BLOCK))
+    for a in range(0, xs.size - 1, _BLOCK):
+        steps = buf[: min(_BLOCK, xs.size - 1 - a)]
+        np.subtract(xs[a + 1 : a + 1 + steps.size], xs[a : a + steps.size], out=steps)
+        np.subtract(steps, dx, out=steps)
+        if not np.abs(steps, out=steps).max() <= 1e-9 * dx:  # so does a NaN here
+            raise ValueError(bad)
+    return dx
 
 
 def _abs_diff(a, b, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -257,13 +275,15 @@ def probe_window(
     xs: np.ndarray, fs: np.ndarray, b: float, step: float, epsilon: float
 ) -> np.ndarray:
     """Db of the samples (xs, fs) on the uniform grid xs, of step `step`
-    (the quadrature reads the grid as xs[0] and xs[1] - xs[0]), under the
+    (the quadrature reads the grid as xs[0] and xs[1] - xs[0]; ValueError
+    unless xs is uniform and increasing, see _uniform_step), under the
     probe policy: reach PROBE_R_OUTER, PROBE_NODES_PER_DECADE log-band nodes
     and an inner patch of min(2 step, 1/2), evaluated at the window points
     4 step <= |x| <= epsilon/2: the plateau of a cutoff of width epsilon,
     less a four-cell resolution floor around the origin.  ValueError if no
     sample is left there.  fs may be an (S, N) stack; the values are then
     (S, P)."""
+    dx = _uniform_step(xs)
     window = 0.5 * epsilon
     pts = xs[(np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= window)]
     if not pts.size:
@@ -274,7 +294,7 @@ def probe_window(
         h_inner=min(2.0 * step, 0.5),
         nodes_per_decade=PROBE_NODES_PER_DECADE,
     )
-    return stein_derivative(fs, xs[0], xs[1] - xs[0], cfg, pts).values
+    return stein_derivative(fs, xs[0], dx, cfg, pts).values
 
 
 def refinement_ladder(

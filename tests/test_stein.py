@@ -11,10 +11,12 @@ import pytest
 import bozk
 from bozk import stein
 from bozk.stein import (
+    _BLOCK,
     _GL_NODES,
     _GL_ORDER,
     _GL_WEIGHTS,
     SteinConfig,
+    _uniform_step,
     cubic_basis,
     cubic_combine,
     phase_bound,
@@ -113,6 +115,42 @@ class TestSteinDerivative:
         cfg = SteinConfig(b=0.5, r_outer=5.0)
         with pytest.raises(ValueError, match="sample nodes"):
             on_line(xs, np.exp(1j * xs), cfg, [0.0, 1.03])
+
+    def test_nonuniform_grid_rejected(self):
+        # probe_window reads its x array as xs[0] and one step, so it checks
+        # the array is that grid; the window holds samples, so only that fails
+        xs = np.array([0.0, 0.1, 0.25, 0.3])
+        with pytest.raises(ValueError, match="uniform"):
+            probe_window(xs, np.ones(4), 0.5, 0.05, 0.8)
+
+    @pytest.mark.parametrize("jitter", [0.0, 3e-10, 9e-10, 1.1e-9, 1e-6, np.nan, -0.5])
+    def test_uniformity_check_keeps_allclose_decision(self, jitter):
+        xs = 0.1 * np.arange(50.0)
+        xs[31] += jitter * 0.1
+        steps = np.diff(xs)
+        expected = steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+        try:
+            _uniform_step(xs)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == expected
+
+    @pytest.mark.parametrize("where", [_BLOCK - 1, _BLOCK, _BLOCK + 50])
+    @pytest.mark.parametrize("jitter", [0.0, 3e-10, 1.1e-9, np.nan])
+    def test_uniformity_check_past_one_block(self, where, jitter):
+        # step `where` is the last of the first block, the first of the
+        # second, or inside the second
+        xs = 0.1 * np.arange(_BLOCK + 100.0)
+        xs[where + 1 :] += jitter * 0.1
+        steps = np.diff(xs)
+        expected = np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
+        assert expected == (jitter in (0.0, 3e-10))
+        if expected:
+            assert _uniform_step(xs) == xs[1] - xs[0]
+        else:
+            with pytest.raises(ValueError, match="uniform"):
+                _uniform_step(xs)
 
     @pytest.mark.parametrize("jitter", [0.0, 3e-10, 9e-10, 1.1e-9, 1e-6, -0.5, np.nan])
     def test_node_tolerance_far_from_the_first_node(self, jitter):
