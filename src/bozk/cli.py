@@ -51,9 +51,6 @@ EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
 EXIT_VERIFY = 4
 
-_PHASE_BLOCK = 1 << 14  # samples per block of a verify phase's x
-
-
 def _say(quiet: bool, msg: str) -> None:
     if not quiet:
         print(msg)
@@ -245,25 +242,25 @@ def _verify_stein(rows: List[List], seed: int) -> None:
     r_out = 400.0
     dx = 0.005
     n = math.ceil((r_out + 20.0) / dx)
-    # the grid dx * (-n .. n): its first node, the step between its first two
-    # nodes, and the node of x = 0 at index n
-    x0 = -n * dx
+    # the grid dx * (-n .. n): the step between its first two nodes, and the
+    # node of x = 0 at index n
     step = dx * (1 - n) - dx * (-n)
-    centre = [x0 + n * step]
+    centre = [n]
     samples = np.zeros(2 * n + 1, dtype=np.complex128)
 
     def phase(c: float) -> np.ndarray:
         """exp(i c x) at x = dx * (k - n), built in place in the one samples
-        buffer, its x a block at a time."""
+        buffer, its x a block at a time so no x array is held."""
+        block = 1 << 14
         samples.real = 0.0
-        for a in range(0, samples.size, _PHASE_BLOCK):
-            x = samples.imag[a : a + _PHASE_BLOCK]
+        for a in range(0, samples.size, block):
+            x = samples.imag[a : a + block]
             np.multiply(np.arange(a - n, a - n + x.size), dx, out=x)
             x *= c
         return np.exp(samples, out=samples)
 
     for c in (1.0, 2.0, 4.0):
-        res = stein_derivative(phase(c), x0, step, SteinConfig(b=0.5, r_outer=r_out), centre)
+        res = stein_derivative(phase(c), step, SteinConfig(b=0.5, r_outer=r_out), centre)
         exact = math.sqrt(2.0 * math.pi * c)
         rel = abs(res.values[0] - exact) / exact
         rows.append(["stein", f"pure_phase_c{c:g}", res.values[0], exact, rel < 1e-3])
@@ -272,7 +269,7 @@ def _verify_stein(rows: List[List], seed: int) -> None:
         for eta, t in ((1.0, 1.0), (2.0, 1.0), (1.0, 0.5)):
             ceff = t * eta * eta
             cfg = SteinConfig(b=b, r_outer=r_out)
-            res = stein_derivative(phase(ceff), x0, step, cfg, centre)
+            res = stein_derivative(phase(ceff), step, cfg, centre)
             meas, up = res.values[0], res.upper()[0]
             bound = phase_bound(b, eta, t)
             exact = cst * ceff**b

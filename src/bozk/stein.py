@@ -144,18 +144,18 @@ def _abs_diff(a, b, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 def stein_derivative(
     fs: np.ndarray,
-    x0: float,
     dx: float,
     cfg: SteinConfig,
-    points: Sequence[float],
+    nodes: Sequence[int],
 ) -> SteinResult:
-    """Evaluate Db f at the given points from the samples fs at x0 + k dx.
+    """Evaluate Db f at the sample nodes `nodes` (integer indices into the
+    samples) from the samples fs of uniform step dx.
 
-    Points must be sample nodes (within 1e-9 dx) and sit at least r_outer
-    inside the sampled interval; ValueError unless dx is positive and finite
-    and x0 finite.  Complex samples are allowed (the integrand uses |.|^2).
-    The returned tail bound is 2 * osc(f)^2 * R^(-2b) / b, a uniform bound
-    on the neglected squared mass beyond R.
+    Each node must sit at least r_outer inside the sampled interval;
+    ValueError unless dx is positive and finite and the nodes are integers.
+    Complex samples are allowed (the integrand uses |.|^2).  The returned
+    tail bound is 2 * osc(f)^2 * R^(-2b) / b, a uniform bound on the
+    neglected squared mass beyond R.
 
     fs may be a stack (S, N) of rows on the one grid; values are then
     (S, P) and the tail bound has one entry per row.  Every reduction runs
@@ -164,17 +164,20 @@ def stein_derivative(
     fs = np.asarray(fs)
     if fs.ndim not in (1, 2):
         raise ValueError("fs must be a 1-D array or an (S, N) stack")
-    x0, dx = float(x0), float(dx)
-    if not (math.isfinite(x0) and 0.0 < dx < math.inf):  # a NaN dx fails too
-        raise ValueError("sample grid needs a finite x0 and a positive, finite step dx")
+    dx = float(dx)
+    if not 0.0 < dx < math.inf:  # a NaN dx fails too
+        raise ValueError("sample grid needs a positive, finite step dx")
     if not np.isfinite(fs).all():
         raise ValueError("samples contain non-finite values")
     n = fs.shape[-1]
     rows = fs.reshape(-1, n)
 
-    pts = np.atleast_1d(np.asarray(points, dtype=np.float64))
+    idx = np.atleast_1d(np.asarray(nodes))
+    if idx.dtype.kind not in "iu":
+        raise ValueError("evaluation points must be sample nodes, given as integer indices")
+    idx = idx.astype(np.intp)
     b, h, big_r = cfg.b, cfg.h_inner, cfg.r_outer
-    if np.any(pts - big_r < x0 - 1e-12) or np.any(pts + big_r > x0 + (n - 1) * dx + 1e-12):
+    if np.any(idx * dx - big_r < -1e-12) or np.any((n - 1 - idx) * dx - big_r < -1e-12):
         raise ValueError("evaluation points too close to the sample boundary")
 
     # outer band starts on a grid multiple at ~1 so trapezoid nodes are shifts
@@ -184,12 +187,6 @@ def stein_derivative(
     r_eff = k1 * dx
     if z1 >= r_eff:
         raise ValueError("r_outer leaves no room for the outer band at this step")
-
-    cell = (pts - x0) / dx
-    node = np.rint(cell)
-    if not np.all(np.abs(cell - node) < 1e-9):  # a NaN point fails here too
-        raise ValueError("evaluation points must be sample nodes")
-    idx = node.astype(np.intp)
 
     zb, wb = _log_band_nodes(h, z1, cfg.nodes_per_decade)
     kernel_b = wb * zb ** (-1.0 - 2.0 * b)
@@ -205,7 +202,7 @@ def stein_derivative(
     # log band one row at a time and _BAND_POINTS points at a time, from
     # local cubic weights shared by the rows
     band = np.empty(fx.shape)
-    for a in range(0, pts.size, _BAND_POINTS):
+    for a in range(0, idx.size, _BAND_POINTS):
         near = slice(a, a + _BAND_POINTS)
         minus = cubic_basis(idx[near, None] - cells, n)
         plus = cubic_basis(idx[near, None] + cells, n)
@@ -275,18 +272,21 @@ def probe_window(
     xs: np.ndarray, fs: np.ndarray, b: float, step: float, epsilon: float
 ) -> np.ndarray:
     """Db of the samples (xs, fs) on the uniform grid xs, of step `step`
-    (the quadrature reads the grid as xs[0] and xs[1] - xs[0]; ValueError
-    unless xs is uniform and increasing, see _uniform_step), under the
-    probe policy: reach PROBE_R_OUTER, PROBE_NODES_PER_DECADE log-band nodes
-    and an inner patch of min(2 step, 1/2), evaluated at the window points
+    (the quadrature reads the grid's step as xs[1] - xs[0]; ValueError
+    unless xs is uniform and increasing, see _uniform_step, and fs has one
+    sample per entry of xs), under the probe policy: reach PROBE_R_OUTER,
+    PROBE_NODES_PER_DECADE log-band nodes and an inner patch of
+    min(2 step, 1/2), evaluated at the window nodes
     4 step <= |x| <= epsilon/2: the plateau of a cutoff of width epsilon,
     less a four-cell resolution floor around the origin.  ValueError if no
     sample is left there.  fs may be an (S, N) stack; the values are then
     (S, P)."""
+    if np.shape(fs)[-1] != xs.size:
+        raise ValueError("fs must have one sample per node of xs")
     dx = _uniform_step(xs)
     window = 0.5 * epsilon
-    pts = xs[(np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= window)]
-    if not pts.size:
+    nodes = np.flatnonzero((np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= window))
+    if not nodes.size:
         raise ValueError(f"no sample in the probe window {4.0 * step:g} <= |x| <= {window:g}")
     cfg = SteinConfig(
         b=b,
@@ -294,7 +294,7 @@ def probe_window(
         h_inner=min(2.0 * step, 0.5),
         nodes_per_decade=PROBE_NODES_PER_DECADE,
     )
-    return stein_derivative(fs, xs[0], dx, cfg, pts).values
+    return stein_derivative(fs, dx, cfg, nodes).values
 
 
 def refinement_ladder(

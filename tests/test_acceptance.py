@@ -198,7 +198,7 @@ def test_criterion_06_stein_oracles():
     pure_ok = True
     for c in (1.0, 2.0, 4.0):
         res = stein_derivative(
-            np.exp(1j * c * xs), xs[0], dx, SteinConfig(b=0.5, r_outer=r_out), [0.0, 1.0, -2.0]
+            np.exp(1j * c * xs), dx, SteinConfig(b=0.5, r_outer=r_out), [n, n + 200, n - 400]
         )
         exact = math.sqrt(2.0 * math.pi * c)
         pure_ok &= bool(np.max(np.abs(res.values - exact)) / exact < 1e-3)
@@ -209,7 +209,7 @@ def test_criterion_06_stein_oracles():
         for eta, t in ((1.0, 1.0), (2.0, 1.0), (1.0, 0.5)):
             c = t * eta * eta
             res = stein_derivative(
-                np.exp(1j * c * xs), xs[0], dx, SteinConfig(b=b, r_outer=r_out), [0.0]
+                np.exp(1j * c * xs), dx, SteinConfig(b=b, r_outer=r_out), [n]
             )
             meas, upper = res.values[0], res.upper()[0]
             exact = math.sqrt(const_sq[b]) * c**b

@@ -43,8 +43,12 @@ def sampled_line(r_outer=400.0, dx=0.005, pad=20.0):
 
 
 def on_line(xs, fs, cfg, points):
-    """stein_derivative of fs on the uniform grid xs, read as xs[0] and its mean step."""
-    return stein_derivative(fs, xs[0], (xs[-1] - xs[0]) / (xs.size - 1), cfg, points)
+    """stein_derivative of fs on the uniform grid xs at the nodes of xs at the
+    given points, with the step xs[1] - xs[0] that probe_window reads."""
+    dx = xs[1] - xs[0]
+    nodes = np.rint((np.asarray(points) - xs[0]) / dx).astype(np.intp)
+    assert np.allclose(xs[nodes], points, rtol=0.0, atol=1e-9 * dx), "points off the nodes"
+    return stein_derivative(fs, dx, cfg, nodes)
 
 
 class TestSteinDerivative:
@@ -111,17 +115,25 @@ class TestSteinDerivative:
             on_line(xs, np.exp(1j * xs), SteinConfig(b=0.5, r_outer=5.0), [xs[-1] - 1.0])
 
     def test_off_node_point_rejected(self):
+        # x = 1.03 is half a cell past node 51 of x = 0 (index 350)
         xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
         cfg = SteinConfig(b=0.5, r_outer=5.0)
         with pytest.raises(ValueError, match="sample nodes"):
-            on_line(xs, np.exp(1j * xs), cfg, [0.0, 1.03])
+            stein_derivative(np.exp(1j * xs), 0.02, cfg, [350, 350 + 51.5])
 
     def test_nonuniform_grid_rejected(self):
-        # probe_window reads its x array as xs[0] and one step, so it checks
-        # the array is that grid; the window holds samples, so only that fails
+        # probe_window reads its x array's step as xs[1] - xs[0], so it
+        # checks the array is that grid; the window holds samples, so only
+        # that fails
         xs = np.array([0.0, 0.1, 0.25, 0.3])
         with pytest.raises(ValueError, match="uniform"):
             probe_window(xs, np.ones(4), 0.5, 0.05, 0.8)
+
+    @pytest.mark.parametrize("shape", [(4,), (6,), (2, 4)])
+    def test_samples_off_the_grid_rejected(self, shape):
+        xs = 0.1 * np.arange(5.0)
+        with pytest.raises(ValueError, match="one sample per node"):
+            probe_window(xs, np.ones(shape), 0.5, 0.05, 0.8)
 
     @pytest.mark.parametrize("jitter", [0.0, 3e-10, 9e-10, 1.1e-9, 1e-6, np.nan, -0.5])
     def test_uniformity_check_keeps_allclose_decision(self, jitter):
@@ -152,30 +164,67 @@ class TestSteinDerivative:
             with pytest.raises(ValueError, match="uniform"):
                 _uniform_step(xs)
 
-    @pytest.mark.parametrize("jitter", [0.0, 3e-10, 9e-10, 1.1e-9, 1e-6, -0.5, np.nan])
-    def test_node_tolerance_far_from_the_first_node(self, jitter):
-        # a point jitter * dx off the node 8000 cells in is a node below 1e-9
+    @pytest.mark.parametrize(
+        "nodes, ok",
+        [
+            ([8000], True),
+            (np.array([8000], dtype=np.uint32), True),
+            ([8000.0], False),
+            ([8000.5], False),
+            ([np.nan], False),
+            ([True], False),
+        ],
+    )
+    def test_nodes_must_be_integers(self, nodes, ok):
+        # nodes are indices into the samples, never positions rebuilt from
+        # a first node and a step
         xs = sampled_line(r_outer=5.0, dx=0.001, pad=2.0)
         fs = np.exp(1j * xs)
         cfg = SteinConfig(b=0.5, r_outer=5.0)
-        point = xs[0] + (8000 + jitter) * 0.001
-        if abs(jitter) < 1e-9:
-            assert on_line(xs, fs, cfg, [point]).values == on_line(xs, fs, cfg, [xs[8000]]).values
+        dx = xs[1] - xs[0]
+        if ok:
+            ref = on_line(xs, fs, cfg, [xs[8000]]).values
+            assert stein_derivative(fs, dx, cfg, nodes).values == ref
         else:
             with pytest.raises(ValueError, match="sample nodes"):
-                on_line(xs, fs, cfg, [point])
+                stein_derivative(fs, dx, cfg, nodes)
+
+    def test_node_past_either_margin_rejected(self):
+        # 101 samples of step 0.1 leave nodes 20 .. 80 two units inside
+        cfg = SteinConfig(b=0.5, r_outer=2.0)
+        fs = np.ones(101)
+        assert stein_derivative(fs, 0.1, cfg, [20, 50, 80]).values.shape == (3,)
+        for node in (-50, 19, 81, 150):
+            with pytest.raises(ValueError, match="sample boundary"):
+                stein_derivative(fs, 0.1, cfg, [50, node])
 
     def test_nonpositive_or_nonfinite_step_rejected(self):
         cfg = SteinConfig(b=0.5, r_outer=2.0)
         for dx in (0.0, -0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match="positive, finite step"):
-                stein_derivative(np.ones(101), -5.0, dx, cfg, [0.0])
+                stein_derivative(np.ones(101), dx, cfg, [50])
 
-    def test_nonfinite_first_node_rejected(self):
-        cfg = SteinConfig(b=0.5, r_outer=2.0)
-        for x0 in (np.nan, -np.inf):
-            with pytest.raises(ValueError, match="finite x0"):
-                stein_derivative(np.ones(101), x0, 0.1, cfg, [0.0])
+    @pytest.mark.parametrize("epsilon", [0.3, 0.7])
+    def test_probe_window_on_a_step_that_is_not_dyadic(self, epsilon):
+        # a ladder step epsilon/16 * 2^-k that is not a dyadic fraction puts
+        # the window nodes 1e-9 cells and more off the float model
+        # xs[0] + k (xs[1] - xs[0]) at 7 and 8 levels; the nodes are read
+        # off xs itself, so that must not matter
+        step = epsilon / 16.0 * 0.5**7
+        n = math.ceil((0.5 * epsilon + 2.0 + 8.0 * step) / step)
+        xs = step * np.arange(-n, n + 1)
+        dx = xs[1] - xs[0]
+        window = xs[(np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= 0.5 * epsilon)]
+        cell = (window - xs[0]) / dx
+        assert np.abs(cell - np.rint(cell)).max() > 1e-9
+        fs = np.exp(-8.0 * xs**2) * (1.0 + (xs >= 0.0))
+        vals = probe_window(xs, fs, 0.5, step, epsilon)
+        cfg = SteinConfig(b=0.5, r_outer=2.0, h_inner=2.0 * step, nodes_per_decade=48)
+        ref = stein_derivative(fs, dx, cfg, np.flatnonzero(np.isin(xs, window))).values
+        assert vals.shape == window.shape
+        assert np.array_equal(vals, ref)
+        _, ratios = refinement_ladder(lambda x: np.exp(-8.0 * x**2)[None], [1.0], 0.5, 8, epsilon)
+        assert len(ratios) == 7
 
     def test_one_row_keeps_its_return_types(self):
         xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)

@@ -129,6 +129,16 @@ class TestB1Indicator:
         phi = fields.dx_gaussian(grid, amplitude=1.0)
         assert b1_indicator(phi, t).verdict == "persists"
 
+    def test_cutoff_width_off_the_dyadic_fractions(self, grid):
+        # epsilon = 0.3 gives ladder steps that are not dyadic fractions; at
+        # 7 levels the window nodes lie more than 1e-9 cells off the float
+        # model xs[0] + k (xs[1] - xs[0]) of the grid, and the indicator
+        # still reads them
+        phi = fields.dx_gaussian(grid, amplitude=1.0)
+        rep = b1_indicator(phi, 0.5, CutoffSpec(0.3), levels=7)
+        assert len(rep.levels) == 7
+        assert rep.verdict == "persists"
+
     def test_zero_field_persists(self, grid):
         rep = b1_indicator(RealField.zeros(grid), 0.5)
         assert rep.verdict == "persists"
