@@ -42,7 +42,8 @@ from .solver import (
     picard_solve,
     run,
 )
-from .stein import SteinConfig, phase_bound, refine_divergence, stein_derivative
+from .stein import (DIVERGENCE_THRESHOLD, SteinConfig, increment_ratios, phase_bound,
+                    refine_divergence, stein_derivative)
 from .uc import CutoffSpec, b1_indicator, domain_growth_study, moment_drift, persistence_scan
 from .weights import WeightSpec, a2_statistic, beta, beta_audit, short_repr
 
@@ -247,40 +248,40 @@ def _verify_stein(rows: List[List], seed: int) -> None:
     step = dx * (1 - n) - dx * (-n)
     centre = [n]
     samples = np.zeros(2 * n + 1, dtype=np.complex128)
-
-    def phase(c: float) -> np.ndarray:
-        """exp(i c x) at x = dx * (k - n), built in place in the one samples
-        buffer, its x a block at a time so no x array is held."""
-        block = 1 << 14
+    # the checks in row order, eta None for a pure phase; each distinct c is
+    # built once, and every check on it runs then
+    checks = [(f"pure_phase_c{c:g}", c, 0.5, None, None) for c in (1.0, 2.0, 4.0)] + [
+        (f"phase_b{b:g}_e{eta:g}_t{t:g}", t * eta * eta, b, eta, t)
+        for b in (0.25, 0.5, 0.75) for eta, t in ((1.0, 1.0), (2.0, 1.0), (1.0, 0.5))
+    ]
+    found = {}
+    for c in dict.fromkeys(check[1] for check in checks):
+        # exp(i c x) at x = dx * (k - n), built in place in the one samples
+        # buffer, its x a block at a time so no x array is held
         samples.real = 0.0
-        for a in range(0, samples.size, block):
-            x = samples.imag[a : a + block]
+        for a in range(0, samples.size, 1 << 14):
+            x = samples.imag[a : a + (1 << 14)]
             np.multiply(np.arange(a - n, a - n + x.size), dx, out=x)
             x *= c
-        return np.exp(samples, out=samples)
-
-    for c in (1.0, 2.0, 4.0):
-        res = stein_derivative(phase(c), step, SteinConfig(b=0.5, r_outer=r_out), centre)
-        exact = math.sqrt(2.0 * math.pi * c)
-        rel = abs(res.values[0] - exact) / exact
-        rows.append(["stein", f"pure_phase_c{c:g}", res.values[0], exact, rel < 1e-3])
-    for b in (0.25, 0.5, 0.75):
-        cst = _exact_phase_constant(b)
-        for eta, t in ((1.0, 1.0), (2.0, 1.0), (1.0, 0.5)):
-            ceff = t * eta * eta
-            cfg = SteinConfig(b=b, r_outer=r_out)
-            res = stein_derivative(phase(ceff), step, cfg, centre)
-            meas, up = res.values[0], res.upper()[0]
-            bound = phase_bound(b, eta, t)
-            exact = cst * ceff**b
+        fs = np.exp(samples, out=samples)
+        for name, _, b, eta, t in (check for check in checks if check[1] == c):
+            res = stein_derivative(fs, step, SteinConfig(b=b, r_outer=r_out), centre)
+            meas = res.values[0]
+            if eta is None:
+                exact = math.sqrt(2.0 * math.pi * c)
+                found[name] = [meas, exact, abs(meas - exact) / exact < 1e-3]
+                continue
+            bound, exact = phase_bound(b, eta, t), _exact_phase_constant(b) * c**b
+            up = res.upper()[0]
             ok = meas <= bound * (1 + 1e-12) and meas - 1e-3 * exact <= exact <= up + 1e-3 * exact
-            rows.append(["stein", f"phase_b{b:g}_e{eta:g}_t{t:g}", meas, bound, ok])
+            found[name] = [meas, bound, ok]
+    rows.extend(["stein", check[0], *found[check[0]]] for check in checks)
     heav = refine_divergence(lambda x: (x >= 0).astype(float), 0.5, 5)
-    rows.append(["stein", "heaviside_divergent", heav.ratios[-1], 1.10,
-                 heav.verdict == "divergent"])
+    rows.append(["stein", "heaviside_divergent", increment_ratios(heav.ratios)[-1],
+                 DIVERGENCE_THRESHOLD, heav.verdict == "divergent"])
     bump = refine_divergence(lambda x: np.exp(-8.0 * x**2), 0.5, 6)
-    rows.append(["stein", "bump_convergent", bump.ratios[-1], 1.02,
-                 bump.verdict == "convergent"])
+    rows.append(["stein", "bump_convergent", increment_ratios(bump.ratios)[-1],
+                 DIVERGENCE_THRESHOLD, bump.verdict == "convergent"])
 
 
 def _verify_ratios(rows: List[List], seed: int) -> None:

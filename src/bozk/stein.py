@@ -30,11 +30,11 @@ import numpy as np
 
 # Decay-persistence probe policy: refine_divergence, uc.b1_indicator and
 # uc.obstruction_density all integrate through probe_window, with this reach
-# and node density, and read their refinement ratios with these thresholds.
+# and node density, and a ladder's verdict reads its increment ratios against
+# this one threshold (a jump's tend to 1, a smooth slice's to 1/2).
 PROBE_R_OUTER = 2.0
 PROBE_NODES_PER_DECADE = 48
-DIVERGENCE_DELTA = 0.10    # divergent: both of the last two ratios > 1 + delta
-CONVERGENCE_DELTA = 0.02   # convergent: both within delta of 1
+DIVERGENCE_THRESHOLD = 0.75  # divergent: both of the last two increment ratios exceed it
 
 # The _GL_ORDER-point Gauss-Legendre rule on [-1, 1], read-only: the positive
 # half of numpy.polynomial.legendre.leggauss(8) to 17 digits, mirrored, which
@@ -330,19 +330,27 @@ def refinement_ladder(
     return norms, ratios
 
 
+def increment_ratios(ratios: Sequence[float]) -> List[float]:
+    """The ratios d_(k+1) / d_k of the increments d_k = N_(k+1)^2 - N_k^2 of a
+    ladder's squared window norms, from its norm ratios rho_k = N_(k+1) / N_k
+    as rho_k^2 (rho_(k+1)^2 - 1) / (rho_k^2 - 1); a vanishing d_k reads 0.
+    A jump J adds 2 ln 2 |J|^2 per halving of the step, so its ratios tend to
+    1; a slice with bounded Db converges at O(h), and its ratios tend to 1/2."""
+    return [a * a * (c * c - 1.0) / (a * a - 1.0) if a * a != 1.0 else 0.0
+            for a, c in zip(ratios, ratios[1:])]
+
+
 def diverges(ratios: Sequence[float]) -> bool:
-    """The divergence verdict: both of the last two refinement ratios exceed
-    1 + DIVERGENCE_DELTA."""
-    return all(r > 1.0 + DIVERGENCE_DELTA for r in ratios[-2:])
+    """The divergence verdict: both of the last two increment ratios (the
+    one, on a three-level ladder) exceed DIVERGENCE_THRESHOLD."""
+    return all(q > DIVERGENCE_THRESHOLD for q in increment_ratios(ratios)[-2:])
 
 
 @dataclass(frozen=True)
 class RefinementReport:
     levels: List[float]  # window norm per level
     ratios: List[float]
-    # refine_divergence: "divergent" | "convergent" | "inconclusive";
-    # uc.b1_indicator: "obstructed" | "persists"
-    verdict: str
+    verdict: str  # "divergent" | "convergent"; "obstructed" | "persists" in uc
 
 
 def refine_divergence(
@@ -353,15 +361,9 @@ def refine_divergence(
     Runs :func:`refinement_ladder` on the single slice f with epsilon = 1
     (coarsest step 1/16, window [-1/2, 1/2]).  A jump at the origin makes
     the window norms grow without bound under refinement ("divergent"); a
-    function with bounded Db stabilises ("convergent").
+    function with bounded Db stabilises ("convergent"); see :func:`diverges`.
     """
     out_levels, ratios = refinement_ladder(
         lambda xs: np.asarray(f(xs))[None], [1.0], b, levels, 1.0
     )
-    if diverges(ratios):
-        verdict = "divergent"
-    elif all(abs(r - 1.0) <= CONVERGENCE_DELTA for r in ratios[-2:]):
-        verdict = "convergent"
-    else:
-        verdict = "inconclusive"
-    return RefinementReport(levels=out_levels, ratios=ratios, verdict=verdict)
+    return RefinementReport(out_levels, ratios, "divergent" if diverges(ratios) else "convergent")

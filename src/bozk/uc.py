@@ -97,10 +97,10 @@ def b1_indicator(
 
     is sampled on xi-grids of dyadically increasing resolution; its half-order
     Stein derivative is integrated over the cutoff's plateau (minus a
-    four-cell resolution floor) and aggregated over eta.  Growing level norms
-    mean phi_hat(0, eta) != 0 ("obstructed"); stable norms mean the x-mean
-    transform vanishes ("persists").  The verdict is invariant under scaling
-    of phi.
+    four-cell resolution floor) and aggregated over eta.  Squared level norms
+    that grow by a constant step mean phi_hat(0, eta) != 0 ("obstructed");
+    steps that halve mean the x-mean transform vanishes ("persists"); see
+    stein.diverges.  The verdict is invariant under scaling of phi.
     """
     if t <= 0:
         raise ValueError("b1_indicator needs t > 0")
@@ -150,11 +150,7 @@ def b1_indicator(
         return out
 
     out_levels, ratios = refinement_ladder(eta_slices, wts, 0.5, levels, cut.epsilon)
-    return RefinementReport(
-        levels=out_levels,
-        ratios=ratios,
-        verdict="obstructed" if diverges(ratios) else "persists",
-    )
+    return RefinementReport(out_levels, ratios, "obstructed" if diverges(ratios) else "persists")
 
 
 @dataclass(frozen=True)

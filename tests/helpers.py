@@ -1,8 +1,11 @@
 """Helpers shared by the test modules."""
 
+import math
+
 import numpy as np
 
 from bozk.grid import SpectrumField
+from bozk.uc import B1_ETA_TARGETS, CutoffSpec
 
 
 def bits(a: np.ndarray) -> np.ndarray:
@@ -37,3 +40,21 @@ def inverse_imag_residual(F: SpectrumField) -> float:
     raw = F.coeffs[:, [0, -1]] * g.inverse_scale[:, [0, -1]]
     imag = np.fft.ifft(raw, axis=0).imag / g.nx
     return float(np.max(np.abs(imag[:, 0]) + np.abs(imag[:, 1])))
+
+
+def jump_slope(phi, t: float, cut: CutoffSpec = CutoffSpec()) -> float:
+    """The closed-form increment per level of b1_indicator's squared window
+    norm: ``2 ln 2 * sum_eta w_eta |J(eta)|^2`` with the jump
+    ``J = 4 t chi(0, eta) phi_hat(0, eta)`` of its slices at xi = 0, read at
+    the distinct grid etas nearest B1_ETA_TARGETS with their trapezoid
+    weights.  ``phi_hat(0, eta)`` is the x-sum of the partial y-transform
+    ``A(x, eta) = sum_j phi e^(-i eta y_j) dy`` that b1_indicator builds."""
+    g = phi.grid
+    rows = sorted({int(np.argmin(np.abs(g.eta - e))) for e in B1_ETA_TARGETS},
+                  key=lambda n: g.eta[n])
+    etas = g.eta[rows]
+    cols = np.fft.fft(phi.samples, axis=0)[rows] * (g.dy * (-1.0) ** g.my[rows])[:, None]
+    d = np.diff(etas)
+    w = np.concatenate([[d[0] / 2], (d[:-1] + d[1:]) / 2, [d[-1] / 2]])
+    jump = 4.0 * t * cut.chi(0.0, etas) * cols.sum(axis=1) * g.dx
+    return 2.0 * math.log(2.0) * float(np.sum(w * np.abs(jump) ** 2))

@@ -15,10 +15,13 @@ from bozk.stein import (
     _GL_NODES,
     _GL_ORDER,
     _GL_WEIGHTS,
+    DIVERGENCE_THRESHOLD,
     SteinConfig,
     _uniform_step,
     cubic_basis,
     cubic_combine,
+    diverges,
+    increment_ratios,
     phase_bound,
     probe_window,
     refine_divergence,
@@ -345,23 +348,73 @@ class TestPhaseBounds:
                 phase_bound(b, 1.0, 1.0)
 
 
+class TestIncrementRatios:
+    @staticmethod
+    def ratios_of(increments, first=1.0):
+        """The norm ratios of a ladder whose squared norms start at `first`
+        and grow by `increments`."""
+        sq = np.cumsum([first] + list(increments))
+        return list(np.sqrt(sq[1:] / sq[:-1]))
+
+    def test_constant_increments_read_one(self):
+        q = increment_ratios(self.ratios_of([2.0, 2.0, 2.0, 2.0], first=3.0))
+        np.testing.assert_allclose(q, 1.0, rtol=1e-13)
+        assert diverges(self.ratios_of([2.0, 2.0, 2.0, 2.0], first=3.0))
+
+    def test_halving_increments_read_one_half(self):
+        ratios = self.ratios_of([1.0, 0.5, 0.25, 0.125], first=5.0)
+        np.testing.assert_allclose(increment_ratios(ratios), 0.5, rtol=1e-13)
+        assert not diverges(ratios)
+
+    def test_vanishing_increment_reads_zero(self):
+        assert increment_ratios([1.0, 1.0, 1.0]) == [0.0, 0.0]
+        assert not diverges([1.0, 1.0, 1.0])
+
+    def test_verdict_reads_the_last_two(self):
+        # the first increment ratio is 0.5 and the last two are 1: divergent;
+        # a three-level ladder has one increment ratio, and it alone decides
+        assert diverges(self.ratios_of([4.0, 2.0, 2.0, 2.0]))
+        assert not diverges(self.ratios_of([2.0, 2.0, 2.0, 1.0]))
+        assert diverges(self.ratios_of([1.0, 0.8]))
+        assert not diverges(self.ratios_of([1.0, 0.7]))
+
+
 class TestRefineDivergence:
     def test_heaviside_divergent(self):
         rep = refine_divergence(lambda x: (x >= 0).astype(float), 0.5, 5)
         assert rep.verdict == "divergent"
         assert all(r > 1.10 for r in rep.ratios[-2:])
+        assert all(q > DIVERGENCE_THRESHOLD for q in increment_ratios(rep.ratios)[-2:])
+
+    def test_heaviside_divergent_at_depth(self):
+        # at 7 levels the last two norm ratios (1.0981, 1.0822) have fallen
+        # towards 1, while the increments of the squared norms approach the
+        # closed form 2 ln 2 |J|^2 of a unit jump, so their ratio tends to 1
+        rep = refine_divergence(lambda x: (x >= 0).astype(float), 0.5, 7)
+        assert rep.verdict == "divergent"
+        assert all(r < 1.10 for r in rep.ratios[-2:])
+        q = increment_ratios(rep.ratios)
+        assert all(1.0 < x < 1.01 for x in q[-2:])
+        increments = np.diff(np.square(rep.levels))
+        slope = 2.0 * math.log(2.0)
+        assert np.all(np.diff(increments) > 0.0)
+        assert 0.99 * slope < increments[-1] < slope
 
     def test_smooth_bump_convergent(self):
         rep = refine_divergence(lambda x: np.exp(-8.0 * x**2), 0.5, 6)
         assert rep.verdict == "convergent"
+        assert all(0.5 < q < 0.51 for q in increment_ratios(rep.ratios)[-2:])
 
     def test_narrow_ramp_divergent_wide_ramp_not(self):
         def ramp(w):
             return lambda x: np.clip(x / w, -1.0, 1.0)
 
-        assert refine_divergence(ramp(0.01), 0.5, 5).verdict == "divergent"
+        narrow = refine_divergence(ramp(0.01), 0.5, 5)
+        assert narrow.verdict == "divergent"
+        assert all(q > 0.95 for q in increment_ratios(narrow.ratios)[-2:])
         wide = refine_divergence(ramp(1.5), 0.5, 6)
         assert wide.verdict == "convergent"
+        assert all(q < 0.51 for q in increment_ratios(wide.ratios)[-2:])
 
     def test_zero_function(self):
         rep = refine_divergence(lambda x: np.zeros_like(x), 0.5, 4)

@@ -4,12 +4,14 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from helpers import jump_slope
+
 from bozk import fields, solver, uc
 from bozk.diagnostics import norm
 from bozk.grid import RealField, forward, inverse, make_grid, xi_line
 from bozk.operators import NormSpec, dispersion
 from bozk.solver import SolverConfig, run
-from bozk.stein import PROBE_R_OUTER, probe_window
+from bozk.stein import PROBE_R_OUTER, diverges, increment_ratios, probe_window
 from bozk.uc import (
     B1_ETA_TARGETS,
     DENSITY_ETA_TARGETS,
@@ -171,6 +173,16 @@ class TestB1Indicator:
             )
             assert b1_indicator(phi, 0.5).verdict == "persists"
 
+    def test_seeded_family_obstructed(self, grid):
+        # seed 22's x-mean transform is small against its smooth part, so
+        # its norm ratios (1.16, 1.11, 1.08) stay under 1.10 only barely,
+        # while its increment ratios (0.886, 0.936) already read a jump
+        for seed in (21, 22, 23):
+            phi = fields.random_smooth(grid, seed, spectral_width=0.6, envelope_width=3.5)
+            rep = b1_indicator(phi, 0.5)
+            assert rep.verdict == "obstructed", seed
+            assert all(q > 0.88 for q in increment_ratios(rep.ratios)[-2:]), seed
+
     def test_colliding_eta_targets(self):
         # eta spacing 1: the nine targets snap onto five distinct grid etas
         g = make_grid(128, 16, L16, 2 * np.pi)
@@ -198,6 +210,54 @@ class TestB1Indicator:
             b1_indicator(phi, 0.0)
         with pytest.raises(ValueError):
             b1_indicator(phi, 0.5, levels=2)
+
+
+@pytest.fixture(scope="module")
+def uc_cfg_ladders(grid):
+    """8-level b1_indicator reports at t = 0.5 on the configs/uc.cfg data
+    (amplitude 0.75, widths 1.2) and its x-derivative, with the data."""
+    out = {}
+    for kind in ("gaussian", "dx_gaussian"):
+        phi = getattr(fields, kind)(grid, amplitude=0.75, sigma_x=1.2, sigma_y=1.2)
+        out[kind] = (phi, b1_indicator(phi, 0.5, levels=8))
+    return out
+
+
+class TestLadderDepth:
+    """The verdict holds at every depth, and the increments of the squared
+    window norms meet their closed form 2 ln 2 sum_eta w |J(eta)|^2."""
+
+    def test_verdict_at_every_depth(self, grid, uc_cfg_ladders):
+        for kind, verdict in (("gaussian", "obstructed"), ("dx_gaussian", "persists")):
+            phi, rep = uc_cfg_ladders[kind]
+            assert rep.verdict == verdict
+            # a shorter ladder reads the first levels of a longer one
+            six = b1_indicator(phi, 0.5, levels=6)
+            assert six.levels == rep.levels[:6]
+            assert six.verdict == verdict
+            for levels in (4, 5, 7):
+                assert diverges(rep.ratios[: levels - 1]) == (verdict == "obstructed")
+
+    def test_gaussian_increments_approach_the_closed_form(self, uc_cfg_ladders):
+        phi, rep = uc_cfg_ladders["gaussian"]
+        slope = jump_slope(phi, 0.5)
+        assert abs(slope - 244.02) < 0.01
+        increments = np.diff(np.square(rep.levels))
+        gaps = 1.0 - increments / slope
+        # the last increments at 6, 7 and 8 levels read 0.986, 0.9928 and
+        # 0.9968 of it: they rise towards it and the gap shrinks
+        assert np.all(np.diff(increments) > 0.0)
+        assert 0.0 < gaps[-1] < gaps[-2] < gaps[-3]
+        assert gaps[-1] < 0.005
+
+    def test_derivative_increments_halve(self, uc_cfg_ladders):
+        phi, rep = uc_cfg_ladders["dx_gaussian"]
+        gauss, _ = uc_cfg_ladders["gaussian"]
+        assert jump_slope(phi, 0.5) < 1e-12 * jump_slope(gauss, 0.5)
+        q = increment_ratios(rep.ratios)
+        # 0.595, 0.593, 0.568, 0.544, 0.527, 0.516: falling towards 1/2
+        assert np.all(np.diff(q) < 0.0)
+        assert 0.5 < q[-1] < 0.52
 
 
 def finest_level_points(levels, epsilon=0.5):
