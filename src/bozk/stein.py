@@ -51,7 +51,7 @@ _GL_WEIGHTS = np.concatenate((_GL_HALF_WEIGHTS[::-1], _GL_HALF_WEIGHTS))
 _GL_NODES.flags.writeable = False
 _GL_WEIGHTS.flags.writeable = False
 _BAND_POINTS = 64  # evaluation points per log-band block: bounds its temporaries
-_BLOCK = 1 << 14   # samples per block of the uniformity check, outer band and tail bound
+_BLOCK = 1 << 14   # samples per block of the outer band and tail bound
 
 
 def cubic_basis(t: np.ndarray, n: int):
@@ -116,24 +116,6 @@ def _log_band_nodes(h: float, z1: float, nodes_per_decade: int):
     w = (half[:, None] * _GL_WEIGHTS[None, :]).ravel()
     z = np.exp(s)
     return z, w * z  # weights carry the dz = z ds Jacobian
-
-
-def _uniform_step(xs: np.ndarray) -> float:
-    """The step of the grid xs, or ValueError unless it is uniform and
-    increasing: the decision of np.allclose(steps, dx, rtol=1e-9, atol=0) on
-    every grid with finite steps, made in blocks of _BLOCK steps."""
-    bad = "sample grid must be uniform and increasing"
-    dx = float(xs[1] - xs[0])
-    if not 0.0 < dx < math.inf:  # a NaN step fails the comparison too
-        raise ValueError(bad)
-    buf = np.empty(min(xs.size - 1, _BLOCK))
-    for a in range(0, xs.size - 1, _BLOCK):
-        steps = buf[: min(_BLOCK, xs.size - 1 - a)]
-        np.subtract(xs[a + 1 : a + 1 + steps.size], xs[a : a + steps.size], out=steps)
-        np.subtract(steps, dx, out=steps)
-        if not np.abs(steps, out=steps).max() <= 1e-9 * dx:  # so does a NaN here
-            raise ValueError(bad)
-    return dx
 
 
 def _abs_diff(a, b, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -269,23 +251,18 @@ def phase_bound(b: float, eta: float, t: float) -> float:
 
 
 def probe_window(
-    xs: np.ndarray, fs: np.ndarray, b: float, step: float, epsilon: float
+    fs: np.ndarray, step: float, origin: int, b: float, epsilon: float
 ) -> np.ndarray:
-    """Db of the samples (xs, fs) on the uniform grid xs, of step `step`
-    (the quadrature reads the grid's step as xs[1] - xs[0]; ValueError
-    unless xs is uniform and increasing, see _uniform_step, and fs has one
-    sample per entry of xs), under the probe policy: reach PROBE_R_OUTER,
-    PROBE_NODES_PER_DECADE log-band nodes and an inner patch of
-    min(2 step, 1/2), evaluated at the window nodes
-    4 step <= |x| <= epsilon/2: the plateau of a cutoff of width epsilon,
-    less a four-cell resolution floor around the origin.  ValueError if no
-    sample is left there.  fs may be an (S, N) stack; the values are then
-    (S, P)."""
-    if np.shape(fs)[-1] != xs.size:
-        raise ValueError("fs must have one sample per node of xs")
-    dx = _uniform_step(xs)
+    """Db of the samples fs on the grid step * (k - origin), under the probe
+    policy: reach PROBE_R_OUTER, PROBE_NODES_PER_DECADE log-band nodes and an
+    inner patch of min(2 step, 1/2), evaluated at the window nodes k with
+    |k - origin| >= 4 and |k - origin| step <= epsilon/2: the plateau of a
+    cutoff of width epsilon, less a four-cell resolution floor around the
+    origin.  ValueError if no sample is left there.  fs may be an (S, N)
+    stack; the values are then (S, P)."""
     window = 0.5 * epsilon
-    nodes = np.flatnonzero((np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= window))
+    cells = np.abs(np.arange(np.shape(fs)[-1]) - origin)
+    nodes = np.flatnonzero((cells >= 4) & (cells * step <= window))
     if not nodes.size:
         raise ValueError(f"no sample in the probe window {4.0 * step:g} <= |x| <= {window:g}")
     cfg = SteinConfig(
@@ -294,7 +271,7 @@ def probe_window(
         h_inner=min(2.0 * step, 0.5),
         nodes_per_decade=PROBE_NODES_PER_DECADE,
     )
-    return stein_derivative(fs, dx, cfg, nodes).values
+    return stein_derivative(fs, step, cfg, nodes).values
 
 
 def refinement_ladder(
@@ -322,7 +299,7 @@ def refinement_ladder(
         n = math.ceil((0.5 * epsilon + PROBE_R_OUTER + 8.0 * step) / step)
         xs = step * np.arange(-n, n + 1)
         total = 0.0
-        vals = probe_window(xs, slices(xs), b, step, epsilon)
+        vals = probe_window(slices(xs), step, n, b, epsilon)
         for weight, row in zip(weights, vals, strict=True):
             total += weight * float(np.sum(row**2) * step)
         norms.append(math.sqrt(total))

@@ -1,5 +1,7 @@
 """Decay-persistence experiments: the Fourier-side obstruction of strong
-x-decay, weighted-norm persistence scans, and the first-moment law.
+x-decay and weighted-norm persistence scans.  The scan keeps its run's
+series, so the first-moment law is read off it by the rule that reads every
+run's, diagnostics.conservation_report.
 
 The central mechanism: the x-mean transform u_hat(0, eta, t) is conserved, so
 whenever it is nonzero the evolved spectrum carries a sgn(xi)-type jump
@@ -223,40 +225,6 @@ def persistence_scan(
 
 
 @dataclass(frozen=True)
-class MomentDrift:
-    slope: float
-    predicted: float
-    rel_error: float
-    zero_crossings: int
-
-
-def moment_drift(ts: TimeSeries) -> MomentDrift:
-    """Least-squares slope of the first x-moment against its predicted rate
-    (``TimeSeries.moment_rate``), relative to (1/2)||phi||^2.
-
-    The moment is linear in time with that slope, so it crosses zero at most
-    once unless the solution vanishes; the crossing count is reported as the
-    numeric shadow of that fact.
-    """
-    if ts.mu != 0.0:
-        raise ValueError("moment law applies to the mu = 0 flow")
-    if len(ts.t) < 4:
-        raise ValueError("need at least 4 records for a slope fit")
-    tc = ts.t - ts.t.mean()
-    slope = float(np.sum(tc * (ts.moment_x - ts.moment_x.mean())) / np.sum(tc * tc))
-    predicted = ts.moment_rate()
-    scale = 0.5 * ts.phi_l2**2
-    rel = abs(slope - predicted) / scale if scale > 0 else 0.0
-    scale = max(float(np.max(np.abs(ts.moment_x))), 1e-300)
-    sgn = np.sign(np.where(np.abs(ts.moment_x) < 1e-13 * scale, 0.0, ts.moment_x))
-    nz = sgn[sgn != 0]
-    crossings = int(np.sum(nz[1:] * nz[:-1] < 0))
-    return MomentDrift(
-        slope=slope, predicted=predicted, rel_error=rel, zero_crossings=crossings
-    )
-
-
-@dataclass(frozen=True)
 class DomainGrowthRow:
     length: float
     indicators: Dict[float, float]   # r -> obstruction density at this domain
@@ -301,7 +269,8 @@ def obstruction_density(
         if not np.any(sel0):
             raise ValueError(f"no nonzero grid xi on the plateau |xi| <= {0.5 * cut.epsilon:g}")
         return float(np.max(np.abs(q[:, sel0]) ** 2))
-    vals = probe_window(xi, q, b, 2.0 * np.pi / g.lx, cut.epsilon)
+    # xi_line's xi is the grid of step 2pi/lx whose xi = 0 is node nx/2
+    vals = probe_window(q, 2.0 * np.pi / g.lx, g.nx // 2, b, cut.epsilon)
     return float(np.max(vals**2))
 
 

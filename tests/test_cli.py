@@ -262,16 +262,16 @@ class TestExecute:
         assert execute(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
         assert not out.exists() or not list(out.iterdir())
 
-    def test_uc_config_error_writes_no_files(self, tmp_path):
-        # three records are too few for the moment-law fit, which only
-        # fails after the indicator and the persistence scan have run (the
-        # fit runs only for data whose x-mean transform vanishes)
+    def test_uc_config_error_writes_no_files(self, tmp_path, capsys):
+        # uc.s below 2 max(r) is rejected by the persistence scan, which
+        # runs after the obstruction indicator
         text = SIM_CFG.replace("grid.nx = 48", "grid.nx = 64").replace(
             "grid.ny = 48", "grid.ny = 64"
         ).replace("16pi", "8pi").replace("data.kind = gaussian", "data.kind = dx_gaussian")
-        cfg = write_cfg(tmp_path, text + "uc.levels = 3\nuc.r_list = 1\nuc.s = 2\n")
+        cfg = write_cfg(tmp_path, text + "uc.levels = 3\nuc.r_list = 1,2\nuc.s = 3\n")
         out = tmp_path / "outuc3"
         assert execute(["uc", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_CONFIG
+        assert "regularity s must be at least 2*max(r)" in capsys.readouterr().err
         assert not out.exists() or not list(out.iterdir())
 
     def test_cfl_violation_exit_three(self, tmp_path):
@@ -438,8 +438,8 @@ class TestExecute:
                 assert 0.0 <= cons["moment_residual"] < 1e-2
 
     def test_uc_moment_null_unless_x_mean_vanishes(self, tmp_path):
-        # the moment-law fit of `uc` follows conservation_report: JSON null
-        # for gaussian data, whose box moment follows no law
+        # uc's conservation block is simulate's: its moment residual is JSON
+        # null for gaussian data, whose box moment follows no law
         for kind in ("gaussian", "dx_gaussian"):
             text = SIM_CFG.replace("grid.nx = 48", "grid.nx = 64").replace(
                 "grid.ny = 48", "grid.ny = 64"
@@ -448,11 +448,27 @@ class TestExecute:
             cfg = write_cfg(tmp_path, text + "uc.levels = 3\nuc.r_list = 1\nuc.s = 2\n", f"{kind}.cfg")
             out = tmp_path / kind
             assert execute(["uc", "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
-            moment = read_strict_json(out / "summary.json")["moment"]
+            cons = read_strict_json(out / "summary.json")["conservation"]
+            assert set(cons) == {"l2_drift", "zero_mode_drift", "moment_residual"}
             if kind == "gaussian":
-                assert moment is None
+                assert cons["moment_residual"] is None
             else:
-                assert set(moment) == {"slope", "predicted", "rel_error", "zero_crossings"}
+                assert cons["moment_residual"] >= 0.0
+
+    def test_uc_conservation_is_simulates_on_three_records(self, tmp_path):
+        # configs/moment.cfg recording only t = 0, 0.25 and 0.5: uc reports
+        # the block that simulate reports on the same manifest
+        text = (Path(__file__).resolve().parents[1] / "configs" / "moment.cfg").read_text()
+        assert "solver.stride = 20\n" in text
+        cfg = write_cfg(tmp_path, text.replace("solver.stride = 20\n", "solver.stride = 500\n"))
+        blocks = {}
+        for sub in ("simulate", "uc"):
+            out = tmp_path / sub
+            assert execute([sub, "--config", cfg, "--out", str(out), "--quiet"]) == EXIT_OK
+            blocks[sub] = read_strict_json(out / "summary.json")["conservation"]
+        assert blocks["uc"] == blocks["simulate"]
+        assert blocks["uc"]["moment_residual"] is not None
+        assert (tmp_path / "simulate" / "series.csv").read_text().count("\n") == 4
 
     def test_picard_subcommand(self, tmp_path):
         cfg = write_cfg(
@@ -479,7 +495,7 @@ class TestExecute:
         assert (out / "persistence.csv").exists()
         summary = json.loads((out / "summary.json").read_text())
         assert summary["b1_verdict"] == "persists"
-        assert summary["moment"] is not None
+        assert summary["conservation"]["moment_residual"] is not None
 
     def test_file_data_roundtrip(self, tmp_path):
         g = make_grid(48, 48, 16 * math.pi, 16 * math.pi)
@@ -669,8 +685,8 @@ def test_random_data_and_verify_never_import_numpy_random(tmp_path):
 
 # Runs every subcommand in one interpreter with numpy.linalg's solvers and
 # eigen-decompositions refused, np.polyfit's own binding of lstsq among
-# them, then uc on mean-zero data, whose moment fit runs; reports each exit
-# code and whether numpy.polynomial was imported by then.
+# them; reports each exit code and whether numpy.polynomial was imported by
+# then.
 NO_LAPACK = """
 import sys
 import numpy as np
@@ -686,12 +702,10 @@ for name in ("solve", "eigvalsh", "eigh", "eig", "inv", "lstsq", "svd"):
 polynomial_impl.lstsq = refuse
 from bozk.cli import execute
 
-cfg, dx_cfg, out = sys.argv[1:]
+cfg, out = sys.argv[1:]
 for sub in ("simulate", "linear", "diagnose", "uc", "verify", "picard"):
     code = execute([sub, "--config", cfg, "--out", out + "/" + sub, "--quiet"])
     print(sub, code, "numpy.polynomial" in sys.modules)
-code = execute(["uc", "--config", dx_cfg, "--out", out + "/uc-dx", "--quiet"])
-print("uc-dx", code, "numpy.polynomial" in sys.modules)
 """
 
 
@@ -702,23 +716,17 @@ def test_no_subcommand_imports_numpy_polynomial_or_calls_linalg(tmp_path):
         "diag.weights = poly:1", "diag.weights = trunc:1,trunc:8"
     )
     text += "picard.t_final = 0.02\npicard.mu = 0.1\nuc.r_list = 1\nuc.s = 2\n"
-    # the moment fit needs at least four records
-    dx_text = text.replace("data.kind = gaussian", "data.kind = dx_gaussian").replace(
-        "solver.stride = 5", "solver.stride = 2"
-    )
     src = str(Path(bozk.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     res = subprocess.run(
-        [sys.executable, "-c", NO_LAPACK, write_cfg(tmp_path, text),
-         write_cfg(tmp_path, dx_text, "dx.cfg"), str(tmp_path / "out")],
+        [sys.executable, "-c", NO_LAPACK, write_cfg(tmp_path, text), str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert res.returncode == 0, res.stderr
     assert res.stdout.splitlines() == [
         f"{sub} {EXIT_OK} False"
-        for sub in ("simulate", "linear", "diagnose", "uc", "verify", "picard", "uc-dx")
+        for sub in ("simulate", "linear", "diagnose", "uc", "verify", "picard")
     ]
-    assert read_strict_json(tmp_path / "out" / "uc-dx" / "summary.json")["moment"] is not None
     header = (tmp_path / "out" / "linear" / "series.csv").read_text().splitlines()[0]
     assert header.endswith("w_trunc1,w_trunc8")

@@ -16,8 +16,9 @@ from bozk.stein import (
     _GL_ORDER,
     _GL_WEIGHTS,
     DIVERGENCE_THRESHOLD,
+    PROBE_NODES_PER_DECADE,
+    PROBE_R_OUTER,
     SteinConfig,
-    _uniform_step,
     cubic_basis,
     cubic_combine,
     diverges,
@@ -47,7 +48,7 @@ def sampled_line(r_outer=400.0, dx=0.005, pad=20.0):
 
 def on_line(xs, fs, cfg, points):
     """stein_derivative of fs on the uniform grid xs at the nodes of xs at the
-    given points, with the step xs[1] - xs[0] that probe_window reads."""
+    given points, with the step xs[1] - xs[0]."""
     dx = xs[1] - xs[0]
     nodes = np.rint((np.asarray(points) - xs[0]) / dx).astype(np.intp)
     assert np.allclose(xs[nodes], points, rtol=0.0, atol=1e-9 * dx), "points off the nodes"
@@ -124,49 +125,6 @@ class TestSteinDerivative:
         with pytest.raises(ValueError, match="sample nodes"):
             stein_derivative(np.exp(1j * xs), 0.02, cfg, [350, 350 + 51.5])
 
-    def test_nonuniform_grid_rejected(self):
-        # probe_window reads its x array's step as xs[1] - xs[0], so it
-        # checks the array is that grid; the window holds samples, so only
-        # that fails
-        xs = np.array([0.0, 0.1, 0.25, 0.3])
-        with pytest.raises(ValueError, match="uniform"):
-            probe_window(xs, np.ones(4), 0.5, 0.05, 0.8)
-
-    @pytest.mark.parametrize("shape", [(4,), (6,), (2, 4)])
-    def test_samples_off_the_grid_rejected(self, shape):
-        xs = 0.1 * np.arange(5.0)
-        with pytest.raises(ValueError, match="one sample per node"):
-            probe_window(xs, np.ones(shape), 0.5, 0.05, 0.8)
-
-    @pytest.mark.parametrize("jitter", [0.0, 3e-10, 9e-10, 1.1e-9, 1e-6, np.nan, -0.5])
-    def test_uniformity_check_keeps_allclose_decision(self, jitter):
-        xs = 0.1 * np.arange(50.0)
-        xs[31] += jitter * 0.1
-        steps = np.diff(xs)
-        expected = steps[0] > 0 and np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-        try:
-            _uniform_step(xs)
-            accepted = True
-        except ValueError:
-            accepted = False
-        assert accepted == expected
-
-    @pytest.mark.parametrize("where", [_BLOCK - 1, _BLOCK, _BLOCK + 50])
-    @pytest.mark.parametrize("jitter", [0.0, 3e-10, 1.1e-9, np.nan])
-    def test_uniformity_check_past_one_block(self, where, jitter):
-        # step `where` is the last of the first block, the first of the
-        # second, or inside the second
-        xs = 0.1 * np.arange(_BLOCK + 100.0)
-        xs[where + 1 :] += jitter * 0.1
-        steps = np.diff(xs)
-        expected = np.allclose(steps, steps[0], rtol=1e-9, atol=0.0)
-        assert expected == (jitter in (0.0, 3e-10))
-        if expected:
-            assert _uniform_step(xs) == xs[1] - xs[0]
-        else:
-            with pytest.raises(ValueError, match="uniform"):
-                _uniform_step(xs)
-
     @pytest.mark.parametrize(
         "nodes, ok",
         [
@@ -209,23 +167,21 @@ class TestSteinDerivative:
 
     @pytest.mark.parametrize("epsilon", [0.3, 0.7])
     def test_probe_window_on_a_step_that_is_not_dyadic(self, epsilon):
-        # a ladder step epsilon/16 * 2^-k that is not a dyadic fraction puts
-        # the window nodes 1e-9 cells and more off the float model
-        # xs[0] + k (xs[1] - xs[0]) at 7 and 8 levels; the nodes are read
-        # off xs itself, so that must not matter
+        # a ladder step epsilon/16 * 2^-k that is not a dyadic fraction: the
+        # window nodes are integer cell counts from the origin, so the probe
+        # reads the same nodes as the entries of the grid's x array in the
+        # window, and hands the quadrature the step itself
         step = epsilon / 16.0 * 0.5**7
         n = math.ceil((0.5 * epsilon + 2.0 + 8.0 * step) / step)
         xs = step * np.arange(-n, n + 1)
-        dx = xs[1] - xs[0]
-        window = xs[(np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= 0.5 * epsilon)]
-        cell = (window - xs[0]) / dx
-        assert np.abs(cell - np.rint(cell)).max() > 1e-9
         fs = np.exp(-8.0 * xs**2) * (1.0 + (xs >= 0.0))
-        vals = probe_window(xs, fs, 0.5, step, epsilon)
+        vals = probe_window(fs, step, n, 0.5, epsilon)
+        cells = np.abs(np.arange(xs.size) - n)
+        nodes = np.flatnonzero((cells >= 4) & (cells * step <= 0.5 * epsilon))
+        window = np.flatnonzero((np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= 0.5 * epsilon))
+        assert np.array_equal(nodes, window)
         cfg = SteinConfig(b=0.5, r_outer=2.0, h_inner=2.0 * step, nodes_per_decade=48)
-        ref = stein_derivative(fs, dx, cfg, np.flatnonzero(np.isin(xs, window))).values
-        assert vals.shape == window.shape
-        assert np.array_equal(vals, ref)
+        assert np.array_equal(vals, stein_derivative(fs, step, cfg, nodes).values)
         _, ratios = refinement_ladder(lambda x: np.exp(-8.0 * x**2)[None], [1.0], 0.5, 8, epsilon)
         assert len(ratios) == 7
 
@@ -315,10 +271,75 @@ class TestStacks:
         n = math.ceil((0.5 + 2.0 + 8.0 * step) / step)
         xs = step * np.arange(-n, n + 1)
         fs = self.stack(xs, rows)
-        vals = probe_window(xs, fs, 0.5, step, 1.0)
+        vals = probe_window(fs, step, n, 0.5, 1.0)
         assert vals.shape[0] == rows
         for s in range(rows):
-            assert np.array_equal(vals[s], probe_window(xs, fs[s], 0.5, step, 1.0))
+            assert np.array_equal(vals[s], probe_window(fs[s], step, n, 0.5, 1.0))
+
+
+def x_array_probe(xs, fs, b, step, epsilon):
+    """The probe rule that read its grid off an x array: the window nodes
+    from |xs| and the quadrature step xs[1] - xs[0]."""
+    nodes = np.flatnonzero((np.abs(xs) >= 4.0 * step) & (np.abs(xs) <= 0.5 * epsilon))
+    cfg = SteinConfig(
+        b=b, r_outer=PROBE_R_OUTER, h_inner=min(2.0 * step, 0.5),
+        nodes_per_decade=PROBE_NODES_PER_DECADE,
+    )
+    return stein_derivative(fs, xs[1] - xs[0], cfg, nodes).values
+
+
+class TestProbeGrid:
+    """probe_window's grid step * (k - origin) against the x arrays that its
+    callers build: refinement_ladder's step * (-n .. n), and xi_line's
+    2 pi (-nx/2 .. nx/2 - 1) / lx with step 2 pi / lx."""
+
+    @staticmethod
+    def ladder(epsilon, k):
+        step = epsilon / 16.0 * 0.5**k
+        n = math.ceil((0.5 * epsilon + PROBE_R_OUTER + 8.0 * step) / step)
+        return step * np.arange(-n, n + 1), step, n
+
+    @staticmethod
+    def box(lx, nx):
+        return 2.0 * np.pi * np.arange(-nx // 2, nx // 2) / lx, 2.0 * np.pi / lx, nx // 2
+
+    @staticmethod
+    def compare(xs, step, origin, epsilon):
+        fs = TestStacks.stack(xs, 2)
+        return probe_window(fs, step, origin, 0.5, epsilon), x_array_probe(xs, fs, 0.5, step, epsilon)
+
+    # the ladder of epsilon 0.5, levels 0 .. 7 (3 to 8 levels deep), has
+    # dyadic steps, so every grid agrees with its x array bit for bit
+    @pytest.mark.parametrize("k", range(8))
+    def test_dyadic_ladder_bit_identical(self, k):
+        xs, step, n = self.ladder(0.5, k)
+        vals, ref = self.compare(xs, step, n, 0.5)
+        assert np.array_equal(vals, ref)
+
+    # domain_growth_study's 16pi and 32pi boxes at its density, with its
+    # cutoff floor of 16 cells
+    @pytest.mark.parametrize("lx, nx", [(16 * np.pi, 128), (32 * np.pi, 256)])
+    def test_pi_boxes_bit_identical(self, lx, nx):
+        xs, step, h = self.box(lx, nx)
+        vals, ref = self.compare(xs, step, h, 16.0 * step)
+        assert np.array_equal(vals, ref)
+
+    # where the x array's step differs from step at roundoff, so do the
+    # values; the window nodes are the same
+    @pytest.mark.parametrize("epsilon", [0.3, 0.7])
+    @pytest.mark.parametrize("k", range(8))
+    def test_ladder_off_the_dyadic_fractions(self, epsilon, k):
+        xs, step, n = self.ladder(epsilon, k)
+        vals, ref = self.compare(xs, step, n, epsilon)
+        assert vals.shape == ref.shape
+        assert np.all(np.abs(vals - ref) <= 1e-10 * np.abs(ref))
+
+    @pytest.mark.parametrize("lx, nx", [(20.0, 64), (40.0, 128)])
+    def test_boxes_off_pi(self, lx, nx):
+        xs, step, h = self.box(lx, nx)
+        vals, ref = self.compare(xs, step, h, 16.0 * step)
+        assert vals.shape == ref.shape
+        assert np.all(np.abs(vals - ref) <= 1e-10 * np.abs(ref))
 
 
 def test_gauss_legendre_rule_computed_once_and_read_only():
