@@ -21,9 +21,10 @@ Conventions fixed here and relied on everywhere else:
   evaluated on them only by :func:`multiplier_array`, which symmetrises
   it there (average over the two Nyquist signs).  A symbol even in xi and
   eta is its own average, and the rows and columns the 2/3 mask keeps hold
-  no Nyquist line, so the Sobolev weights and the advection row skip it.  This keeps inverse
-  transforms of Hermitian data exactly real without branching; a propagator
-  is the exponential of a symmetrised generator.
+  no Nyquist line, so the Sobolev weights and the solver's advection row
+  skip it.  This keeps inverse transforms of Hermitian data exactly real
+  without branching; a propagator is the exponential of a symmetrised
+  generator.
 """
 
 from __future__ import annotations
@@ -105,23 +106,6 @@ class Grid2D:
     def cell_area(self) -> float:
         return self.dx * self.dy
 
-    def advection_table(self) -> np.ndarray:
-        """Grid symbol ``-i xi/2`` of -1/2 d_x on the columns ``0..nx//3``
-        that the 2/3 mask keeps, as one row: the symbol depends on xi alone
-        and the mask drops the Nyquist lines, the only places where
-        :func:`multiplier_array` changes a value, so every kept row of the
-        masked table equals this row bit for bit.  A fresh array on every
-        call, so a caller that scales it in place holds the one copy."""
-        return -0.5j * self.xi[: self.nx // 3 + 1]
-
-    @functools.cached_property
-    def forward_scale(self) -> np.ndarray:
-        """``cell_area`` times the centring phase ``(-1)**(m+n)``, which takes
-        a raw ``rfft2`` to the normalised coefficients; read-only, cached."""
-        table = self.cell_area * self._centre_phase()
-        table.setflags(write=False)
-        return table
-
     @functools.cached_property
     def parseval_weight(self) -> np.ndarray:
         """Weight of each coefficient's ``|u_hat|^2`` in the Parseval sum for
@@ -131,20 +115,6 @@ class Grid2D:
         row = np.full(self.mx.size, 2.0 / (self.lx * self.ly))
         row[[0, -1]] *= 0.5
         return np.broadcast_to(row, self.spectral_shape)
-
-    @functools.cached_property
-    def inverse_scale(self) -> np.ndarray:
-        """The centring phase over ``cell_area``, which takes coefficients to
-        the input of a raw ``irfft2``; read-only, cached."""
-        table = self._centre_phase() / self.cell_area
-        table.setflags(write=False)
-        return table
-
-    def _centre_phase(self) -> np.ndarray:
-        # exp(-i xi_m x_0) = (-1)^m exactly for the centred grid
-        return np.where(self.mx % 2 == 0, 1.0, -1.0)[None, :] * np.where(
-            self.my % 2 == 0, 1.0, -1.0
-        )[:, None]
 
 
 class NonFiniteField(ValueError):
@@ -203,17 +173,12 @@ class SpectrumField:
             raise ValueError(f"coeffs shape {a.shape} != {self.grid.spectral_shape}")
         object.__setattr__(self, "coeffs", a)
 
-    def l2(self, weight: Optional[np.ndarray] = None) -> float:
-        """L2 norm of the underlying field via Parseval; ``weight`` is a
-        nonnegative Fourier weight of coefficient shape, even under
-        ``(xi, eta) -> (-xi, -eta)``, e.g. ``(1 + xi^2 + eta^2)^s`` for the H^s
-        norm (unweighted when omitted).  Each coefficient counts with
-        ``Grid2D.parseval_weight``."""
+    def l2(self) -> float:
+        """L2 norm of the underlying field via Parseval: each coefficient
+        counts with ``Grid2D.parseval_weight``."""
         c = self.coeffs
         sq = np.square(c.real)
         sq += np.square(c.imag)
-        if weight is not None:
-            sq *= weight
         sq *= self.grid.parseval_weight
         return float(np.sqrt(np.sum(sq)))
 
@@ -224,10 +189,24 @@ class SpectrumField:
 # faults over a whole 256^2 run), for the same arithmetic.
 
 
+def _flip_centre_phase(a: np.ndarray) -> None:
+    """Multiply the half-plane array `a` in place by the centring phase
+    ``(-1)**(m+n)``, ``exp(-i xi_m x_0 - i eta_n y_0)`` on the centred grid.
+    In both FFT-order axes an index has the parity of its wavenumber index
+    (nx and ny are even), so the phase is -1 exactly on the odd rows' even
+    columns and the even rows' odd columns.  A flip is a product with -1,
+    not a negation: after a product with a scale s it gives the bits of one
+    product with -s on every finite coefficient with a nonzero part, the
+    sign of a zero part included, which a negation would flip."""
+    a[0::2, 1::2] *= -1.0
+    a[1::2, 0::2] *= -1.0
+
+
 def forward(f: RealField) -> SpectrumField:
     g = f.grid
     coeffs = np.fft.rfft2(f.samples, out=np.empty(g.spectral_shape, dtype=np.complex128))
-    coeffs *= g.forward_scale
+    coeffs *= g.cell_area
+    _flip_centre_phase(coeffs)
     return SpectrumField(g, coeffs)
 
 
@@ -240,7 +219,8 @@ def inverse(
     shares; without it, both are fresh."""
     g = F.grid
     raw, samples = (None, None) if work is None else work
-    raw = np.multiply(F.coeffs, g.inverse_scale, out=raw)
+    raw = np.multiply(F.coeffs, 1.0 / g.cell_area, out=raw)
+    _flip_centre_phase(raw)
     np.fft.ifft(raw, axis=0, out=raw)  # irfft2 is this y pass, then irfft along x
     return RealField(g, np.fft.irfft(raw, n=g.nx, axis=1, out=samples))
 

@@ -103,6 +103,16 @@ def _band_shape(g: Grid2D) -> Tuple[int, int]:
     return 2 * (g.ny // 3) + 1, g.nx // 3 + 1
 
 
+def _advection_row(g: Grid2D) -> np.ndarray:
+    """Grid symbol ``-i xi/2`` of -1/2 d_x on the columns of the kept band,
+    as one row: the symbol depends on xi alone and the band holds no
+    Nyquist line, the only places where ``grid.multiplier_array`` changes
+    a value, so every kept row of the masked symbol table equals this row
+    bit for bit.  A fresh array on every call, so a caller that scales it
+    in place holds the one copy."""
+    return -0.5j * g.xi[: _band_shape(g)[1]]
+
+
 def _band_rows(ny: int) -> Tuple[Tuple[slice, slice], Tuple[slice, slice]]:
     """The two row blocks of the kept band, ``n = 0..ny//3`` and
     ``n = -ny//3..-1``, each as a pair: its rows in a full-height array and
@@ -140,7 +150,7 @@ def _rhs_into(
     """Write ``table`` times the transform of u^2 into `out`, on the kept
     band of the 2/3 mask (see :func:`_band_shape`), where `x` holds the
     coefficients of u divided by ``lx ly`` on that band.  `table` is one row,
-    ``Grid2D.advection_table`` times the output normalisation, so `out` is
+    :func:`_advection_row` times the output normalisation, so `out` is
     the spectrum of -1/2 d_x(u^2) in the table's units.
 
     No centring phase is applied on either side: without it the inverse
@@ -187,7 +197,7 @@ def nonlinear_rhs(F: SpectrumField) -> SpectrumField:
     out, u = _scratch(g)  # the transform buffer is the result
     x = _gather(F.coeffs, np.empty(_band_shape(g), dtype=np.complex128))
     x *= 1.0 / (g.lx * g.ly)
-    _rhs_into(x, x, g.advection_table() * g.cell_area, out, u)
+    _rhs_into(x, x, _advection_row(g) * g.cell_area, out, u)
     _scatter(x, out[:, : x.shape[1]])
     return SpectrumField(g, out)
 
@@ -198,7 +208,7 @@ class _StepKernel:
     2/3 mask (see :func:`_band_shape`), on the coefficients divided by
     ``lx ly`` (see :func:`_rhs_into`), so `e_half` holds only that band, and so does
     `stages`, the one block of the four stage buffers; the rhs table is one
-    row, ``Grid2D.advection_table`` times dt/2 and the 1/(nx ny) that takes
+    row, :func:`_advection_row` times dt/2 and the 1/(nx ny) that takes
     the unnormalised forward passes back to those units, the run's one copy
     of the symbol.  The state's other modes see only `e_full`, as the stage
     values vanish there.  `scratch` is the run's transform buffer pair,
@@ -209,7 +219,7 @@ class _StepKernel:
         self.cfg = cfg
         self.e_full = propagator_array(grid, cfg.dt, cfg.mu)
         if cfg.nonlinear:
-            self.table = grid.advection_table()
+            self.table = _advection_row(grid)
             self.table *= 0.5 * cfg.dt / (grid.nx * grid.ny)
             self.e_half = _gather(
                 propagator_array(grid, 0.5 * cfg.dt, cfg.mu),
@@ -349,7 +359,7 @@ def run(phi: RealField, cfg: SolverConfig, *, norms: Sequence[NormSpec] = ()) ->
         usq = _floats(kernel.stages, 0, (g.ny, g.nx))
     else:
         usq = np.empty((g.ny, g.nx))
-    keep = g.nx // 3 + 1
+    keep = _band_shape(g)[1]
 
     # one row per quantity, one column per record (steps 0, stride, ...,
     # and n_steps): t, l2, moment_x, the zero-mode drift, the edge ratio,

@@ -29,6 +29,14 @@ def dealias(F: SpectrumField) -> SpectrumField:
     return SpectrumField(F.grid, np.where(dealias_mask(F.grid), F.coeffs, 0.0))
 
 
+def centre_phase(g) -> np.ndarray:
+    """The centring phase ``(-1)**(m+n)`` on the coefficient array of the
+    grid `g`, as a table: ``exp(-i xi_m x_0 - i eta_n y_0)`` on the centred
+    grid, which takes a raw ``rfft2`` times ``cell_area`` to the
+    normalised coefficients."""
+    return np.where((g.mx[None, :] + g.my[:, None]) % 2 == 0, 1.0, -1.0)
+
+
 def inverse_imag_residual(F: SpectrumField) -> float:
     """Max |imaginary part| discarded by :func:`inverse`; realness diagnostic.
 
@@ -37,7 +45,7 @@ def inverse_imag_residual(F: SpectrumField) -> float:
     in sign along x for the Nyquist column, and :func:`inverse` keeps the
     real part of each."""
     g = F.grid
-    raw = F.coeffs[:, [0, -1]] * g.inverse_scale[:, [0, -1]]
+    raw = F.coeffs[:, [0, -1]] * (centre_phase(g) / g.cell_area)[:, [0, -1]]
     imag = np.fft.ifft(raw, axis=0).imag / g.nx
     return float(np.max(np.abs(imag[:, 0]) + np.abs(imag[:, 1])))
 

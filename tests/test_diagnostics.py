@@ -23,6 +23,13 @@ from bozk.weights import WeightSpec
 TWO_PI = 2.0 * np.pi
 
 
+def parseval_l2(F, weight):
+    """sqrt of the Parseval sum of ``weight |u_hat|^2``, each coefficient
+    counted with ``Grid2D.parseval_weight``."""
+    c = F.coeffs
+    return math.sqrt(np.sum((c.real**2 + c.imag**2) * weight * F.grid.parseval_weight))
+
+
 def smooth_family(grid, seed, count):
     return [fields.random_smooth(grid, seed + k) for k in range(count)]
 
@@ -78,15 +85,15 @@ class TestNorms:
         F = forward(u)
         poly = lambda r: WeightSpec.polynomial(r).evaluate(g.xmesh, g.ymesh) ** 2
         if spec.kind == "hs":
-            ref = F.l2(sobolev_weight(g, "J", spec.s))
+            ref = parseval_l2(F, sobolev_weight(g, "J", spec.s))
         elif spec.kind == "aniso":
-            parts = [F.l2(), F.l2(sobolev_weight(g, "J_x", spec.s1)),
-                     F.l2(sobolev_weight(g, "J_y", spec.s2))]
+            parts = [F.l2(), parseval_l2(F, sobolev_weight(g, "J_x", spec.s1)),
+                     parseval_l2(F, sobolev_weight(g, "J_y", spec.s2))]
             ref = math.sqrt(sum(p * p for p in parts))
         elif spec.kind == "l2r":
             ref = u.l2(poly(spec.r))
         elif spec.kind == "zsr":
-            ref = math.hypot(F.l2(sobolev_weight(g, "J", spec.s)), u.l2(poly(spec.r)))
+            ref = math.hypot(parseval_l2(F, sobolev_weight(g, "J", spec.s)), u.l2(poly(spec.r)))
         else:
             ref = u.l2(spec.weight.evaluate(g.xmesh, g.ymesh) ** 2)
         assert abs(norm(u, spec) - ref) <= 1e-14 * ref

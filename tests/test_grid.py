@@ -11,8 +11,11 @@ from bozk.grid import (
     multiplier_array,
     xi_line,
 )
-from bozk.operators import dispersion
-from helpers import dealias, inverse_imag_residual
+from bozk import fields
+from bozk.diagnostics import norm
+from bozk.operators import NormSpec, dispersion
+from bozk.solver import SolverConfig, run
+from helpers import bits, centre_phase, dealias, inverse_imag_residual
 
 TWO_PI = 2.0 * np.pi
 
@@ -213,13 +216,28 @@ class TestHalfPlaneLayout:
     FFT-ordered plane."""
 
     def test_forward_is_left_half_of_full_transform(self):
-        for nx, ny, seed in [(16, 16, 0), (24, 40, 1), (64, 32, 2)]:
+        # (10, 14) and (70, 50) have odd half sizes, so the Nyquist row and
+        # column sit at odd indices and carry a flipped phase
+        for nx, ny, seed in [(16, 16, 0), (24, 40, 1), (64, 32, 2), (10, 14, 3), (70, 50, 4)]:
             g = make_grid(nx, ny, 3.0, 7.0)
             f = nyquist_field(g, seed)
             ref = full_forward(f)[:, : nx // 2 + 1]
             C = forward(f).coeffs
             assert C.shape == (ny, nx // 2 + 1)
             assert np.max(np.abs(C - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("nx, ny", [(16, 12), (10, 14), (70, 50)])
+    def test_transforms_are_phased_raw_transforms(self, nx, ny):
+        # bit for bit rfft2 times cell_area and the phase table, and irfft2
+        # of the coefficients times the phase table over cell_area, on
+        # even and odd half sizes
+        g = make_grid(nx, ny, 3.0, 7.0)
+        f = nyquist_field(g, 6)
+        F = forward(f)
+        ref = np.fft.rfft2(f.samples) * (g.cell_area * centre_phase(g))
+        assert np.array_equal(bits(F.coeffs), bits(ref))
+        raw = F.coeffs * (centre_phase(g) / g.cell_area)
+        assert np.array_equal(bits(inverse(F).samples), bits(np.fft.irfft2(raw, s=(ny, nx))))
 
     @pytest.mark.parametrize(
         "symbol",
@@ -243,12 +261,13 @@ class TestHalfPlaneLayout:
             f = nyquist_field(g, seed)
             F = forward(f)
             assert abs(F.l2() - f.l2()) <= 1e-13 * f.l2()
-            # a weighted norm against the full-plane Parseval sum
+            # the H^2 norm, whose Fourier weight is (1 + xi^2 + eta^2)^2,
+            # against the full-plane Parseval sum
             xi, eta, _ = full_plane(g)
             w_full = (1.0 + xi**2 + eta**2) ** 2
             full = np.sqrt(np.sum(w_full * np.abs(full_forward(f)) ** 2)
                            * (TWO_PI / g.lx) * (TWO_PI / g.ly)) / TWO_PI
-            half = F.l2((1.0 + g.xi2**2 + g.eta2**2) ** 2)
+            half = norm(f, NormSpec.hs(2.0))
             assert abs(half - full) <= 1e-13 * full
 
     def test_xi_line_is_full_plane_row(self):
@@ -294,3 +313,18 @@ def test_field_validation():
     bad[0, 0] = np.nan
     with pytest.raises(ValueError):
         RealField(g, bad)
+
+
+def test_grid_owns_only_its_axes():
+    # after transforms and a run, every array the grid owns is one of its
+    # 1-D axes: the centring phase is applied by sign flips, the advection
+    # row lives in the solver, and parseval_weight is a broadcast view of
+    # one row
+    g = make_grid(256, 256, 16 * np.pi, 16 * np.pi)
+    u = fields.gaussian(g, amplitude=0.5)
+    inverse(forward(u))
+    run(u, SolverConfig(dt=1e-3, t_final=2e-3, stride=1), norms=[NormSpec.hs(1.0)])
+    arrays = {k: v for k, v in vars(g).items() if isinstance(v, np.ndarray)}
+    assert "parseval_weight" in arrays
+    owned = {k: v.shape for k, v in arrays.items() if v.flags.owndata}
+    assert owned and all(len(shape) == 1 for shape in owned.values()), owned

@@ -28,7 +28,7 @@ from bozk.solver import (
     run,
 )
 from bozk.weights import WeightSpec
-from helpers import bits, dealias, dealias_mask, inverse_imag_residual
+from helpers import bits, centre_phase, dealias, dealias_mask, inverse_imag_residual
 
 TWO_PI = 2.0 * np.pi
 
@@ -125,7 +125,7 @@ def reference_step(g, c, dt, mu, audit, phased=False):
     multiplier_array, all full height.
 
     With `phased`, the stages carry the centring phase: they are taken in
-    and out through the grid's inverse_scale and forward_scale tables, in
+    and out through the centring phase tables of helpers.centre_phase, in
     raw transform units, which gives the same step up to roundoff."""
     keep = g.nx // 3 + 1
     n = g.nx * g.ny
@@ -149,7 +149,7 @@ def reference_step(g, c, dt, mu, audit, phased=False):
         return np.multiply(cols(np.fft.rfft2(np.multiply(u, u))), table)
 
     if phased:
-        a = np.multiply(np.multiply(cols(c), cols(g.inverse_scale)), 1.0 / n)
+        a = np.multiply(np.multiply(cols(c), cols(centre_phase(g) / g.cell_area)), 1.0 / n)
     else:
         a = np.multiply(cols(c), 1.0 / (g.lx * g.ly))
     efk = cols(ef)
@@ -160,7 +160,7 @@ def reference_step(g, c, dt, mu, audit, phased=False):
     twice = np.multiply(np.multiply(eh, np.add(k2, k3)), 2.0)
     inc = np.add(np.add(np.multiply(efk, k1), twice), k4)
     if phased:
-        inc = np.multiply(np.multiply(inc, n / 3.0), cols(g.forward_scale))
+        inc = np.multiply(np.multiply(inc, n / 3.0), cols(g.cell_area * centre_phase(g)))
     else:
         inc = np.multiply(inc, g.lx * g.ly / 3.0)
     new = np.multiply(ef, c)
@@ -793,7 +793,7 @@ def test_nonlinear_records_read_through_the_stage_block(monkeypatch):
 
 
 def test_a_run_holds_one_copy_of_the_advection_symbol():
-    # the kernel's rhs table is one row, a fresh advection_table scaled in
+    # the kernel's rhs table is one row, a fresh _advection_row scaled in
     # place, and the grid caches no symbol, after a run or a nonlinear_rhs;
     # as the symbol depends on xi alone and the mask drops the Nyquist row,
     # the row is bit for bit every kept row of the masked symbol table times
@@ -811,7 +811,7 @@ def test_a_run_holds_one_copy_of_the_advection_symbol():
     kept = (masked * scale)[mask[:, 0], : table.size]
     assert kept.shape == solver._band_shape(g)
     assert np.array_equal(bits(kept), bits(np.broadcast_to(table, kept.shape)))
-    assert np.array_equal(bits(table), bits(g.advection_table() * scale))
+    assert np.array_equal(bits(table), bits(solver._advection_row(g) * scale))
 
 
 @pytest.mark.parametrize("nx, ny", [(96, 72), (8, 256), (256, 8), (256, 256)])
