@@ -206,7 +206,8 @@ def _exact_phase_constant(b: float) -> float:
     return math.sqrt(4.0 * (-math.gamma(-s)) * math.cos(math.pi * s / 2.0))
 
 
-def _verify_weights(rows: List[List], seed: int) -> None:
+def _verify_weights(rows: List[List], *, a2_lengths: Sequence[float] = (1.0, 5.0, 40.0),
+                    a2_singular: Sequence[tuple[float, float]] = ((-1.0, 2.0),)) -> None:
     rows.append(["weights", "beta(5,5)=sqrt26", beta(5, 5.0), math.sqrt(26.0),
                  abs(beta(5, 5.0) - math.sqrt(26.0)) < 1e-12])
     rows.append(["weights", "beta(7,0)=1", beta(7, 0.0), 1.0, beta(7, 0.0) == 1.0])
@@ -227,26 +228,29 @@ def _verify_weights(rows: List[List], seed: int) -> None:
         gy = np.gradient(w, g.dy, axis=0)
         grads.append(float(np.max(np.hypot(gx, gy))))
     rows.append(["weights", "damped_grad_uniform", max(grads), 1.5, max(grads) < 1.5])
-    for L in (1.0, 5.0, 40.0):
+    for L in a2_lengths:
         v = a2_statistic(0.5, (-L, L))
         rows.append(["weights", f"a2_half_L{L:g}", v, 4.0 / 3.0,
                      abs(v - 4.0 / 3.0) < 1e-12])
-    rows.append(["weights", "a2_3half_inf", a2_statistic(1.5, (-1.0, 2.0)), math.inf,
-                 math.isinf(a2_statistic(1.5, (-1.0, 2.0)))])
+    for interval in a2_singular:
+        v = a2_statistic(1.5, interval)
+        rows.append(["weights", "a2_3half_inf", v, math.inf, math.isinf(v)])
     rows.append(["weights", "a2_zero_one", a2_statistic(0.0, (2.0, 7.0)), 1.0,
                  a2_statistic(0.0, (2.0, 7.0)) == 1.0])
 
 
-def _verify_stein(rows: List[List], seed: int) -> None:
+def _verify_stein(rows: List[List], *, r_out: float = 400.0,
+                  offsets: Sequence[int] = (0,)) -> None:
+    """Phase oracles read at x = dx * k for each k of `offsets`: a pure phase
+    at every node, a phase bound at the first."""
     # the two ladders run before the phase samples are built, so their
     # buffers never sit on top of the samples; their rows still come last
     heav = refine_divergence(lambda x: (x >= 0).astype(float), 0.5, 5)
     bump = refine_divergence(lambda x: np.exp(-8.0 * x**2), 0.5, 6)
-    r_out = 400.0
     dx = 0.005
     n = math.ceil((r_out + 20.0) / dx)
     # the grid dx * (-n .. n), whose node of x = 0 is index n
-    centre = [n]
+    nodes = [n + k for k in offsets]
     samples = np.zeros(2 * n + 1, dtype=np.complex128)
     # the checks in row order, eta None for a pure phase; each distinct c is
     # built once, and each distinct b on it is one call that its checks share
@@ -265,12 +269,16 @@ def _verify_stein(rows: List[List], seed: int) -> None:
             x *= c
         fs = np.exp(samples, out=samples)
         for b in dict.fromkeys(check[2] for check in checks if check[1] == c):
-            res = stein_derivative(fs, dx, SteinConfig(b=b, r_outer=r_out), centre)
+            res = stein_derivative(fs, dx, SteinConfig(b=b, r_outer=r_out), nodes)
             meas = res.values[0]
             for name, _, _, eta, t in (check for check in checks if check[1:3] == (c, b)):
                 if eta is None:
                     exact = math.sqrt(2.0 * math.pi * c)
-                    found[name] = [meas, exact, abs(meas - exact) / exact < 1e-3]
+                    # scalar reads: array temporaries here raise verify's peak RSS
+                    worst = max(res.values, key=lambda v: abs(v - exact))
+                    spread = max(res.values) - min(res.values)
+                    ok = abs(worst - exact) / exact < 1e-3 and spread / exact < 1e-3
+                    found[name] = [worst, exact, ok]
                     continue
                 bound, exact = phase_bound(b, eta, t), _exact_phase_constant(b) * c**b
                 up = res.upper()[0]
@@ -284,9 +292,10 @@ def _verify_stein(rows: List[List], seed: int) -> None:
                  DIVERGENCE_THRESHOLD, bump.verdict == "convergent"])
 
 
-def _verify_ratios(rows: List[List], seed: int) -> None:
+def _verify_ratios(rows: List[List], seed: int, *, count: int = 12, scale: float = 3.0,
+                   tol: float = 1e-12) -> None:
     g = make_grid(48, 48, 20.0, 20.0)
-    fam = [data_families.random_smooth(g, seed + k) for k in range(12)]
+    fam = [data_families.random_smooth(g, seed + k) for k in range(count)]
     ceilings = {"interpolation": 1.2, "commutator": 1.5, "algebra": 0.5,
                 "trilinear": 0.1, "d_half": 0.2}
     worst = {k: 0.0 for k in ceilings}
@@ -302,9 +311,9 @@ def _verify_ratios(rows: List[List], seed: int) -> None:
         rows.append(["ratios", f"{k}_ceiling", worst[k], ceil, worst[k] <= ceil])
     f = fam[0]
     base = interpolation_ratio(f, 2.0, 1.0, 0.5)
-    scaled = interpolation_ratio(RealField(g, 3.0 * f.samples), 2.0, 1.0, 0.5)
-    rows.append(["ratios", "interp_scale_exact", abs(base - scaled), 1e-12,
-                 abs(base - scaled) <= 1e-12 * max(base, 1.0)])
+    scaled = interpolation_ratio(RealField(g, scale * f.samples), 2.0, 1.0, 0.5)
+    rows.append(["ratios", "interp_scale_exact", abs(base - scaled), tol,
+                 abs(base - scaled) <= tol * base])
     per_n = [interpolation_ratio(f, 2.0, 1.0, 0.5, weight=WeightSpec.truncated(nn))
              for nn in (4, 8, 16, 32)]
     ok = max(per_n) <= 1.1 * per_n[1]
@@ -321,8 +330,9 @@ def _cmd_verify(m: RunManifest, out: Path, quiet: bool) -> dict:
 
     def suites() -> None:
         try:
-            for suite in (_verify_weights, _verify_stein, _verify_ratios):
-                suite(rows, m.seed)
+            _verify_weights(rows)
+            _verify_stein(rows)
+            _verify_ratios(rows, m.seed)
         except BaseException as exc:
             raised.append(exc)
 

@@ -2,6 +2,12 @@
 criterion, each printing a PASS/FAIL line.  Run with
 
     pytest tests/test_acceptance.py -v -s
+
+Criteria 06, 09 and 10 run `verify`'s suites (`_verify_stein`,
+`_verify_ratios`, `_verify_weights`) at stricter inputs than `verify` does:
+06 at r_out = 600 and the nodes x = 0, 1, -2; 09 on the seeds 100 and 4242
+with 50 fields each, scale 5 and tolerance 1e-13; 10 with the lengths
+L = 1, 7, 123 and the intervals (-1, 1) and (-0.3, 2).
 """
 
 import math
@@ -11,21 +17,12 @@ import numpy as np
 import pytest
 
 from bozk import fields
-from bozk.cli import EXIT_OK, execute
-from bozk.diagnostics import (
-    algebra_ratio,
-    commutator_ratio,
-    conservation_report,
-    half_derivative_commutator_ratio,
-    interpolation_ratio,
-    trilinear_ratio,
-)
+from bozk.cli import EXIT_OK, _verify_ratios, _verify_stein, _verify_weights, execute
+from bozk.diagnostics import conservation_report
 from bozk.grid import RealField, forward, inverse, make_grid
 from bozk.operators import propagate, smoothing_ratio
 from bozk.solver import SolverConfig, picard_solve, run
-from bozk.stein import SteinConfig, phase_bound, refine_divergence, stein_derivative
 from bozk.uc import CutoffSpec, b1_indicator, domain_growth_study, persistence_scan
-from bozk.weights import WeightSpec, a2_statistic
 from helpers import dealias
 
 L16 = 16.0 * math.pi
@@ -34,6 +31,11 @@ L16 = 16.0 * math.pi
 def report(criterion: int, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] criterion {criterion:2d}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
+
+
+def failed_checks(rows) -> list:
+    """The check names of the `verify` rows that did not pass."""
+    return [row[1] for row in rows if not row[-1]]
 
 
 # ---------------------------------------------------------------------------
@@ -184,46 +186,15 @@ def test_criterion_05_picard_agreement():
 
 
 def test_criterion_06_stein_oracles():
-    # closed-form constants: int |1-e^{iy}|^2 |y|^{-1-2b} dy
-    const_sq = {
-        0.25: 4.0 * math.sqrt(2.0 * math.pi),
-        0.50: 2.0 * math.pi,
-        0.75: (8.0 / 3.0) * math.sqrt(2.0 * math.pi),
-    }
-    r_out = 600.0
-    dx = 0.005
-    n = math.ceil((r_out + 20.0) / dx)
-    xs = dx * np.arange(-n, n + 1)
-
-    pure_ok = True
-    for c in (1.0, 2.0, 4.0):
-        res = stein_derivative(
-            np.exp(1j * c * xs), dx, SteinConfig(b=0.5, r_outer=r_out), [n, n + 200, n - 400]
-        )
-        exact = math.sqrt(2.0 * math.pi * c)
-        pure_ok &= bool(np.max(np.abs(res.values - exact)) / exact < 1e-3)
-        pure_ok &= (np.max(res.values) - np.min(res.values)) / exact < 1e-3
-
-    bound_ok = True
-    for b in (0.25, 0.5, 0.75):
-        for eta, t in ((1.0, 1.0), (2.0, 1.0), (1.0, 0.5)):
-            c = t * eta * eta
-            res = stein_derivative(
-                np.exp(1j * c * xs), dx, SteinConfig(b=b, r_outer=r_out), [n]
-            )
-            meas, upper = res.values[0], res.upper()[0]
-            exact = math.sqrt(const_sq[b]) * c**b
-            bound_ok &= meas <= phase_bound(b, eta, t) * (1 + 1e-12)
-            bound_ok &= meas - 1e-3 * exact <= exact <= upper + 1e-3 * exact
-
-    heav = refine_divergence(lambda x: (x >= 0).astype(float), 0.5, 5)
-    bump = refine_divergence(lambda x: np.exp(-8.0 * x**2), 0.5, 6)
-    verdicts_ok = heav.verdict == "divergent" and bump.verdict == "convergent"
+    rows = []
+    _verify_stein(rows, r_out=600.0, offsets=(0, 200, -400))
+    failed = failed_checks(rows)
     report(
         6,
-        pure_ok and bound_ok and verdicts_ok,
-        "pure phases within 1e-3 of sqrt(2 pi c); bound respected and exact "
-        "constant bracketed for b in {1/4, 1/2, 3/4}; jump divergent / bump convergent",
+        len(rows) == 14 and not failed,
+        f"{len(rows)} rows, failed {failed}: pure phases within 1e-3 of sqrt(2 pi c) "
+        "at x = 0, 1, -2; bound respected and exact constant bracketed for "
+        "b in {1/4, 1/2, 3/4}; jump divergent / bump convergent",
     )
 
 
@@ -276,58 +247,26 @@ def test_criterion_08_persistence_thresholds():
 
 
 def test_criterion_09_inequality_suites():
-    grid = make_grid(48, 48, 20.0, 20.0)
-    ceilings = {
-        "interpolation": 1.2,
-        "commutator": 1.5,
-        "algebra": 0.5,
-        "trilinear": 0.1,
-        "d_half": 0.2,
-    }
-    stable_ok = True
+    rows = []
     for seed in (100, 4242):
-        fam = [fields.random_smooth(grid, seed + k) for k in range(50)]
-        worst = dict.fromkeys(ceilings, 0.0)
-        for i, f in enumerate(fam):
-            a = fam[(i + 1) % len(fam)]
-            worst["interpolation"] = max(
-                worst["interpolation"], interpolation_ratio(f, 2.0, 1.0, 0.5)
-            )
-            worst["commutator"] = max(worst["commutator"], commutator_ratio(a, f, 1, 1))
-            worst["algebra"] = max(worst["algebra"], algebra_ratio(f, a, 3.0, 3.0))
-            worst["trilinear"] = max(worst["trilinear"], trilinear_ratio(f, 3.0, 2.5))
-            worst["d_half"] = max(worst["d_half"], half_derivative_commutator_ratio(a, f))
-        stable_ok &= all(worst[k] <= ceilings[k] for k in ceilings)
-
-    f = fields.random_smooth(grid, 100)
-    base = interpolation_ratio(f, 2.0, 1.0, 0.5)
-    exact_ok = (
-        abs(interpolation_ratio(RealField(grid, 5.0 * f.samples), 2.0, 1.0, 0.5) - base)
-        <= 1e-13 * base
-    )
-    anchor = interpolation_ratio(f, 2.0, 1.0, 0.5, weight=WeightSpec.truncated(8))
-    per_n = [
-        interpolation_ratio(f, 2.0, 1.0, 0.5, weight=WeightSpec.truncated(n))
-        for n in (4, 8, 16, 32)
-    ]
-    uniform_ok = max(per_n) <= 1.1 * anchor
+        _verify_ratios(rows, seed, count=50, scale=5.0, tol=1e-13)
+    failed = failed_checks(rows)
     report(
         9,
-        stable_ok and exact_ok and uniform_ok,
-        "scaling invariance to roundoff, ceilings stable across two seeds, "
-        f"w_N interpolation uniform over N (max {max(per_n):.3f} <= {1.1 * anchor:.3f})",
+        len(rows) == 14 and not failed,
+        f"{len(rows)} rows, failed {failed}: ceilings stable across two seeds, "
+        "scaling invariance to 1e-13, w_N interpolation uniform over N",
     )
 
 
 def test_criterion_10_a2_dichotomy():
-    finite_ok = all(
-        abs(a2_statistic(0.5, (-L, L)) - 4.0 / 3.0) < 1e-12 for L in (1.0, 7.0, 123.0)
-    )
-    inf_ok = math.isinf(a2_statistic(1.5, (-1.0, 1.0))) and math.isinf(
-        a2_statistic(1.5, (-0.3, 2.0))
-    )
-    report(10, finite_ok and inf_ok,
-           "|x|^(1/2) statistic = 4/3 independent of L; |x|^(3/2) divergent at origin")
+    rows = []
+    _verify_weights(rows, a2_lengths=(1.0, 7.0, 123.0),
+                    a2_singular=((-1.0, 1.0), (-0.3, 2.0)))
+    failed = failed_checks(rows)
+    report(10, not failed,
+           f"failed {failed}: |x|^(1/2) statistic = 4/3 independent of L; "
+           "|x|^(3/2) divergent at origin")
 
 
 def test_criterion_11_reproducibility(tmp_path):

@@ -568,15 +568,28 @@ class TestExecute:
         lines = (out / "verify.csv").read_text().splitlines()
         assert lines[0] == "suite,check,measured,reference,passed"
         assert all(line.endswith("true") for line in lines[1:])
-        suites = [line.split(",")[0] for line in lines[1:]]
-        assert suites == sorted(suites, key=["weights", "stein", "ratios"].index)
-        assert set(suites) == {"weights", "stein", "ratios"}
+        # a check name may hold a comma; the last three fields never do
+        names = [tuple(line.rsplit(",", 3)[0].split(",", 1)) for line in lines[1:]]
+        weights = (["beta(5,5)=sqrt26", "beta(7,0)=1", "beta(3,12)=6"]
+                   + [f"beta_slope_N{n}" for n in (1, 2, 4, 8, 16, 32)]
+                   + ["wN<=poly1", "damped_grad_uniform", "a2_half_L1", "a2_half_L5",
+                      "a2_half_L40", "a2_3half_inf", "a2_zero_one"])
+        stein = ([f"pure_phase_c{c}" for c in (1, 2, 4)]
+                 + [f"phase_b{b}_e{e}_t{t}" for b in (0.25, 0.5, 0.75)
+                    for e, t in ((1, 1), (2, 1), (1, 0.5))]
+                 + ["heaviside_divergent", "bump_convergent"])
+        ratios = [f"{k}_ceiling" for k in
+                  ("interpolation", "commutator", "algebra", "trilinear", "d_half")]
+        ratios += ["interp_scale_exact", "interp_wN_uniform"]
+        assert names == ([("weights", c) for c in weights] + [("stein", c) for c in stein]
+                         + [("ratios", c) for c in ratios])
+        assert len(names) == 37
 
     def test_verify_failure_exit_four_with_its_files(self, tmp_path, monkeypatch):
         weights = cli._verify_weights
 
-        def failing(rows, seed):
-            weights(rows, seed)
+        def failing(rows):
+            weights(rows)
             rows.append(["weights", "forced_failure", 1.0, 0.0, False])
 
         monkeypatch.setattr(cli, "_verify_weights", failing)
@@ -595,7 +608,7 @@ class TestExecute:
         active = []
 
         def fake(name):
-            def suite(rows, seed):
+            def suite(rows, *args):
                 active.append(name)
                 time.sleep(0.02)  # long enough for suites run at once to overlap
                 calls.append((name, threading.get_ident(), len(active)))
@@ -619,7 +632,7 @@ class TestExecute:
     ):
         where = []
 
-        def broken(rows, seed):
+        def broken(rows):
             where.append(threading.get_ident())
             raise ValueError("suite cannot run")
 
