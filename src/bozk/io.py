@@ -6,6 +6,8 @@ Lx f64, Ly f64, then ny*nx float64 samples row-major with x fastest.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 import struct
@@ -81,10 +83,12 @@ def fmt(value) -> str:
 
 
 def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) for v in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    """Header and rows, values through fmt; a field holding a comma or quote is quoted."""
+    text = io.StringIO()
+    writer = csv.writer(text, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows([fmt(v) for v in row] for row in rows)
+    atomic_write_text(path, text.getvalue())
 
 
 def _json_default(obj):

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple, Union
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
 
@@ -96,12 +96,12 @@ class SteinConfig:
 
 @dataclass(frozen=True)
 class SteinResult:
-    values: np.ndarray                       # (P,), or (S, P) for a stack
-    tail_sq_bound: Union[float, np.ndarray]  # float, or (S,) for a stack
+    values: np.ndarray         # (S, P)
+    tail_sq_bound: np.ndarray  # (S,)
 
     def upper(self) -> np.ndarray:
         """Value consistent with assigning the whole tail bound to the integral."""
-        return np.sqrt(self.values**2 + np.asarray(self.tail_sq_bound)[..., None])
+        return np.sqrt(self.values**2 + self.tail_sq_bound[:, None])
 
 
 def _log_band_nodes(h: float, z1: float, nodes_per_decade: int):
@@ -118,10 +118,48 @@ def _log_band_nodes(h: float, z1: float, nodes_per_decade: int):
     return z, w * z  # weights carry the dz = z ds Jacobian
 
 
-def _abs_diff(a, b, diff: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """|a - b| into the real buffer out, through the buffer diff."""
-    np.subtract(a, b, out=diff)
-    return np.abs(diff, out=out)
+def _sq_gap(f0: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """|f0 - w|^2, through the fresh array w itself."""
+    d = np.abs(np.subtract(f0, w, out=w))
+    return np.square(d, out=d)
+
+
+def _outer_zone(rows, fx, idx, dx, b, k0, k1) -> np.ndarray:
+    """The trapezoid over the offsets k0 <= k <= k1 cells, (S, P), in blocks
+    of _BLOCK offsets.  A block of m offsets reads each (row, node) pair's
+    samples on both sides as one window of the rows, _BLOCK // m pairs at a
+    time, so no temporary holds more than _BLOCK samples."""
+    outer = np.zeros(fx.size)
+    f0 = fx.reshape(-1, 1)
+    row, node = np.divmod(np.arange(fx.size), idx.size)
+    for a in range(k0, k1 + 1, _BLOCK):
+        stop = min(a + _BLOCK, k1 + 1)
+        kernel = np.power(np.arange(a, stop, dtype=np.float64) * dx, -1.0 - 2.0 * b)
+        kernel *= dx  # trapezoid weights: dx, halved at both ends
+        if a == k0:
+            kernel[0] *= 0.5
+        if stop == k1 + 1:
+            kernel[-1] *= 0.5
+        win = np.lib.stride_tricks.sliding_window_view(rows, stop - a, axis=1)
+        chunk = max(1, _BLOCK // (stop - a))
+        for c in range(0, fx.size, chunk):
+            s, i = row[c : c + chunk], idx[node[c : c + chunk]]
+            sq = _sq_gap(f0[c : c + chunk], win[s, i - stop + 1, ::-1])
+            sq += _sq_gap(f0[c : c + chunk], win[s, i + a])
+            sq *= kernel
+            outer[c : c + chunk] += np.sum(sq, axis=1)
+    return outer.reshape(fx.shape)
+
+
+def _tail_sq_bound(rows, r_eff, b) -> np.ndarray:
+    """2 osc^2 R^(-2b) / b per row, osc twice the largest deviation from the
+    row mean, read a block of columns of every row at a time."""
+    mean = rows.mean(axis=1, keepdims=True)
+    dev = np.zeros(len(rows))
+    cols = max(1, _BLOCK // len(rows))
+    for a in range(0, rows.shape[1], cols):
+        dev = np.maximum(dev, np.abs(rows[:, a : a + cols] - mean).max(axis=1))
+    return 2.0 * (2.0 * dev) ** 2 * r_eff ** (-2.0 * b) / b
 
 
 def stein_derivative(
@@ -131,28 +169,26 @@ def stein_derivative(
     nodes: Sequence[int],
 ) -> SteinResult:
     """Evaluate Db f at the sample nodes `nodes` (integer indices into the
-    samples) from the samples fs of uniform step dx.
+    samples) for each row of the (S, N) stack fs of samples of uniform step
+    dx; the values are (S, P) and the tail bound has one entry per row.
 
     Each node must sit at least r_outer inside the sampled interval;
-    ValueError unless dx is positive and finite and the nodes are integers.
-    Complex samples are allowed (the integrand uses |.|^2).  The returned
-    tail bound is 2 * osc(f)^2 * R^(-2b) / b, a uniform bound on the
-    neglected squared mass beyond R.
-
-    fs may be a stack (S, N) of rows on the one grid; values are then
-    (S, P) and the tail bound has one entry per row.  Every reduction runs
-    per row, so a row's results do not depend on the rest of the stack.
+    ValueError unless fs is an (S, N) stack, dx is positive and finite and
+    the nodes are integers.  Complex samples are allowed (the integrand uses
+    |.|^2).  The tail bound is 2 * osc(f)^2 * R^(-2b) / b, a uniform bound
+    on the neglected squared mass beyond R.  Every reduction runs per row,
+    so a row's results do not depend on the rest of the stack.
     """
-    fs = np.asarray(fs)
-    if fs.ndim not in (1, 2):
-        raise ValueError("fs must be a 1-D array or an (S, N) stack")
+    rows = np.asarray(fs)
+    if rows.ndim != 2:
+        raise ValueError("fs must be an (S, N) stack of rows")
+    rows = rows.astype(np.result_type(rows, np.float64), copy=False)  # window copies take its dtype
     dx = float(dx)
     if not 0.0 < dx < math.inf:  # a NaN dx fails too
         raise ValueError("sample grid needs a positive, finite step dx")
-    if not np.isfinite(fs).all():
+    if not np.isfinite(rows).all():
         raise ValueError("samples contain non-finite values")
-    n = fs.shape[-1]
-    rows = fs.reshape(-1, n)
+    n = rows.shape[1]
 
     idx = np.atleast_1d(np.asarray(nodes))
     if idx.dtype.kind not in "iu":
@@ -190,54 +226,11 @@ def stein_derivative(
         plus = cubic_basis(idx[near, None] + cells, n)
         for s, f in enumerate(rows):
             f0 = fx[s, near, None]
-            band[s, near] = np.sum(
-                (
-                    np.abs(f0 - cubic_combine(minus, f)) ** 2
-                    + np.abs(f0 - cubic_combine(plus, f)) ** 2
-                )
-                * kernel_b,
-                axis=1,
-            )
+            sq = _sq_gap(f0, cubic_combine(minus, f)) + _sq_gap(f0, cubic_combine(plus, f))
+            band[s, near] = np.sum(sq * kernel_b, axis=1)
 
-    # the outer zone, offsets k0 <= k <= k1 cells, and then the oscillation
-    # bound run in blocks of _BLOCK samples through these buffers
-    width = min(n, _BLOCK)
-    diff = np.empty(width, dtype=np.result_type(rows, np.float64))
-    sq_m = np.empty(width)
-    sq_p = np.empty(width)
-    kernel_o = np.empty(width)
-    outer = np.zeros(fx.shape)
-    for a in range(k0, k1 + 1, _BLOCK):
-        stop = min(a + _BLOCK, k1 + 1)
-        km, dm, dp, dd = (buf[: stop - a] for buf in (kernel_o, sq_m, sq_p, diff))
-        np.multiply(np.arange(a, stop, dtype=np.float64), dx, out=km)
-        np.power(km, -1.0 - 2.0 * b, out=km)
-        km *= dx  # trapezoid weights: dx, halved at both ends
-        if a == k0:
-            km[0] *= 0.5
-        if stop == k1 + 1:
-            km[-1] *= 0.5
-        for j, i in enumerate(idx):
-            for s, f in enumerate(rows):
-                fm = f[i - stop + 1 : i - a + 1][::-1]
-                fp = f[i + a : i + stop]
-                np.square(_abs_diff(fx[s, j], fm, dd, dm), out=dm)
-                np.square(_abs_diff(fx[s, j], fp, dd, dp), out=dp)
-                np.add(dm, dp, out=dm)
-                outer[s, j] += np.sum(np.multiply(dm, km, out=dm))
-    values = np.sqrt(np.maximum(inner + band + outer, 0.0))
-
-    tails = np.empty(len(rows))
-    for s, (f, mean) in enumerate(zip(rows, rows.mean(axis=1))):
-        dev = 0.0
-        for a in range(0, f.size, width):
-            seg = f[a : a + width]
-            dev = max(dev, float(_abs_diff(seg, mean, diff[: seg.size], sq_m[: seg.size]).max()))
-        osc = 2.0 * dev
-        tails[s] = 2.0 * osc**2 * r_eff ** (-2.0 * b) / b
-    if fs.ndim == 1:
-        return SteinResult(values=values[0], tail_sq_bound=float(tails[0]))
-    return SteinResult(values=values, tail_sq_bound=tails)
+    values = np.sqrt(np.maximum(inner + band + _outer_zone(rows, fx, idx, dx, b, k0, k1), 0.0))
+    return SteinResult(values=values, tail_sq_bound=_tail_sq_bound(rows, r_eff, b))
 
 
 def phase_bound(b: float, eta: float, t: float) -> float:
@@ -258,8 +251,8 @@ def probe_window(
     inner patch of min(2 step, 1/2), evaluated at the window nodes k with
     |k - origin| >= 4 and |k - origin| step <= epsilon/2: the plateau of a
     cutoff of width epsilon, less a four-cell resolution floor around the
-    origin.  ValueError if no sample is left there.  fs may be an (S, N)
-    stack; the values are then (S, P)."""
+    origin.  fs is an (S, N) stack and the values are (S, P); ValueError
+    if no sample is left in the window or fs is not a stack."""
     window = 0.5 * epsilon
     cells = np.abs(np.arange(np.shape(fs)[-1]) - origin)
     nodes = np.flatnonzero((cells >= 4) & (cells * step <= window))

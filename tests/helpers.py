@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 
+from bozk import stein
 from bozk.grid import SpectrumField
 from bozk.uc import B1_ETA_TARGETS, CutoffSpec
 
@@ -66,3 +67,45 @@ def jump_slope(phi, t: float, cut: CutoffSpec = CutoffSpec()) -> float:
     w = np.concatenate([[d[0] / 2], (d[:-1] + d[1:]) / 2, [d[-1] / 2]])
     jump = 4.0 * t * cut.chi(0.0, etas) * cols.sum(axis=1) * g.dx
     return 2.0 * math.log(2.0) * float(np.sum(w * np.abs(jump) ** 2))
+
+
+def outer_zone_loop(rows, fx, idx, dx, b, k0, k1) -> np.ndarray:
+    """stein._outer_zone as one (node, row) pair at a time: the trapezoid
+    over the offsets k0 <= k <= k1 in blocks of stein._BLOCK offsets, each
+    side of a pair read as a slice of its row, through reused buffers."""
+    width = min(rows.shape[1], stein._BLOCK)
+    diff = np.empty(width, dtype=np.result_type(rows, np.float64))
+    sq_m, sq_p, kernel = np.empty(width), np.empty(width), np.empty(width)
+    outer = np.zeros(fx.shape)
+    for a in range(k0, k1 + 1, stein._BLOCK):
+        stop = min(a + stein._BLOCK, k1 + 1)
+        km, dm, dp, dd = (buf[: stop - a] for buf in (kernel, sq_m, sq_p, diff))
+        np.multiply(np.arange(a, stop, dtype=np.float64), dx, out=km)
+        np.power(km, -1.0 - 2.0 * b, out=km)
+        km *= dx
+        if a == k0:
+            km[0] *= 0.5
+        if stop == k1 + 1:
+            km[-1] *= 0.5
+        for j, i in enumerate(idx):
+            for s, f in enumerate(rows):
+                near, far = f[i - stop + 1 : i - a + 1][::-1], f[i + a : i + stop]
+                for side, out in ((near, dm), (far, dp)):
+                    np.subtract(fx[s, j], side, out=dd)
+                    np.square(np.abs(dd, out=out), out=out)
+                np.add(dm, dp, out=dm)
+                outer[s, j] += np.sum(np.multiply(dm, km, out=dm))
+    return outer
+
+
+def tail_sq_bound_loop(rows, r_eff, b) -> np.ndarray:
+    """stein._tail_sq_bound one row at a time, each row read in blocks of
+    stein._BLOCK samples."""
+    width = min(rows.shape[1], stein._BLOCK)
+    tails = np.empty(len(rows))
+    for s, (f, mean) in enumerate(zip(rows, rows.mean(axis=1))):
+        dev = 0.0
+        for a in range(0, f.size, width):
+            dev = max(dev, float(np.abs(f[a : a + width] - mean).max()))
+        tails[s] = 2.0 * (2.0 * dev) ** 2 * r_eff ** (-2.0 * b) / b
+    return tails

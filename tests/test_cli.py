@@ -1,3 +1,4 @@
+import csv
 import dataclasses
 import inspect
 import json
@@ -565,11 +566,12 @@ class TestExecute:
     def test_verify_on_defaults(self, tmp_path):
         out = tmp_path / "outv"
         assert execute(["verify", "--out", str(out), "--quiet"]) == EXIT_OK
-        lines = (out / "verify.csv").read_text().splitlines()
-        assert lines[0] == "suite,check,measured,reference,passed"
-        assert all(line.endswith("true") for line in lines[1:])
-        # a check name may hold a comma; the last three fields never do
-        names = [tuple(line.rsplit(",", 3)[0].split(",", 1)) for line in lines[1:]]
+        with open(out / "verify.csv", newline="") as fh:
+            table = list(csv.reader(fh))
+        assert table[0] == ["suite", "check", "measured", "reference", "passed"]
+        # a check name that holds a comma is quoted, so every row has five fields
+        assert all(len(row) == 5 and row[-1] == "true" for row in table[1:])
+        names = [tuple(row[:2]) for row in table[1:]]
         weights = (["beta(5,5)=sqrt26", "beta(7,0)=1", "beta(3,12)=6"]
                    + [f"beta_slope_N{n}" for n in (1, 2, 4, 8, 16, 32)]
                    + ["wN<=poly1", "damped_grad_uniform", "a2_half_L1", "a2_half_L5",

@@ -30,6 +30,7 @@ from bozk.stein import (
     refinement_ladder,
     stein_derivative,
 )
+from helpers import bits, outer_zone_loop, tail_sq_bound_loop
 
 # Exact constants of the pure-phase functional, from the closed form
 #   Db(e^{icx})^2 = |c|^{2b} * int |1 - e^{iy}|^2 / |y|^{1+2b} dy
@@ -49,11 +50,12 @@ def sampled_line(r_outer=400.0, dx=0.005, pad=20.0):
 
 def on_line(xs, fs, cfg, points):
     """stein_derivative of fs on the uniform grid xs at the nodes of xs at the
-    given points, with the step xs[1] - xs[0]."""
+    given points, with the step xs[1] - xs[0]; fs is an (S, N) stack, or one
+    row, which goes in as a one-row stack."""
     dx = xs[1] - xs[0]
     nodes = np.rint((np.asarray(points) - xs[0]) / dx).astype(np.intp)
     assert np.allclose(xs[nodes], points, rtol=0.0, atol=1e-9 * dx), "points off the nodes"
-    return stein_derivative(fs, dx, cfg, nodes)
+    return stein_derivative(np.atleast_2d(fs), dx, cfg, nodes)
 
 
 class TestSteinDerivative:
@@ -85,8 +87,8 @@ class TestSteinDerivative:
         cfg = SteinConfig(b=0.5, r_outer=20.0)
         f = np.exp(-(xs**2))
         g = np.exp(-((xs - 1.5) ** 2))
-        a = on_line(xs, f, cfg, [0.25]).values[0]
-        b_ = on_line(xs, g, cfg, [1.75]).values[0]
+        a = on_line(xs, f, cfg, [0.25]).values[0, 0]
+        b_ = on_line(xs, g, cfg, [1.75]).values[0, 0]
         assert abs(a - b_) / a < 1e-6
 
     def test_boundary_margin_enforced(self):
@@ -99,7 +101,7 @@ class TestSteinDerivative:
         xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
         cfg = SteinConfig(b=0.5, r_outer=5.0)
         with pytest.raises(ValueError, match="sample nodes"):
-            stein_derivative(np.exp(1j * xs), 0.02, cfg, [350, 350 + 51.5])
+            stein_derivative(np.exp(1j * xs)[None], 0.02, cfg, [350, 350 + 51.5])
 
     @pytest.mark.parametrize(
         "nodes, ok",
@@ -116,7 +118,7 @@ class TestSteinDerivative:
         # nodes are indices into the samples, never positions rebuilt from
         # a first node and a step
         xs = sampled_line(r_outer=5.0, dx=0.001, pad=2.0)
-        fs = np.exp(1j * xs)
+        fs = np.exp(1j * xs)[None]
         cfg = SteinConfig(b=0.5, r_outer=5.0)
         dx = xs[1] - xs[0]
         if ok:
@@ -129,8 +131,8 @@ class TestSteinDerivative:
     def test_node_past_either_margin_rejected(self):
         # 101 samples of step 0.1 leave nodes 20 .. 80 two units inside
         cfg = SteinConfig(b=0.5, r_outer=2.0)
-        fs = np.ones(101)
-        assert stein_derivative(fs, 0.1, cfg, [20, 50, 80]).values.shape == (3,)
+        fs = np.ones((1, 101))
+        assert stein_derivative(fs, 0.1, cfg, [20, 50, 80]).values.shape == (1, 3)
         for node in (-50, 19, 81, 150):
             with pytest.raises(ValueError, match="sample boundary"):
                 stein_derivative(fs, 0.1, cfg, [50, node])
@@ -139,7 +141,7 @@ class TestSteinDerivative:
         cfg = SteinConfig(b=0.5, r_outer=2.0)
         for dx in (0.0, -0.1, np.nan, np.inf):
             with pytest.raises(ValueError, match="positive, finite step"):
-                stein_derivative(np.ones(101), dx, cfg, [50])
+                stein_derivative(np.ones((1, 101)), dx, cfg, [50])
 
     @pytest.mark.parametrize("epsilon", [0.3, 0.7])
     def test_probe_window_on_a_step_that_is_not_dyadic(self, epsilon):
@@ -150,7 +152,7 @@ class TestSteinDerivative:
         step = epsilon / 16.0 * 0.5**7
         n = math.ceil((0.5 * epsilon + 2.0 + 8.0 * step) / step)
         xs = step * np.arange(-n, n + 1)
-        fs = np.exp(-8.0 * xs**2) * (1.0 + (xs >= 0.0))
+        fs = (np.exp(-8.0 * xs**2) * (1.0 + (xs >= 0.0)))[None]
         vals = probe_window(fs, step, n, 0.5, epsilon)
         cells = np.abs(np.arange(xs.size) - n)
         nodes = np.flatnonzero((cells >= 4) & (cells * step <= 0.5 * epsilon))
@@ -161,12 +163,36 @@ class TestSteinDerivative:
         _, ratios = refinement_ladder(lambda x: np.exp(-8.0 * x**2)[None], [1.0], 0.5, 8, epsilon)
         assert len(ratios) == 7
 
-    def test_one_row_keeps_its_return_types(self):
+    def test_one_row_stack_shapes(self):
         xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
-        res = on_line(xs, np.exp(1j * xs), SteinConfig(b=0.5, r_outer=5.0), [0.0, 1.0])
-        assert res.values.shape == (2,)
-        assert type(res.tail_sq_bound) is float
-        assert res.upper().shape == (2,)
+        fs = np.exp(1j * xs)[None]
+        res = stein_derivative(fs, 0.02, SteinConfig(b=0.5, r_outer=5.0), [350, 400])
+        assert res.values.shape == (1, 2)
+        assert res.tail_sq_bound.shape == (1,)
+        assert res.upper().shape == (1, 2)
+        # the window nodes 4 .. 25 cells either side of the origin
+        n = (xs.size - 1) // 2
+        assert probe_window(fs, 0.02, n, 0.5, 1.0).shape == (1, 44)
+
+    def test_integer_samples_read_as_float(self):
+        # the window copies carry the samples' dtype, so integers go in as float64
+        fs = (np.arange(-350, 351) >= 0)[None]
+        cfg = SteinConfig(b=0.5, r_outer=5.0)
+        got = stein_derivative(fs.astype(np.int64), 0.02, cfg, [350, 400])
+        ref = stein_derivative(fs.astype(np.float64), 0.02, cfg, [350, 400])
+        assert np.array_equal(bits(got.values), bits(ref.values))
+        assert np.array_equal(bits(got.tail_sq_bound), bits(ref.tail_sq_bound))
+
+    def test_one_row_rejected(self):
+        # a 1-D fs is one row only by guess: the caller passes fs[None]
+        xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
+        fs = np.exp(1j * xs)
+        with pytest.raises(ValueError, match=r"\(S, N\) stack"):
+            stein_derivative(fs, 0.02, SteinConfig(b=0.5, r_outer=5.0), [350])
+        with pytest.raises(ValueError, match=r"\(S, N\) stack"):
+            probe_window(fs, 0.02, (xs.size - 1) // 2, 0.5, 1.0)
+        with pytest.raises(ValueError, match=r"\(S, N\) stack"):
+            stein_derivative(fs[None, None], 0.02, SteinConfig(b=0.5, r_outer=5.0), [350])
 
     def test_verify_size_call_allocates_little(self):
         # one verify-size call: 168,001 complex samples, R = 400, one node
@@ -201,7 +227,7 @@ class TestBlockedOuterBand:
             blocked = on_line(xs, fs, cfg, [0.0])
             ref = self.unblocked(monkeypatch, xs, fs, cfg, [0.0])
             assert np.allclose(blocked.values, ref.values, rtol=1e-14, atol=0.0)
-            assert blocked.tail_sq_bound == ref.tail_sq_bound
+            assert np.array_equal(blocked.tail_sq_bound, ref.tail_sq_bound)
 
     @pytest.mark.parametrize("block", [7, 64, 1000])
     def test_stack_at_several_nodes(self, monkeypatch, block):
@@ -215,6 +241,29 @@ class TestBlockedOuterBand:
         ref = self.unblocked(monkeypatch, xs, fs, cfg, pts)
         assert np.allclose(blocked.values, ref.values, rtol=1e-14, atol=0.0)
         assert np.array_equal(blocked.tail_sq_bound, ref.tail_sq_bound)
+
+
+class TestWindowReads:
+    """The outer zone's window reads and the column-block oscillation bound
+    against the loops over (node, row) pairs and rows that they replace."""
+
+    @pytest.mark.parametrize("block", [64, 150, 1 << 14])
+    def test_bit_identical_to_pair_loop(self, monkeypatch, block):
+        # 201 offsets and 24 (row, node) pairs: blocks of 64 offsets read one
+        # pair at a time, the last block of 9 seven at a time (four chunks);
+        # blocks of 150 and 51 read one and two at a time; one block of 201
+        # reads all 24 at once
+        xs = sampled_line(r_outer=5.0, dx=0.02, pad=2.0)
+        fs = TestStacks.stack(xs, 3)
+        cfg = SteinConfig(b=0.4, r_outer=5.0)
+        nodes = [250, 251, 252, 253, 446, 447, 448, 450]
+        monkeypatch.setattr(stein, "_BLOCK", block)
+        res = stein_derivative(fs, 0.02, cfg, nodes)
+        monkeypatch.setattr(stein, "_outer_zone", outer_zone_loop)
+        monkeypatch.setattr(stein, "_tail_sq_bound", tail_sq_bound_loop)
+        ref = stein_derivative(fs, 0.02, cfg, nodes)
+        assert np.array_equal(bits(res.values), bits(ref.values))
+        assert np.array_equal(bits(res.tail_sq_bound), bits(ref.tail_sq_bound))
 
 
 class TestStacks:
@@ -236,10 +285,10 @@ class TestStacks:
         assert res.tail_sq_bound.shape == (rows,)
         upper = res.upper()
         for s in range(rows):
-            one = on_line(xs, fs[s], cfg, pts)
-            assert np.array_equal(res.values[s], one.values)
-            assert res.tail_sq_bound[s] == one.tail_sq_bound
-            assert np.array_equal(upper[s], one.upper())
+            one = on_line(xs, fs[s : s + 1], cfg, pts)
+            assert np.array_equal(res.values[s], one.values[0])
+            assert res.tail_sq_bound[s] == one.tail_sq_bound[0]
+            assert np.array_equal(upper[s], one.upper()[0])
 
     @pytest.mark.parametrize("rows", [1, 2, 9])
     def test_probe_window_rows_equal_single_calls(self, rows):
@@ -250,7 +299,7 @@ class TestStacks:
         vals = probe_window(fs, step, n, 0.5, 1.0)
         assert vals.shape[0] == rows
         for s in range(rows):
-            assert np.array_equal(vals[s], probe_window(fs[s], step, n, 0.5, 1.0))
+            assert np.array_equal(vals[s], probe_window(fs[s : s + 1], step, n, 0.5, 1.0)[0])
 
 
 def x_array_probe(xs, fs, b, step, epsilon):

@@ -75,7 +75,7 @@ def per_slice_level_norms(phi, t, levels=4):
         for w, eta, idx in zip(wts, etas, uniq):
             f = (2.0 * t * cut.chi(xi, eta) * np.exp(1j * t * xi * (eta**2 - np.abs(xi)))
                  * np.sign(xi) * (kern @ col[nearest[idx]]))
-            vals = probe_window(f, step, n, 0.5, cut.epsilon)
+            vals = probe_window(f[None], step, n, 0.5, cut.epsilon)
             total += w * float(np.sum(vals**2) * step)
         norms.append(math.sqrt(total))
     return norms
@@ -97,7 +97,7 @@ def per_row_density(u, r, cut):
             sel = (np.abs(xi) > 0) & (np.abs(xi) <= window)
             val = float(np.max(np.abs(q[sel]) ** 2))
         else:
-            vals = probe_window(q, 2.0 * np.pi / g.lx, g.nx // 2, b, cut.epsilon)
+            vals = probe_window(q[None], 2.0 * np.pi / g.lx, g.nx // 2, b, cut.epsilon)
             val = float(np.max(vals**2))
         peak = max(peak, val)
     return peak
